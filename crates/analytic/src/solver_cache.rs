@@ -25,11 +25,10 @@
 //! clone of the trace-probability map.
 
 use crate::chain::{analyze, AnalyzeError, AnalyzeOpts, ChainResult};
-use parking_lot::Mutex;
 use repmem_core::{CoherenceProtocol, ProtocolKind, Scenario, SystemParams};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Probability quantum for cache keys (see module docs).
 const QUANTUM: f64 = 1e-12;
@@ -83,6 +82,12 @@ impl Key {
     }
 }
 
+/// Poison-tolerant lock: a worker that panicked mid-solve left its slot
+/// `None` (the next lookup retries), so the data is still consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// One key's slot: `None` while the first solve is in flight.
 type Slot = Arc<Mutex<Option<Arc<ChainResult>>>>;
 
@@ -121,8 +126,8 @@ impl SolverCache {
         let key = Key::new(protocol.kind(), sys, scenario, &opts);
         // The map lock is released before the slot lock is taken, so no
         // thread ever holds both (the error path below relies on that).
-        let slot: Slot = Arc::clone(self.map.lock().entry(key.clone()).or_default());
-        let mut guard = slot.lock();
+        let slot: Slot = Arc::clone(lock(&self.map).entry(key.clone()).or_default());
+        let mut guard = lock(&slot);
         if let Some(hit) = guard.as_ref() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(hit));
@@ -137,7 +142,7 @@ impl SolverCache {
             Err(e) => {
                 // Drop the placeholder so the next lookup retries instead
                 // of finding a permanently empty slot.
-                self.map.lock().remove(&key);
+                lock(&self.map).remove(&key);
                 Err(e)
             }
         }
@@ -167,12 +172,12 @@ impl SolverCache {
     /// Number of distinct keys currently stored (including in-flight
     /// solves).
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        lock(&self.map).len()
     }
 
     /// `true` when no solve has been stored or started yet.
     pub fn is_empty(&self) -> bool {
-        self.map.lock().is_empty()
+        lock(&self.map).is_empty()
     }
 }
 

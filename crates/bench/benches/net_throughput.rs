@@ -3,13 +3,18 @@
 //! backend versus TCP loopback — the direct price of real sockets under
 //! the same coherence traffic.
 
+// The TCP loopback case runs on the epoll-based mesh.
+#![cfg(target_os = "linux")]
+
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use repmem_core::{
     Msg, MsgKind, NodeId, ObjectId, OpTag, PayloadKind, ProtocolKind, QueueKind, SystemParams,
 };
 use repmem_net::codec::{decode_frame, encode_envelope_frame};
-use repmem_net::{Envelope, FaultSchedule, FaultTransport, InProcTransport, Payload, TcpTransport};
+use repmem_net::{
+    Envelope, EpollTransport, FaultSchedule, FaultTransport, InProcTransport, Payload,
+};
 use repmem_runtime::{Cluster, ShardConfig};
 use std::hint::black_box;
 use std::time::Duration;
@@ -95,7 +100,7 @@ fn bench_transports(c: &mut Criterion) {
             sys,
             kind,
             ShardConfig::default(),
-            TcpTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
+            EpollTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
         )
         .expect("cluster");
         b.iter(|| drive(&cluster));
@@ -110,23 +115,6 @@ fn bench_transports(c: &mut Criterion) {
             kind,
             ShardConfig::default(),
             FaultTransport::new(InProcTransport::new(sys.n_nodes()), FaultSchedule::new()),
-        )
-        .expect("cluster");
-        b.iter(|| drive(&cluster));
-        cluster.shutdown().unwrap();
-    });
-    // Same sockets, but outbound envelopes coalesce into one
-    // `Frame::Batch` per link at each node-loop flush: the syscall
-    // savings of the zero-alloc batch wire path, isolated from
-    // sharding and pipelining.
-    g.bench_function("tcp_loopback_batched", |b| {
-        let cluster = Cluster::with_transport(
-            sys,
-            kind,
-            ShardConfig::default(),
-            TcpTransport::loopback(sys.n_nodes())
-                .expect("loopback mesh")
-                .batched(),
         )
         .expect("cluster");
         b.iter(|| drive(&cluster));

@@ -7,17 +7,14 @@
 //!   the client-driven gate (`ShardConfig::exclusive`): foreign-shard
 //!   replicas are pruned from broadcast waves.
 //! * `pipelined` — `K=2` with an eight-deep in-flight window (`W=8`).
-//! * `tcp`       — the paper topology over the threaded TCP loopback
-//!   mesh, eager wire (one syscall per message): the wire control point.
-//! * `tcp+coal`  — same topology, write-coalescing wire: sends buffer
-//!   per link and one flush writes each link's burst in one syscall.
-//! * `tcp+epoll` — same topology over the event-driven epoll mesh (one
-//!   I/O loop thread instead of a reader thread per link; Linux only).
-//! * `batched`   — the full data plane: `K=2, W=8` over a batched TCP
-//!   loopback mesh (coalesced `Frame::Batch` wire frames).
+//! * `tcp`       — the paper topology (`K=1, W=1`) over the TCP
+//!   loopback mesh: the wire control point.
+//! * `batched`   — the full data plane: `K=2, W=8` over the TCP loopback
+//!   mesh, where each node-loop flush writes a multi-envelope burst per
+//!   link.
 //!
-//! `tcp`, `tcp+coal` and `tcp+epoll` share one topology so their ratios
-//! isolate the wire stack; `baseline`/`sharded` isolate the gating fix.
+//! `baseline`/`tcp` isolate the wire, `baseline`/`sharded` the gating
+//! fix, `tcp`/`batched` sharding plus pipelining over real sockets.
 //!
 //! The workload is the sharing-heavy pattern of the `runtime/ops_per_sec`
 //! Criterion group: four clients rotating writes and reads over sixteen
@@ -28,9 +25,12 @@
 //! `--ops N` overrides the per-cell operation count (default 12000);
 //! `--reps R` the medianed repetitions per cell (default 5).
 
+// The `tcp` and `batched` columns run on the epoll-based TCP mesh.
+#![cfg(target_os = "linux")]
+
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, ProtocolKind, SystemParams};
-use repmem_net::{InProcTransport, TcpTransport};
+use repmem_net::{EpollTransport, InProcTransport};
 use repmem_runtime::{Cluster, ShardConfig, Ticket};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -47,32 +47,18 @@ fn sys() -> SystemParams {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Wire {
     InProc,
-    /// Threaded mesh: eager (false) or per-link write coalescing (true).
-    Tcp {
-        coalesce: bool,
-    },
-    /// Threaded mesh with `Frame::Batch` wire frames.
-    TcpBatch,
-    /// Event-driven epoll mesh (Linux only; skipped elsewhere).
-    Epoll,
+    Tcp,
 }
 
 impl Wire {
     fn json_name(self) -> &'static str {
         match self {
             Wire::InProc => "inproc",
-            Wire::Tcp { coalesce: false } => "tcp",
-            Wire::Tcp { coalesce: true } => "tcp+coalesce",
-            Wire::TcpBatch => "tcp+batch",
-            Wire::Epoll => "tcp+epoll",
+            Wire::Tcp => "tcp",
         }
-    }
-
-    fn available(self) -> bool {
-        self != Wire::Epoll || cfg!(target_os = "linux")
     }
 }
 
@@ -85,7 +71,7 @@ struct Variant {
     wire: Wire,
 }
 
-const VARIANTS: [Variant; 7] = [
+const VARIANTS: [Variant; 5] = [
     Variant {
         name: "baseline",
         shards: 1,
@@ -112,28 +98,14 @@ const VARIANTS: [Variant; 7] = [
         shards: 1,
         window: 1,
         exclusive: false,
-        wire: Wire::Tcp { coalesce: false },
-    },
-    Variant {
-        name: "tcp+coal",
-        shards: 1,
-        window: 1,
-        exclusive: false,
-        wire: Wire::Tcp { coalesce: true },
-    },
-    Variant {
-        name: "tcp+epoll",
-        shards: 1,
-        window: 1,
-        exclusive: false,
-        wire: Wire::Epoll,
+        wire: Wire::Tcp,
     },
     Variant {
         name: "batched",
         shards: 2,
         window: 8,
         exclusive: true,
-        wire: Wire::TcpBatch,
+        wire: Wire::Tcp,
     },
 ];
 
@@ -158,22 +130,10 @@ fn run_cell(kind: ProtocolKind, v: Variant, ops: usize) -> f64 {
     let n = cfg.total_nodes(&sys);
     let cluster = match v.wire {
         Wire::InProc => Cluster::with_transport(sys, kind, cfg, InProcTransport::new(n)),
-        Wire::Tcp { coalesce } => {
-            let t = TcpTransport::loopback(n).expect("loopback mesh");
-            let t = if coalesce { t.coalescing() } else { t };
+        Wire::Tcp => {
+            let t = EpollTransport::loopback(n).expect("loopback mesh");
             Cluster::with_transport(sys, kind, cfg, t)
         }
-        Wire::TcpBatch => {
-            let t = TcpTransport::loopback(n).expect("loopback mesh").batched();
-            Cluster::with_transport(sys, kind, cfg, t)
-        }
-        #[cfg(target_os = "linux")]
-        Wire::Epoll => {
-            let t = repmem_net::EpollTransport::loopback(n).expect("epoll mesh");
-            Cluster::with_transport(sys, kind, cfg, t)
-        }
-        #[cfg(not(target_os = "linux"))]
-        Wire::Epoll => unreachable!("epoll variant filtered out off-Linux"),
     }
     .expect("cluster");
     let handles: Vec<_> = (0..N_CLIENTS)
@@ -220,15 +180,6 @@ fn run_cell_median(kind: ProtocolKind, v: Variant, ops: usize, reps: usize) -> f
     rates[rates.len() / 2]
 }
 
-/// The wire-sensitive protocols of the acceptance gate: high
-/// message-per-operation counts, so per-hop wire overhead dominates.
-const CHATTY: [ProtocolKind; 4] = [
-    ProtocolKind::WriteThrough,
-    ProtocolKind::Dragon,
-    ProtocolKind::Firefly,
-    ProtocolKind::Quorum,
-];
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
@@ -245,11 +196,12 @@ fn main() {
     let ops = flag("--ops", 12000);
     let reps = flag("--reps", 5).max(1);
 
-    let variants: Vec<Variant> = VARIANTS
-        .into_iter()
-        .filter(|v| v.wire.available())
-        .collect();
-    let col = |name: &str| -> Option<usize> { variants.iter().position(|v| v.name == name) };
+    let col = |name: &str| -> usize {
+        VARIANTS
+            .iter()
+            .position(|v| v.name == name)
+            .expect("known variant")
+    };
 
     let sys = sys();
     println!(
@@ -258,7 +210,7 @@ fn main() {
         sys.n_clients, sys.m_objects
     );
     print!("{:<16}", "protocol");
-    for v in &variants {
+    for v in &VARIANTS {
         print!("{:>12}", v.name);
     }
     println!();
@@ -267,7 +219,7 @@ fn main() {
     for kind in ProtocolKind::EVERY {
         print!("{:<16}", kind.name());
         let mut cells = Vec::new();
-        for v in &variants {
+        for v in &VARIANTS {
             let rate = run_cell_median(kind, *v, ops, reps);
             print!("{:>12.0}", rate);
             use std::io::Write;
@@ -278,50 +230,24 @@ fn main() {
         rows.push((kind, cells));
     }
 
-    // Acceptance ratios. Geomeans over all nine protocols compare each
-    // configuration with its natural control point; the chatty-subset
-    // geomean isolates the event-driven mesh on the protocols whose
-    // per-operation message count makes the wire the bottleneck.
-    let geo = |num: usize, den: usize, kinds: &[ProtocolKind]| -> f64 {
-        let picked: Vec<f64> = rows
-            .iter()
-            .filter(|(k, _)| kinds.contains(k))
-            .map(|(_, c)| (c[num] / c[den]).ln())
-            .collect();
-        (picked.iter().sum::<f64>() / picked.len() as f64).exp()
+    // Geomeans over all nine protocols compare each configuration with
+    // its natural control point.
+    let geo = |num: usize, den: usize| -> f64 {
+        let logs: f64 = rows.iter().map(|(_, c)| (c[num] / c[den]).ln()).sum();
+        (logs / rows.len() as f64).exp()
     };
-    let every = ProtocolKind::EVERY;
-    let (bl, sh, pi, tcp) = (
-        col("baseline").expect("baseline"),
-        col("sharded").expect("sharded"),
-        col("pipelined").expect("pipelined"),
-        col("tcp").expect("tcp"),
-    );
-    let pipe_x = geo(pi, bl, &every);
-    let shard_x = geo(sh, bl, &every);
-    let batch_x = col("batched").map(|b| geo(b, tcp, &every));
-    let coal_x = col("tcp+coal").map(|c| geo(c, tcp, &CHATTY));
-    let epoll_x = col("tcp+epoll").map(|e| geo(e, tcp, &CHATTY));
-    println!("\ngeomean speedups:");
-    println!("  sharded   (K=2, W=1, gated)    vs baseline (in-proc): {shard_x:.2}x  [all 9]");
-    println!("  pipelined (K=2, W=8, in-proc)  vs baseline (in-proc): {pipe_x:.2}x  [all 9]");
-    if let Some(x) = batch_x {
-        println!("  batched   (K=2, W=8, batch TCP) vs tcp (eager TCP):   {x:.2}x  [all 9]");
-    }
-    if let Some(x) = coal_x {
-        println!("  tcp+coal  (coalescing wire)    vs tcp (eager TCP):   {x:.2}x  [chatty 4]");
-    }
-    if let Some(x) = epoll_x {
-        println!("  tcp+epoll (event-driven mesh)  vs tcp (eager TCP):   {x:.2}x  [chatty 4]");
-    }
+    let (bl, tcp) = (col("baseline"), col("tcp"));
+    let pipe_x = geo(col("pipelined"), bl);
+    let shard_x = geo(col("sharded"), bl);
+    let batch_x = geo(col("batched"), tcp);
+    println!("\ngeomean speedups over all nine protocols:");
+    println!("  sharded   (K=2, W=1, gated)   vs baseline (in-proc): {shard_x:.2}x");
+    println!("  pipelined (K=2, W=8, in-proc) vs baseline (in-proc): {pipe_x:.2}x");
+    println!("  batched   (K=2, W=8, TCP)     vs tcp (K=1, W=1):     {batch_x:.2}x");
     if let Some((_, cells)) = rows.iter().find(|(k, _)| *k == ProtocolKind::Quorum) {
-        let best_tcp = col("tcp+epoll").or(col("tcp+coal")).unwrap_or(tcp);
         println!(
-            "\nQuorum over-the-wire gap (in-proc baseline / cell): \
-             tcp {:.1}x, best wire ({}) {:.1}x",
+            "\nQuorum over-the-wire gap (in-proc baseline / tcp): {:.1}x",
             cells[bl] / cells[tcp],
-            variants[best_tcp].name,
-            cells[bl] / cells[best_tcp],
         );
     }
 
@@ -331,7 +257,7 @@ fn main() {
             sys.n_clients, sys.s, sys.p, sys.m_objects
         );
         let mut variants_json = String::from("{\n");
-        for (i, v) in variants.iter().enumerate() {
+        for (i, v) in VARIANTS.iter().enumerate() {
             variants_json.push_str(&format!(
                 "    \"{}\": {{\"shards\": {}, \"window\": {}, \"wire\": \"{}\", \"exclusive\": {}}}{}\n",
                 v.name,
@@ -339,19 +265,19 @@ fn main() {
                 v.window,
                 v.wire.json_name(),
                 v.exclusive,
-                if i + 1 < variants.len() { "," } else { "" }
+                if i + 1 < VARIANTS.len() { "," } else { "" }
             ));
         }
         variants_json.push_str("  }");
         let mut grid = String::from("{\n");
         for (r, (kind, cells)) in rows.iter().enumerate() {
             grid.push_str(&format!("    \"{}\": {{", kind.name()));
-            for (i, (v, rate)) in variants.iter().zip(cells).enumerate() {
+            for (i, (v, rate)) in VARIANTS.iter().zip(cells).enumerate() {
                 grid.push_str(&format!(
                     "\"{}\": {:.1}{}",
                     v.name,
                     rate,
-                    if i + 1 < variants.len() { ", " } else { "" }
+                    if i + 1 < VARIANTS.len() { ", " } else { "" }
                 ));
             }
             grid.push_str(&format!(
@@ -360,19 +286,10 @@ fn main() {
             ));
         }
         grid.push_str("  }");
-        let mut speedup = format!(
-            "{{\"pipelined_vs_baseline\": {pipe_x:.2}, \"sharded_vs_baseline\": {shard_x:.2}"
+        let speedup = format!(
+            "{{\"pipelined_vs_baseline\": {pipe_x:.2}, \"sharded_vs_baseline\": {shard_x:.2}, \
+             \"batched_vs_tcp\": {batch_x:.2}}}"
         );
-        if let Some(x) = batch_x {
-            speedup.push_str(&format!(", \"batched_vs_tcp\": {x:.2}"));
-        }
-        if let Some(x) = coal_x {
-            speedup.push_str(&format!(", \"coalesce_vs_tcp_chatty\": {x:.2}"));
-        }
-        if let Some(x) = epoll_x {
-            speedup.push_str(&format!(", \"epoll_vs_tcp_chatty\": {x:.2}"));
-        }
-        speedup.push('}');
         // Upsert rather than rewrite: exp-ycsb owns the "ycsb" section
         // of the same scoreboard, exp-scale the "scale" section.
         let path = repmem_bench::bench_json_path();

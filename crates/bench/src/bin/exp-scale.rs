@@ -1,11 +1,11 @@
 //! E21 — scale-out: the paper's Figure 5 configuration (`N = 50,
 //! S = 5000, P = 30`) run as a real multi-process cluster — one
-//! `repmem-node` OS process per node over the event-driven epoll mesh,
-//! driven by one control connection per client.
+//! `repmem-node` OS process per node over the TCP mesh, driven by one
+//! control connection per client.
 //!
 //! ```text
 //! exp-scale [--n 50] [--ops 20] [--shards 2] [--window 8]
-//!           [--mesh epoll] [--protocols Quorum,Dragon] [--json]
+//!           [--protocols Quorum,Dragon] [--json]
 //! ```
 //!
 //! The analytic chapters evaluate this configuration in closed form
@@ -18,10 +18,12 @@
 //! survive untouched). `--n 500` is accepted for stress runs but is far
 //! past what a CI box resolves in reasonable time.
 
+// `repmem_runtime::remote` runs on the epoll-based TCP mesh.
+#![cfg(target_os = "linux")]
+
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, ProtocolKind, SystemParams};
-use repmem_net::WireMode;
-use repmem_runtime::remote::{LaunchOptions, MeshBackend, RemoteCluster};
+use repmem_runtime::remote::RemoteCluster;
 use repmem_runtime::ShardConfig;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -31,9 +33,8 @@ exp-scale: Fig-5 configuration (N=50, S=5000, P=30) as OS processes
 
 USAGE:
     exp-scale [--n N] [--ops OPS_PER_CLIENT] [--shards K] [--window W]
-              [--mesh BACKEND] [--protocols A,B,...] [--json]
+              [--protocols A,B,...] [--json]
 
---mesh is one of: epoll (default), threaded, coalesce, batch.
 Defaults: --n 50, --ops 20, --shards 2, --window 8, protocols
 Write-Through, Berkeley, Dragon, Quorum.
 ";
@@ -62,37 +63,6 @@ fn parse_protocols(list: &str) -> Result<Vec<ProtocolKind>, String> {
         .collect()
 }
 
-fn parse_mesh(name: &str) -> Result<MeshBackend, String> {
-    match name {
-        "threaded" | "tcp" => Ok(MeshBackend::Threaded(WireMode::Eager)),
-        "coalesce" => Ok(MeshBackend::Threaded(WireMode::Coalesce)),
-        "batch" => Ok(MeshBackend::Threaded(WireMode::Batch)),
-        #[cfg(target_os = "linux")]
-        "epoll" => Ok(MeshBackend::Epoll),
-        other => Err(format!("unknown mesh backend {other:?}")),
-    }
-}
-
-fn mesh_name(mesh: MeshBackend) -> &'static str {
-    match mesh {
-        MeshBackend::Threaded(WireMode::Eager) => "threaded",
-        MeshBackend::Threaded(WireMode::Coalesce) => "coalesce",
-        MeshBackend::Threaded(WireMode::Batch) => "batch",
-        #[cfg(target_os = "linux")]
-        MeshBackend::Epoll => "epoll",
-    }
-}
-
-#[cfg(target_os = "linux")]
-fn default_mesh() -> MeshBackend {
-    MeshBackend::Epoll
-}
-
-#[cfg(not(target_os = "linux"))]
-fn default_mesh() -> MeshBackend {
-    MeshBackend::default()
-}
-
 /// The `repmem-node` executable, expected next to this binary (both are
 /// workspace release artifacts; `cargo build --release` puts them in
 /// the same directory).
@@ -113,13 +83,13 @@ fn node_bin() -> Result<PathBuf, String> {
 fn run_cell(
     kind: ProtocolKind,
     sys: SystemParams,
-    opts: LaunchOptions,
+    shard: ShardConfig,
     bin: &std::path::Path,
     ops_per_client: usize,
 ) -> Result<Cell, String> {
     let fail = |what: &str, e: &dyn std::fmt::Display| format!("{}: {what}: {e}", kind.name());
     let mut cluster =
-        RemoteCluster::launch_with(sys, kind, bin, opts).map_err(|e| fail("launch", &e))?;
+        RemoteCluster::launch_with(sys, kind, bin, shard).map_err(|e| fail("launch", &e))?;
     let payload = Bytes::from_static(b"scale-out-payload");
     for o in 0..M_OBJECTS as u32 {
         cluster
@@ -181,7 +151,6 @@ fn run() -> Result<(), String> {
     let mut ops_per_client = 20usize;
     let mut shards = 2usize;
     let mut window = 8usize;
-    let mut mesh = default_mesh();
     let mut kinds = vec![
         ProtocolKind::WriteThrough,
         ProtocolKind::Berkeley,
@@ -207,7 +176,6 @@ fn run() -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--window: {e}"))?
             }
-            "--mesh" => mesh = parse_mesh(&value("--mesh")?)?,
             "--protocols" => kinds = parse_protocols(&value("--protocols")?)?,
             "--json" => json = true,
             "--help" | "-h" => {
@@ -224,22 +192,19 @@ fn run() -> Result<(), String> {
         ..SystemParams::figure5()
     };
     let cfg = ShardConfig::new(shards).with_window(window);
-    let opts = LaunchOptions { shard: cfg, mesh };
     let bin = node_bin()?;
     let total = cfg.total_nodes(&sys);
     println!(
         "exp-scale — Fig-5 config as OS processes: N={n} clients, S={}, P={}, \
-         {total} repmem-node processes ({} mesh, K={shards}, W={window}), \
+         {total} repmem-node processes (K={shards}, W={window}), \
          {ops_per_client} ops/client",
-        sys.s,
-        sys.p,
-        mesh_name(mesh)
+        sys.s, sys.p
     );
 
     let mut cells = Vec::with_capacity(kinds.len());
     for &kind in &kinds {
         let t0 = Instant::now();
-        let cell = run_cell(kind, sys, opts, &bin, ops_per_client)?;
+        let cell = run_cell(kind, sys, cfg, &bin, ops_per_client)?;
         println!(
             "  {:<16} {:>8.0} ops/s   {:>7.1} msgs/op   {:>9.1} cost/op   [{:.1}s total]",
             cell.kind.name(),
@@ -254,11 +219,9 @@ fn run() -> Result<(), String> {
     if json {
         let config = format!(
             "{{\"n_clients\": {n}, \"s\": {}, \"p\": {}, \"m_objects\": {M_OBJECTS}, \
-             \"shards\": {shards}, \"window\": {window}, \"mesh\": \"{}\", \
+             \"shards\": {shards}, \"window\": {window}, \
              \"processes\": {total}, \"ops_per_client\": {ops_per_client}}}",
-            sys.s,
-            sys.p,
-            mesh_name(mesh)
+            sys.s, sys.p
         );
         let mut protocols = String::from("{\n");
         for (i, c) in cells.iter().enumerate() {

@@ -5,15 +5,18 @@
 //! scheduler counters are the only wire-path profiler available).
 //!
 //! ```text
-//! wire-probe --protocol Quorum --wire tcp+epoll --ops 8000
+//! wire-probe --protocol Quorum --wire tcp --ops 8000
 //! ```
 //!
 //! The workload, topology and in-flight discipline match `exp-perf`
 //! exactly, so a probe number is directly comparable to a grid cell.
 
+// Reads `/proc` and drives the epoll-based TCP mesh.
+#![cfg(target_os = "linux")]
+
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, ProtocolKind, SystemParams};
-use repmem_net::{InProcTransport, TcpTransport};
+use repmem_net::{EpollTransport, InProcTransport};
 use repmem_runtime::{Cluster, ShardConfig, Ticket};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -27,8 +30,8 @@ USAGE:
     wire-probe --protocol NAME [--wire W] [--ops N] [--window W] [--shards K]
                [--n CLIENTS]
 
---wire is one of: inproc, tcp, tcp+coalesce, tcp+batch, tcp+epoll
-(default inproc). Defaults: --ops 8000, --shards 1, --window 1, --n 4.
+--wire is inproc (default) or tcp. Defaults: --ops 8000, --shards 1,
+--window 1, --n 4.
 ";
 
 /// Sum a numeric field over every task of this process.
@@ -119,30 +122,7 @@ fn run() -> Result<(), String> {
             sys,
             kind,
             cfg,
-            TcpTransport::loopback(n).map_err(|e| e.to_string())?,
-        ),
-        "tcp+coalesce" => Cluster::with_transport(
-            sys,
-            kind,
-            cfg,
-            TcpTransport::loopback(n)
-                .map_err(|e| e.to_string())?
-                .coalescing(),
-        ),
-        "tcp+batch" => Cluster::with_transport(
-            sys,
-            kind,
-            cfg,
-            TcpTransport::loopback(n)
-                .map_err(|e| e.to_string())?
-                .batched(),
-        ),
-        #[cfg(target_os = "linux")]
-        "tcp+epoll" => Cluster::with_transport(
-            sys,
-            kind,
-            cfg,
-            repmem_net::EpollTransport::loopback(n).map_err(|e| e.to_string())?,
+            EpollTransport::loopback(n).map_err(|e| e.to_string())?,
         ),
         other => return Err(format!("unknown wire {other:?} (try --help)")),
     }

@@ -85,10 +85,6 @@ pub enum Frame {
     Dump {
         objects: Vec<(CopyState, u64, u16, Bytes)>,
     },
-    /// Several envelopes for the same link coalesced into one frame
-    /// (one length prefix, one syscall). Receivers deliver the
-    /// envelopes in order, so link FIFO semantics are unchanged.
-    Batch(Vec<Envelope>),
 }
 
 const TAG_HELLO: u8 = 0;
@@ -99,7 +95,6 @@ const TAG_COST_QUERY: u8 = 4;
 const TAG_COST_REPORT: u8 = 5;
 const TAG_SHUTDOWN: u8 = 6;
 const TAG_DUMP: u8 = 7;
-pub(crate) const TAG_BATCH: u8 = 8;
 
 /// Fixed encoded size of an envelope body with no payload sections:
 /// frame tag, msg kind, initiator, sender, object, queue, payload kind,
@@ -150,7 +145,7 @@ fn put_payload(out: &mut Vec<u8>, p: &Payload) {
     put_bytes(out, &p.data);
 }
 
-pub(crate) fn put_envelope(out: &mut Vec<u8>, env: &Envelope) {
+fn put_envelope(out: &mut Vec<u8>, env: &Envelope) {
     out.push(TAG_ENVELOPE);
     let m = &env.msg;
     out.push(m.kind.wire_code());
@@ -225,13 +220,6 @@ fn encode_body(frame: &Frame, out: &mut Vec<u8>) {
                 put_bytes(out, data);
             }
         }
-        Frame::Batch(envs) => {
-            out.push(TAG_BATCH);
-            out.extend_from_slice(&(envs.len() as u32).to_le_bytes());
-            for env in envs {
-                put_envelope(out, env);
-            }
-        }
     }
 }
 
@@ -284,18 +272,6 @@ pub fn envelope_frame_len(env: &Envelope) -> u64 {
         len += PAYLOAD_FIXED_LEN + c.data.len() as u64;
     }
     len
-}
-
-/// Encoded length (prefix included) of a frame, without keeping the
-/// encoding.
-pub fn frame_len(frame: &Frame) -> u64 {
-    match frame {
-        Frame::Envelope(env) => envelope_frame_len(env),
-        Frame::Batch(envs) => {
-            4 + 1 + 4 + envs.iter().map(|e| envelope_frame_len(e) - 4).sum::<u64>()
-        }
-        _ => encode_frame(frame).len() as u64,
-    }
 }
 
 /// Write one frame to a stream.
@@ -386,8 +362,7 @@ fn bad_code(what: &str, code: u8) -> CodecError {
     CodecError::Malformed(format!("unknown {what} code {code}"))
 }
 
-/// Decode one envelope body (the bytes after its `TAG_ENVELOPE` tag) —
-/// shared by the single-envelope and batch frame arms.
+/// Decode one envelope body (the bytes after its `TAG_ENVELOPE` tag).
 fn get_envelope(c: &mut Cursor<'_>) -> Result<Envelope, CodecError> {
     let kc = c.u8()?;
     let kind = MsgKind::from_wire_code(kc).ok_or_else(|| bad_code("MsgKind", kc))?;
@@ -444,30 +419,6 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, CodecError> {
             node: c.u16()?,
         },
         TAG_ENVELOPE => Frame::Envelope(get_envelope(&mut c)?),
-        TAG_BATCH => {
-            let count = c.u32()? as usize;
-            if count == 0 {
-                return Err(CodecError::Malformed("empty envelope batch".to_string()));
-            }
-            // Every batched envelope body is at least the fixed token
-            // section, so the count is bounded by the body size.
-            if count as u64 > body.len() as u64 / ENVELOPE_FIXED_LEN {
-                return Err(CodecError::Malformed(format!(
-                    "batch count {count} exceeds the frame body"
-                )));
-            }
-            let mut envs = Vec::with_capacity(count);
-            for _ in 0..count {
-                let it = c.u8()?;
-                if it != TAG_ENVELOPE {
-                    return Err(CodecError::Malformed(format!(
-                        "batch item with tag {it} (expected envelope)"
-                    )));
-                }
-                envs.push(get_envelope(&mut c)?);
-            }
-            Frame::Batch(envs)
-        }
         TAG_OP => {
             let op = match c.u8()? {
                 0 => OpKind::Read,

@@ -14,12 +14,14 @@
 //! * [`InProcTransport`] — the original `std::sync::mpsc` path, extracted
 //!   from the runtime: direct in-process delivery, zero copies beyond an
 //!   `Arc` bump.
-//! * [`TcpTransport`] — real sockets: a hand-rolled length-prefixed
-//!   binary codec ([`codec`]) for the paper's five-tuple message token
-//!   plus `params`/`copy` payloads, one TCP stream per node pair
-//!   (dialer = lower id) so the stream order *is* the link FIFO order,
-//!   and a retrying dial/hello handshake so a full cluster can run as
-//!   separate OS processes.
+//! * [`EpollTransport`] — real sockets, the one TCP mesh ([`mesh`]): a
+//!   hand-rolled length-prefixed binary codec ([`codec`]) for the
+//!   paper's five-tuple message token plus `params`/`copy` payloads, one
+//!   TCP stream per node pair (dialer = lower id) so the stream order
+//!   *is* the link FIFO order, all of an endpoint's links on one epoll
+//!   event loop with one write per link per flush, and a retrying
+//!   dial/hello handshake so a full cluster can run as separate OS
+//!   processes. Linux-only, like the [`epoll`] bindings under it.
 //! * [`MeteredTransport`] — per-link message/byte counters bucketed by
 //!   the paper's cost classes (`1`, `P+1`, `S+1`), so measured wire
 //!   traffic can be reconciled against the analytic cost model.
@@ -49,20 +51,17 @@ pub mod inproc;
 pub mod mesh;
 pub mod metered;
 pub mod sched;
-pub mod tcp;
 
 pub use codec::{CodecError, Frame, FrameBuf, MAX_FRAME_LEN, WIRE_VERSION};
 pub use delay::{DelayConfig, DelayTransport};
 pub use fault::{FaultAction, FaultEvent, FaultHandle, FaultSchedule, FaultTransport};
 pub use inproc::InProcTransport;
 #[cfg(target_os = "linux")]
-pub use mesh::{EpollEndpoint, EpollTransport, MeshConfig};
+pub use mesh::{
+    CtrlConn, CtrlHandler, EpollEndpoint, EpollTransport, MeshConfig, ReconnectPolicy, CTRL_NODE,
+};
 pub use metered::{ClassCounters, LinkSnapshot, MeterHandle, MeterStats, MeteredTransport};
 pub use sched::{SchedHandle, SchedTransport};
-pub use tcp::{
-    CtrlConn, CtrlHandler, ReconnectPolicy, TcpEndpoint, TcpMeshConfig, TcpTransport, WireMode,
-    CTRL_NODE,
-};
 
 use bytes::Bytes;
 use repmem_core::{Msg, NodeId};
@@ -173,15 +172,15 @@ pub type DeliverFn = Box<dyn Fn(Envelope) + Send + Sync>;
 pub trait Endpoint: Send + Sync {
     /// Send one envelope to `to` (which may be the local node).
     ///
-    /// A batching endpoint may buffer the envelope instead of putting it
-    /// on the wire immediately; [`Endpoint::flush`] forces it out.
-    /// Non-batching endpoints transmit eagerly and their `flush` is a
-    /// no-op — FIFO order per link holds either way.
+    /// The TCP mesh only appends the envelope to the link's outbound
+    /// burst; [`Endpoint::flush`] puts it on the wire. The in-process
+    /// endpoints deliver eagerly and their `flush` is a no-op — FIFO
+    /// order per link holds either way.
     fn send(&self, to: NodeId, env: &Envelope) -> Result<(), NetError>;
 
     /// Push any buffered outbound envelopes onto the wire. Callers that
     /// are about to block on their inbox **must** flush first, or a
-    /// batching endpoint can deadlock the cluster.
+    /// buffering endpoint can deadlock the cluster.
     fn flush(&self) -> Result<(), NetError> {
         Ok(())
     }

@@ -1,49 +1,65 @@
-//! Event-driven TCP mesh: all of one endpoint's links multiplexed onto
-//! a single epoll loop.
+//! The TCP mesh: the cluster's FIFO links realized as real sockets, all
+//! of one endpoint's links multiplexed onto an epoll event loop.
 //!
-//! The threaded mesh ([`crate::tcp`]) spends one blocking reader thread
-//! per peer plus an acceptor plus transient reconnect threads, and one
-//! write syscall (plus a reader-thread wakeup on the far side) per
-//! envelope. This module keeps the same wire format — a stream of
-//! individual length-prefixed envelope frames, byte-compatible with the
-//! eager threaded endpoint — but restructures the I/O:
+//! Exactly one TCP stream exists per unordered node pair — the
+//! lower-numbered node dials, the higher-numbered node accepts — so the
+//! stream's byte order *is* the link's FIFO order in both directions.
+//! Every connection opens with a [`Frame::Hello`] identifying the dialer
+//! (peer node id, or [`CTRL_NODE`] for a control-plane connection), and
+//! all subsequent traffic is length-prefixed envelope frames from the
+//! [`codec`](crate::codec) module.
 //!
-//! * **One loop thread per endpoint.** A nonblocking listener, every
+//! Two deployment shapes share the same [`EpollEndpoint`]:
+//!
+//! * [`EpollTransport::loopback`] — a single-process mesh over
+//!   `127.0.0.1` ephemeral ports, plugging into `Cluster` exactly like
+//!   the in-process transport. Every endpoint it binds is driven by one
+//!   shared runner thread.
+//! * [`EpollEndpoint::establish`] — one endpoint per OS process (its own
+//!   runner thread), used by the `repmem-node` binary: dials retry until
+//!   the peer processes come up, and an optional control handler serves
+//!   driver connections.
+//!
+//! How the I/O is structured:
+//!
+//! * **One event loop per endpoint.** A nonblocking listener, every
 //!   peer stream, in-flight reconnect dials and an `eventfd` wakeup all
 //!   register with one [`Epoll`] instance; readiness drives everything.
-//! * **Write coalescing per link.** [`Endpoint::send`] only appends the
+//! * **One flush discipline.** [`Endpoint::send`] only appends the
 //!   encoded frame to the link's outbound buffer; [`Endpoint::flush`]
-//!   pushes each link's whole burst with one `write` syscall. The node
-//!   loop's flush-before-blocking discipline (see [`Endpoint::flush`])
-//!   makes this safe, exactly like the threaded batch mode — but the
-//!   bytes on the wire are plain envelope frames, so meters and peers
-//!   cannot tell the difference from the eager path.
+//!   pushes each link's whole burst with one `write` syscall, so a
+//!   broadcast fan-out costs one syscall (and one receiver wakeup) per
+//!   *link*, not per envelope. Callers must flush before blocking on
+//!   their inbox — the cluster node loop does.
 //! * **Backpressure via `EPOLLOUT`.** A flush that fills the socket
 //!   buffer parks the remainder and hands the link to the loop, which
 //!   arms `EPOLLOUT` and drains as the kernel frees space. Senders never
 //!   block on a slow peer.
-//! * **Reconnect folded into the loop.** Dead-link redial backoff
-//!   ([`ReconnectPolicy`], same jitter schedule as the threaded mesh)
-//!   runs on loop timers with nonblocking `connect`; no threads are
-//!   spawned. Budget exhaustion turns the link fatal
-//!   ([`NetError::Down`]), severed-then-restored links come back as
-//!   fresh FIFO streams — the `FaultTransport` semantics are unchanged.
+//! * **Control handoff.** Incoming partial frames are reassembled by
+//!   [`FrameBuf`]; a connection whose hello names [`CTRL_NODE`] is
+//!   handed to a dedicated blocking thread, with any bytes that arrived
+//!   behind the hello chained in front of the live socket.
 //!
-//! Incoming partial frames are reassembled by [`FrameBuf`]; control
-//! connections ([`CTRL_NODE`]) are handed off to a dedicated blocking
-//! thread (with any bytes that arrived behind the hello chained in
-//! front), so the control plane is identical to the threaded mesh.
+//! ## Link failure and recovery
+//!
+//! When a peer stream dies (read error or failed write) the link is
+//! marked dead and sends fail fast with the *transient*
+//! [`NetError::Closed`]. With a [`ReconnectPolicy`] configured, the
+//! dialing side of the pair then redials on loop timers with
+//! nonblocking `connect` (exponential backoff and jitter, no threads
+//! spawned); a re-established stream is a fresh FIFO link — nothing
+//! sent into the dead link is replayed, retransmission is the runtime's
+//! job. Once the attempt budget is exhausted the link turns *fatal* and
+//! sends fail with the permanent [`NetError::Down`]. Without a policy a
+//! dead link stays dead and keeps failing with `Closed`, which the
+//! runtime treats as a routine shutdown-time condition.
 
 use crate::codec::{encode_envelope_frame_into, encode_frame_into, write_frame, Frame, FrameBuf};
 use crate::epoll::{
     connect_nonblocking, take_socket_error, Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN,
     EPOLLOUT, EPOLLRDHUP,
 };
-use crate::tcp::{backoff_delay, dial_with_retry};
-use crate::{
-    CtrlConn, CtrlHandler, DeliverFn, Endpoint, Envelope, NetError, ReconnectPolicy, Transport,
-    CTRL_NODE, WIRE_VERSION,
-};
+use crate::{DeliverFn, Endpoint, Envelope, NetError, Transport, WIRE_VERSION};
 use repmem_core::NodeId;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -53,22 +69,125 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Everything one node needs to join an epoll mesh (the event-driven
-/// counterpart of [`crate::TcpMeshConfig`]; there is no `batch` knob
-/// because the event loop always coalesces at flush).
+/// Node id carried by a [`Frame::Hello`] on control-plane connections.
+pub const CTRL_NODE: u16 = 0xFFFF;
+
+/// An accepted control-plane connection, handed to the [`CtrlHandler`]
+/// after the hello handshake. The reader must be reused as-is — it may
+/// already hold buffered frames that arrived right behind the hello
+/// (which is why it is a boxed reader, not the bare stream: the mesh
+/// hands over a chain of already-buffered bytes + the live socket).
+pub struct CtrlConn {
+    /// Framed read half.
+    pub reader: Box<dyn std::io::Read + Send>,
+    /// Write half.
+    pub writer: TcpStream,
+}
+
+/// Handler invoked (on the connection's own thread, which must not
+/// block endpoint close) for each accepted control connection.
+pub type CtrlHandler = Box<dyn Fn(CtrlConn) + Send + Sync>;
+
+/// Bounded link-recovery policy: how the dialing side of a dead pair
+/// tries to bring the stream back.
+///
+/// Attempt `k` waits `min(base * 2^k, cap)` plus a deterministic jitter
+/// of up to half that (seeded from the node pair, so two nodes redialing
+/// the same peer don't thunder in lockstep), then dials with a connect
+/// timeout of `cap` so one stalled SYN cannot eat the whole budget.
+/// After `max_attempts` failures the link is declared permanently down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReconnectPolicy {
+    /// Redial attempts before the link turns fatal ([`NetError::Down`]).
+    pub max_attempts: u32,
+    /// First backoff step (doubles each attempt).
+    pub base: Duration,
+    /// Backoff ceiling, and the per-attempt connect timeout.
+    pub cap: Duration,
+}
+
+impl Default for ReconnectPolicy {
+    fn default() -> Self {
+        ReconnectPolicy {
+            max_attempts: 8,
+            base: Duration::from_millis(10),
+            cap: Duration::from_millis(250),
+        }
+    }
+}
+
+/// Everything one node needs to join the mesh.
 pub struct MeshConfig {
     /// This node's id.
     pub me: NodeId,
     /// This node's bound listener.
     pub listener: TcpListener,
-    /// Listen address of every node, indexed by node id.
+    /// Listen address of every node, indexed by node id (`peers[me]` is
+    /// this node's own address).
     pub peers: Vec<SocketAddr>,
-    /// Total budget for dialing each peer and for waiting on a
-    /// not-yet-accepted inbound link at flush.
+    /// Total budget for dialing each peer (retries until then) and for
+    /// waiting on a not-yet-accepted inbound link at flush.
     pub link_timeout: Duration,
     /// Redial dead links with this policy; `None` keeps the historical
-    /// dead-forever behaviour.
+    /// dead-forever behaviour (sends fail fast with `Closed`).
     pub reconnect: Option<ReconnectPolicy>,
+}
+
+/// SplitMix64 step: the deterministic jitter source (no RNG state to
+/// carry, no extra dependency).
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Backoff for attempt `k`: `min(base * 2^k, cap)` plus jitter in
+/// `[0, step/2]` drawn deterministically from `seed ^ k`.
+fn backoff_delay(base: Duration, cap: Duration, attempt: u32, seed: u64) -> Duration {
+    let step = base.saturating_mul(1u32 << attempt.min(16)).min(cap);
+    let half = (step.as_nanos() as u64) / 2;
+    let jitter = if half == 0 {
+        0
+    } else {
+        splitmix64(seed ^ u64::from(attempt)) % (half + 1)
+    };
+    step + Duration::from_nanos(jitter)
+}
+
+/// Per-attempt connect ceiling inside [`dial_with_retry`]: one stalled
+/// SYN costs at most this much of the budget before the next attempt.
+const DIAL_ATTEMPT_CAP: Duration = Duration::from_secs(1);
+const DIAL_BACKOFF_BASE: Duration = Duration::from_millis(5);
+const DIAL_BACKOFF_CAP: Duration = Duration::from_millis(200);
+
+/// Blocking dial that retries refused or stalled connects (bounded
+/// per-attempt timeout, growing jittered backoff in between) until
+/// `budget` is spent — peers and drivers may start in any order.
+pub fn dial_with_retry(addr: SocketAddr, budget: Duration) -> Result<TcpStream, NetError> {
+    let deadline = Instant::now() + budget;
+    let seed = splitmix64(u64::from(addr.port()));
+    let mut attempt = 0u32;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(NetError::Io(format!(
+                "dialing {addr}: budget {budget:?} exhausted"
+            )));
+        }
+        match TcpStream::connect_timeout(&addr, left.min(DIAL_ATTEMPT_CAP)) {
+            Ok(s) => return Ok(s),
+            Err(e) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(NetError::Io(format!("dialing {addr}: {e}")));
+                }
+                let wait = backoff_delay(DIAL_BACKOFF_BASE, DIAL_BACKOFF_CAP, attempt, seed);
+                std::thread::sleep(wait.min(left));
+                attempt += 1;
+            }
+        }
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -123,8 +242,9 @@ struct MeshShared {
     cmds: Mutex<Vec<LoopCmd>>,
     /// Control-connection handler threads, joined at close.
     ctrl_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Set once the loop half has fully torn down. Shared-runner mode
-    /// has no per-endpoint thread to join, so `close` waits on this.
+    /// Set once the loop half has fully torn down: the runner thread may
+    /// be driving other endpoints too, so `close` waits on this instead
+    /// of joining it.
     done: Mutex<bool>,
     done_cv: Condvar,
 }
@@ -160,11 +280,11 @@ impl MeshShared {
     }
 }
 
-// Event tokens are `slot << INNER_BITS | inner`: the slot names an
-// event loop sharing the epoll instance (0 for a loop with its own
-// dedicated thread and epoll), the inner token names the fd within
-// that loop. Peer links use their node index; everything else lives
-// far above the 16-bit node-id space but within the inner mask.
+// Event tokens are `slot << INNER_BITS | inner`: the slot names one of
+// the event loops sharing the runner's epoll instance, the inner token
+// names the fd within that loop. Peer links use their node index;
+// everything else lives far above the 16-bit node-id space but within
+// the inner mask.
 const INNER_BITS: u32 = 40;
 const INNER_MASK: u64 = (1 << INNER_BITS) - 1;
 const TOK_WAKE: u64 = INNER_MASK;
@@ -174,8 +294,8 @@ const TOK_PENDING_BASE: u64 = 1 << 33;
 /// The shared runner's own wake fd: the one slot no loop can get.
 const RUNNER_SLOT: u64 = u64::MAX >> INNER_BITS;
 
-/// How long an accepted connection may sit without completing its hello
-/// (same bound as the threaded mesh's handshake read timeout).
+/// How long an accepted connection may sit without completing its
+/// hello, so a silent connection cannot pin a pending slot forever.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Per-event read ceiling: level-triggered epoll re-reports leftover
@@ -212,12 +332,10 @@ struct Reconn {
 
 struct EventLoop {
     shared: Arc<MeshShared>,
-    /// The epoll instance this loop's fds live in: its own (dedicated
-    /// thread) or the shared runner's (many loops, one instance, one
-    /// `epoll_wait` covering them all).
+    /// The runner's epoll instance this loop's fds live in (many loops,
+    /// one instance, one `epoll_wait` covering them all).
     ep: Arc<Epoll>,
-    /// This loop's token namespace: `slot << INNER_BITS`, zero when the
-    /// loop owns its epoll.
+    /// This loop's token namespace: `slot << INNER_BITS`.
     slot: u64,
     listener: TcpListener,
     links: Vec<Option<LiveLink>>,
@@ -238,8 +356,8 @@ impl EventLoop {
     }
 
     /// Earliest pending timer (reconnect backoff, connect deadline,
-    /// hello deadline). The shared runner folds this into its meta
-    /// `epoll_wait` timeout.
+    /// hello deadline). The runner folds this into its `epoll_wait`
+    /// timeout.
     fn next_deadline(&self) -> Option<Instant> {
         let mut earliest: Option<Instant> = None;
         let mut consider = |at: Instant| match earliest {
@@ -256,33 +374,6 @@ impl EventLoop {
             consider(p.deadline);
         }
         earliest
-    }
-
-    fn next_timeout(&self) -> Option<Duration> {
-        self.next_deadline()
-            .map(|at| at.saturating_duration_since(Instant::now()))
-    }
-
-    /// Dedicated-thread mode: block on this endpoint's epoll until close.
-    fn run(&mut self) {
-        let mut events = [EpollEvent::default(); 64];
-        while !self.shared.closed.load(Ordering::SeqCst) {
-            let timeout = self.next_timeout();
-            let n = match self.ep.wait(&mut events, timeout) {
-                Ok(n) => n,
-                Err(_) => break, // epoll fd itself failed: unrecoverable
-            };
-            for ev in &events[..n] {
-                let (token, bits) = ({ ev.data }, { ev.events });
-                self.dispatch(token & INNER_MASK, bits);
-                if self.shared.closed.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            self.service();
-        }
-        self.teardown();
-        self.shared.finish();
     }
 
     /// Route one ready event by its inner (slot-stripped) token.
@@ -368,7 +459,7 @@ impl EventLoop {
                     return self.route_hello(node, conn);
                 }
                 // Wrong version, a non-hello first frame, or garbage:
-                // drop the connection, exactly like the threaded mesh.
+                // drop the connection.
                 _ => return drop_conn(self, slot),
             }
         }
@@ -398,8 +489,7 @@ impl EventLoop {
                 writer: conn.stream,
             };
             // CtrlHandler is not Clone; run it via the shared Arc from a
-            // thread joined at close (parity with the threaded mesh,
-            // where the per-connection thread runs the handler).
+            // thread joined at close.
             let shared = Arc::clone(&self.shared);
             let h = std::thread::spawn(move || {
                 if let Some(ctrl) = &shared.ctrl {
@@ -503,11 +593,6 @@ impl EventLoop {
             };
             match entry.rbuf.next_frame() {
                 Ok(Some(Frame::Envelope(env))) => (self.shared.deliver)(env),
-                Ok(Some(Frame::Batch(envs))) => {
-                    for env in envs {
-                        (self.shared.deliver)(env);
-                    }
-                }
                 Ok(None) => return true,
                 // Anything else on a peer link is a protocol violation.
                 Ok(Some(_)) | Err(_) => {
@@ -820,7 +905,9 @@ struct RunnerShared {
 /// the wire path (they cost more than the `write` syscalls), so the
 /// transport routes all its endpoints onto one runner: the same
 /// broadcast now wakes one thread once and a single wait returns every
-/// peer's readiness in one sweep.
+/// peer's readiness in one sweep. An endpoint established on its own
+/// (one per `repmem-node` process) is simply a runner with one slot in
+/// use.
 struct LoopRunner {
     shared: Arc<RunnerShared>,
     thread: Mutex<Option<JoinHandle<()>>>,
@@ -955,13 +1042,12 @@ fn runner_main(shared: &RunnerShared) {
     }
 }
 
-/// A node's endpoint on an epoll mesh (see module docs).
+/// A node's endpoint on the TCP mesh (see module docs).
 pub struct EpollEndpoint {
     shared: Arc<MeshShared>,
-    /// Dedicated-thread mode only; `None` under a shared runner.
-    loop_thread: Mutex<Option<JoinHandle<()>>>,
-    /// Keeps the shared runner alive for as long as this endpoint is.
-    runner: Option<Arc<LoopRunner>>,
+    /// Keeps the runner driving this endpoint's loop alive for as long
+    /// as the endpoint is.
+    _runner: Arc<LoopRunner>,
 }
 
 impl EpollEndpoint {
@@ -975,14 +1061,17 @@ impl EpollEndpoint {
         deliver: DeliverFn,
         ctrl: Option<CtrlHandler>,
     ) -> Result<EpollEndpoint, NetError> {
-        Self::establish_inner(cfg, deliver, ctrl, None)
+        let runner = LoopRunner::spawn().map_err(NetError::from)?;
+        Self::establish_on(cfg, deliver, ctrl, runner)
     }
 
-    fn establish_inner(
+    /// [`EpollEndpoint::establish`] onto an existing runner, which then
+    /// drives this endpoint's loop next to any it already has.
+    fn establish_on(
         cfg: MeshConfig,
         deliver: DeliverFn,
         ctrl: Option<CtrlHandler>,
-        runner: Option<&Arc<LoopRunner>>,
+        runner: Arc<LoopRunner>,
     ) -> Result<EpollEndpoint, NetError> {
         let n = cfg.peers.len();
         if cfg.me.idx() >= n {
@@ -1017,12 +1106,9 @@ impl EpollEndpoint {
             done_cv: Condvar::new(),
         });
 
-        let (slot, ep) = match runner {
-            Some(r) => r
-                .allocate()
-                .ok_or_else(|| NetError::Io("mesh runner token slots exhausted".into()))?,
-            None => (0, Arc::new(Epoll::new().map_err(NetError::from)?)),
-        };
+        let (slot, ep) = runner
+            .allocate()
+            .ok_or_else(|| NetError::Io("mesh runner token slots exhausted".into()))?;
         ep.add(
             shared.wake.as_raw_fd(),
             (slot << INNER_BITS) | TOK_WAKE,
@@ -1050,8 +1136,8 @@ impl EpollEndpoint {
         };
 
         // Dial side: one stream per higher-numbered peer, synchronously
-        // (so establishment failures surface here, exactly like the
-        // threaded mesh), then installed into the not-yet-running loop.
+        // (so establishment failures surface here), then installed into
+        // the not-yet-running loop.
         for j in cfg.me.idx() + 1..n {
             let peer = NodeId(j as u16);
             let stream = dial_with_retry(cfg.peers[j], cfg.link_timeout)?;
@@ -1070,23 +1156,10 @@ impl EpollEndpoint {
             }
         }
 
-        Ok(match runner {
-            Some(r) => {
-                r.adopt(el);
-                EpollEndpoint {
-                    shared,
-                    loop_thread: Mutex::new(None),
-                    runner: Some(Arc::clone(r)),
-                }
-            }
-            None => {
-                let handle = std::thread::spawn(move || el.run());
-                EpollEndpoint {
-                    shared,
-                    loop_thread: Mutex::new(Some(handle)),
-                    runner: None,
-                }
-            }
+        runner.adopt(el);
+        Ok(EpollEndpoint {
+            shared,
+            _runner: runner,
         })
     }
 
@@ -1169,8 +1242,8 @@ impl EpollEndpoint {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     // Dead stream: tear down (loop restarts recovery)
-                    // and report nothing here — like the threaded batch
-                    // flush, the failure surfaces on the next send.
+                    // and report nothing here — the failure surfaces on
+                    // the next send.
                     shared.sender_link_down(to, link, &mut out);
                     return Ok(());
                 }
@@ -1219,26 +1292,22 @@ impl Endpoint for EpollEndpoint {
         for link in &shared.links {
             link.ready.notify_all();
         }
-        if let Some(h) = lock(&self.loop_thread).take() {
-            let _ = h.join();
-        } else if self.runner.is_some() {
-            // Shared-runner mode: no thread of our own to join. Wait
-            // (bounded — a wedged runner must not wedge close) for the
-            // runner to finish tearing this endpoint's loop down.
-            let deadline = Instant::now() + shared.link_timeout.max(Duration::from_secs(1));
-            let mut done = lock(&shared.done);
-            while !*done {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                done = shared
-                    .done_cv
-                    .wait_timeout(done, left)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
+        // Wait (bounded — a wedged runner must not wedge close) for the
+        // runner to finish tearing this endpoint's loop down.
+        let deadline = Instant::now() + shared.link_timeout.max(Duration::from_secs(1));
+        let mut done = lock(&shared.done);
+        while !*done {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
             }
+            done = shared
+                .done_cv
+                .wait_timeout(done, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
+        drop(done);
         let ctrl: Vec<_> = lock(&shared.ctrl_threads).drain(..).collect();
         for h in ctrl {
             let _ = h.join();
@@ -1252,17 +1321,16 @@ impl Drop for EpollEndpoint {
     }
 }
 
-/// Single-process epoll mesh over `127.0.0.1` ephemeral ports: the
-/// drop-in [`Transport`] counterpart of [`crate::TcpTransport`]. All
-/// endpoints bound through one transport share a single [`LoopRunner`]
-/// thread, so the whole mesh's I/O runs on one thread instead of one
-/// per node (let alone the threaded mesh's one per link).
+/// Single-process TCP mesh over `127.0.0.1` ephemeral ports: a drop-in
+/// [`Transport`] whose links are real kernel sockets. All endpoints
+/// bound through one transport share a single [`LoopRunner`] thread, so
+/// the whole mesh's I/O runs on one thread instead of one per node.
 pub struct EpollTransport {
     addrs: Vec<SocketAddr>,
     listeners: Vec<Option<TcpListener>>,
     link_timeout: Duration,
     reconnect: Option<ReconnectPolicy>,
-    runner: Option<Arc<LoopRunner>>,
+    runner: Arc<LoopRunner>,
 }
 
 impl EpollTransport {
@@ -1280,7 +1348,7 @@ impl EpollTransport {
             listeners,
             link_timeout: Duration::from_secs(10),
             reconnect: None,
-            runner: None,
+            runner: LoopRunner::spawn()?,
         })
     }
 
@@ -1307,10 +1375,7 @@ impl Transport for EpollTransport {
             .get_mut(node.idx())
             .and_then(Option::take)
             .ok_or_else(|| NetError::Io(format!("{node} already bound or out of range")))?;
-        if self.runner.is_none() {
-            self.runner = Some(LoopRunner::spawn().map_err(NetError::from)?);
-        }
-        let ep = EpollEndpoint::establish_inner(
+        let ep = EpollEndpoint::establish_on(
             MeshConfig {
                 me: node,
                 listener,
@@ -1320,7 +1385,7 @@ impl Transport for EpollTransport {
             },
             deliver,
             None,
-            self.runner.as_ref(),
+            Arc::clone(&self.runner),
         )?;
         Ok(Box::new(ep))
     }

@@ -14,7 +14,7 @@ use repmem_core::{
 };
 use repmem_net::codec::{
     decode_frame, encode_envelope_frame, encode_envelope_frame_into, encode_frame,
-    encode_frame_into, envelope_frame_len, frame_len, read_frame, CodecError, Frame, MAX_FRAME_LEN,
+    encode_frame_into, envelope_frame_len, read_frame, CodecError, Frame, MAX_FRAME_LEN,
     WIRE_VERSION,
 };
 use repmem_net::{Envelope, Payload};
@@ -141,60 +141,6 @@ fn control_frames_round_trip() {
 }
 
 #[test]
-fn batch_frames_round_trip() {
-    let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    // Heterogeneous batch: every payload class, several sizes.
-    let envs: Vec<Envelope> = PayloadKind::ALL
-        .into_iter()
-        .flat_map(|payload| {
-            [0usize, 16, 1024].map(|size| random_envelope(&mut rng, MsgKind::WGnt, payload, size))
-        })
-        .collect();
-    let frame = Frame::Batch(envs.clone());
-    let framed = encode_frame(&frame);
-    assert_eq!(frame_len(&frame), framed.len() as u64);
-    assert_eq!(decode_frame(&framed[4..]).expect("decode"), frame);
-    let mut r = &framed[..];
-    assert_eq!(read_frame(&mut r).expect("read"), frame);
-    // A batch costs one frame header; its members are otherwise encoded
-    // exactly as they would be standalone.
-    let standalone: u64 = envs.iter().map(envelope_frame_len).sum();
-    assert_eq!(
-        framed.len() as u64,
-        standalone - 4 * envs.len() as u64 + 4 + 1 + 4
-    );
-}
-
-#[test]
-fn batch_rejections() {
-    // Empty batch.
-    let framed = encode_frame(&Frame::Batch(Vec::new()));
-    assert!(matches!(
-        decode_frame(&framed[4..]),
-        Err(CodecError::Malformed(_))
-    ));
-    // Count claiming more envelopes than the body can hold.
-    let mut rng = StdRng::seed_from_u64(1);
-    let env = random_envelope(&mut rng, MsgKind::Ack, PayloadKind::Token, 0);
-    let framed = encode_frame(&Frame::Batch(vec![env]));
-    let mut body = framed[4..].to_vec();
-    body[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(matches!(decode_frame(&body), Err(CodecError::Malformed(_))));
-    // A batch item that is not an envelope.
-    let mut body = framed[4..].to_vec();
-    body[5] = 0xEE; // first item's inner tag
-    assert!(matches!(decode_frame(&body), Err(CodecError::Malformed(_))));
-    // Truncation anywhere inside a batch body is rejected, not panicked.
-    let body = &framed[4..];
-    for cut in 0..body.len() {
-        assert!(
-            matches!(decode_frame(&body[..cut]), Err(CodecError::Malformed(_))),
-            "batch body cut at {cut}"
-        );
-    }
-}
-
-#[test]
 fn envelope_frame_len_is_computed_exactly() {
     let mut rng = StdRng::seed_from_u64(42);
     for kind in MsgKind::ALL {
@@ -217,7 +163,7 @@ fn encoding_is_copy_count_stable() {
     // go straight into the output after a 4-byte placeholder that is
     // backpatched, with no intermediate body buffer. Observable
     // consequences pinned here: (a) identical bytes to the allocating
-    // API, (b) append semantics (batch assembly), and (c) zero
+    // API, (b) append semantics (burst assembly), and (c) zero
     // reallocation once the scratch buffer has grown — re-encoding into
     // a cleared buffer must not allocate again.
     let mut rng = StdRng::seed_from_u64(0x5C1A7C8);
@@ -307,6 +253,14 @@ fn unknown_codes_are_rejected() {
     let mut body = full[4..].to_vec();
     body[1] = MsgKind::ALL.len() as u8; // first byte past the last kind
     assert!(matches!(decode_frame(&body), Err(CodecError::Malformed(_))));
+    // Tag 8, the retired batch frame, is as unknown as any other tag —
+    // even in front of a count and a well-formed envelope.
+    let mut retired = vec![8u8, 1, 0, 0, 0];
+    retired.extend_from_slice(&full[4..]);
+    assert!(matches!(
+        decode_frame(&retired),
+        Err(CodecError::Malformed(_))
+    ));
     // Unknown envelope flag bits.
     let mut body = full[4..].to_vec();
     let flags_at = body.len() - 1; // token-only: flags is the last byte
@@ -365,10 +319,6 @@ fn every_frame_variant_rejects_every_truncated_prefix() {
                 (CopyState::Valid, 6, 3, Bytes::new()),
             ],
         },
-        Frame::Batch(vec![
-            env,
-            random_envelope(&mut rng, MsgKind::Ack, PayloadKind::Token, 0),
-        ]),
     ];
     for frame in &frames {
         let full = encode_frame(frame);

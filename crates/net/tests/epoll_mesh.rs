@@ -1,18 +1,22 @@
-//! The event-driven epoll mesh, exercised at the transport level: FIFO
-//! delivery under coalesced bursts and partial reads, loopback, wire
-//! compatibility with the threaded TCP endpoint, and the same link
-//! recovery contract the threaded mesh pins in `fault_injection.rs`
+//! The TCP mesh, exercised at the transport level: FIFO delivery under
+//! coalesced bursts and partial reads, loopback, the control-connection
+//! handoff, a protocol violation costing only the link it arrived on,
+//! and the link recovery contract
 //! (redial after a dead stream, permanent `Down` once the reconnect
 //! budget is spent, dead-forever without a policy).
 #![cfg(target_os = "linux")]
 
 use bytes::Bytes;
 use repmem_core::{Msg, MsgKind, NodeId, ObjectId, OpTag, PayloadKind, QueueKind};
-use repmem_net::{
-    DeliverFn, Endpoint, Envelope, EpollEndpoint, EpollTransport, MeshConfig, NetError, Payload,
-    ReconnectPolicy, TcpEndpoint, TcpMeshConfig, Transport, WireMode,
+use repmem_net::codec::{
+    encode_envelope_frame, encode_frame, read_frame, write_frame, Frame, WIRE_VERSION,
 };
-use std::net::TcpListener;
+use repmem_net::{
+    CtrlHandler, DeliverFn, Endpoint, Envelope, EpollEndpoint, EpollTransport, MeshConfig,
+    NetError, Payload, ReconnectPolicy, Transport, CTRL_NODE,
+};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -155,66 +159,58 @@ fn mesh_loopback_delivery_is_inline_and_ordered() {
     ep1.close();
 }
 
-/// The epoll mesh speaks the threaded mesh's exact wire protocol: a
-/// two-node cluster with one endpoint of each kind exchanges traffic in
-/// both directions.
+/// A control connection reaches its handler together with whatever
+/// arrived behind the hello: a driver whose hello and first request
+/// share a segment loses nothing, and the live socket follows on.
 #[test]
-fn mesh_interoperates_with_threaded_tcp_endpoint() {
-    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let peers = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
-    let (got1, d1) = sink();
-    // Node 1: threaded, eager. Established first so node 0's dial lands.
-    let tcp1 = TcpEndpoint::establish(
-        TcpMeshConfig {
-            me: NodeId(1),
-            listener: l1,
-            peers: peers.clone(),
-            link_timeout: Duration::from_secs(5),
-            mode: WireMode::Eager,
-            reconnect: None,
-        },
-        d1,
-        None,
-    )
-    .unwrap();
-    let (got0, d0) = sink();
-    // Node 0: event-driven, coalescing.
-    let mesh0 = EpollEndpoint::establish(
+fn mesh_hands_control_connections_over_with_the_bytes_behind_the_hello() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let report = Frame::CostReport {
+        cost: 7,
+        messages: 3,
+    };
+    let ctrl: CtrlHandler = {
+        let report = report.clone();
+        Box::new(move |mut conn| {
+            while let Ok(Frame::CostQuery) = read_frame(&mut conn.reader) {
+                if write_frame(&mut conn.writer, &report).is_err() {
+                    return;
+                }
+            }
+        })
+    };
+    let ep = EpollEndpoint::establish(
         MeshConfig {
             me: NodeId(0),
-            listener: l0,
-            peers,
+            listener,
+            peers: vec![addr],
             link_timeout: Duration::from_secs(5),
             reconnect: None,
         },
-        d0,
-        None,
+        Box::new(|_| {}),
+        Some(ctrl),
     )
     .unwrap();
-    for clock in 1..=20u64 {
-        mesh0.send(NodeId(1), &env(NodeId(0), clock)).unwrap();
-        tcp1.send(NodeId(0), &fat_env(NodeId(1), clock, 4096))
-            .unwrap();
-    }
-    mesh0.flush().unwrap();
-    tcp1.flush().unwrap();
-    let want: Vec<u64> = (1..=20).collect();
-    assert!(
-        wait_until(Duration::from_secs(5), || clocks_from(&got1, NodeId(0))
-            == want
-            && clocks_from(&got0, NodeId(1)) == want),
-        "cross-implementation traffic lost: tcp side {:?}, mesh side {:?}",
-        clocks_from(&got1, NodeId(0)),
-        clocks_from(&got0, NodeId(1)),
-    );
-    mesh0.close();
-    tcp1.close();
+    let mut driver = TcpStream::connect(addr).unwrap();
+    driver
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut opening = encode_frame(&Frame::Hello {
+        version: WIRE_VERSION,
+        node: CTRL_NODE,
+    });
+    opening.extend_from_slice(&encode_frame(&Frame::CostQuery));
+    driver.write_all(&opening).unwrap();
+    assert_eq!(read_frame(&mut driver).unwrap(), report);
+    write_frame(&mut driver, &Frame::CostQuery).unwrap();
+    assert_eq!(read_frame(&mut driver).unwrap(), report);
+    drop(driver); // the handler thread exits on EOF; close joins it
+    ep.close();
 }
 
 // ---------------------------------------------------------------------
-// Link recovery: the same contract `fault_injection.rs` pins for the
-// threaded mesh.
+// Link failure and recovery.
 // ---------------------------------------------------------------------
 
 fn mesh_pair(reconnect: Option<ReconnectPolicy>) -> (EpollEndpoint, EpollEndpoint, Sink) {
@@ -237,6 +233,81 @@ fn mesh_pair(reconnect: Option<ReconnectPolicy>) -> (EpollEndpoint, EpollEndpoin
 fn send_flush(ep: &EpollEndpoint, to: NodeId, e: &Envelope) -> Result<(), NetError> {
     ep.send(to, e)?;
     ep.flush()
+}
+
+/// A frame the codec rejects — here tag 8, the retired batch frame —
+/// is a protocol violation on the link it arrived on and nowhere else:
+/// that link is torn down (nothing behind the bad frame is delivered),
+/// the endpoint's other links keep carrying traffic.
+#[test]
+fn mesh_unknown_frame_tag_tears_down_only_its_own_link() {
+    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let l2 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peers = vec![
+        l0.local_addr().unwrap(),
+        l1.local_addr().unwrap(),
+        l2.local_addr().unwrap(),
+    ];
+    let cfg = |me: u16, listener: TcpListener| MeshConfig {
+        me: NodeId(me),
+        listener,
+        peers: peers.clone(),
+        link_timeout: Duration::from_secs(5),
+        reconnect: None,
+    };
+    let (got2, d2) = sink();
+    let ep2 = EpollEndpoint::establish(cfg(2, l2), d2, None).unwrap();
+    let (got1, d1) = sink();
+    let ep1 = EpollEndpoint::establish(cfg(1, l1), d1, None).unwrap();
+
+    // Node 0 is a hand-driven socket: it dials node 1 like any
+    // lower-numbered peer and says hello.
+    let mut raw0 = TcpStream::connect(peers[1]).unwrap();
+    write_frame(
+        &mut raw0,
+        &Frame::Hello {
+            version: WIRE_VERSION,
+            node: 0,
+        },
+    )
+    .unwrap();
+    raw0.write_all(&encode_envelope_frame(&env(NodeId(0), 1)))
+        .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(5), || clocks_from(&got1, NodeId(0))
+            == [1]),
+        "well-formed traffic from the raw peer never arrived"
+    );
+
+    // One write: a one-byte body carrying tag 8, then a well-formed
+    // envelope that must never be delivered.
+    let mut bad = vec![1, 0, 0, 0, 8];
+    bad.extend_from_slice(&encode_envelope_frame(&env(NodeId(0), 2)));
+    raw0.write_all(&bad).unwrap();
+    // Node 1 hangs up on the offender ...
+    raw0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert!(
+        matches!(raw0.read(&mut [0u8; 16]), Ok(0) | Err(_)),
+        "link survived an undecodable frame"
+    );
+    // ... and, with no reconnect policy, reports the link dead.
+    assert!(wait_until(Duration::from_secs(5), || matches!(
+        send_flush(&ep1, NodeId(0), &env(NodeId(1), 1)),
+        Err(NetError::Closed(NodeId(0)))
+    )));
+    // The 1 <-> 2 link is untouched, in both directions.
+    send_flush(&ep1, NodeId(2), &env(NodeId(1), 7)).unwrap();
+    send_flush(&ep2, NodeId(1), &env(NodeId(2), 8)).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(5), || clocks_from(&got2, NodeId(1))
+            == [7]
+            && clocks_from(&got1, NodeId(2)) == [8]),
+        "the violation on link 0-1 disturbed link 1-2"
+    );
+    assert_eq!(clocks_from(&got1, NodeId(0)), [1]);
+    ep1.close();
+    ep2.close();
 }
 
 #[test]

@@ -1,15 +1,10 @@
 //! Fault-layer semantics, exercised at the transport level: scripted
 //! sever/restore windows keyed to send counts, permanent kills,
-//! delivery stalls, imperative fault handles — and the TCP mesh's link
-//! recovery (redial after a dead stream, permanent `Down` once the
-//! reconnect budget is spent).
+//! delivery stalls and imperative fault handles. (The TCP mesh's own
+//! link recovery is pinned in `epoll_mesh.rs`.)
 
 use repmem_core::{Msg, MsgKind, NodeId, ObjectId, OpTag, PayloadKind, QueueKind};
-use repmem_net::{
-    Endpoint, Envelope, FaultSchedule, FaultTransport, InProcTransport, NetError, ReconnectPolicy,
-    TcpEndpoint, TcpMeshConfig, Transport, WireMode,
-};
-use std::net::TcpListener;
+use repmem_net::{Envelope, FaultSchedule, FaultTransport, InProcTransport, NetError, Transport};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -166,138 +161,4 @@ fn delay_burst_stalls_exactly_the_scheduled_sends() {
     );
     // Stalled, not dropped, not reordered.
     assert_eq!(*got.lock().unwrap(), vec![1, 2, 3]);
-}
-
-// ---------------------------------------------------------------------
-// TCP link recovery.
-// ---------------------------------------------------------------------
-
-fn tcp_pair(reconnect: Option<ReconnectPolicy>) -> (TcpEndpoint, TcpEndpoint, Sink) {
-    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let peers = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
-    let cfg = |me: u16, listener: TcpListener| TcpMeshConfig {
-        me: NodeId(me),
-        listener,
-        peers: peers.clone(),
-        link_timeout: Duration::from_secs(5),
-        mode: WireMode::Eager,
-        reconnect,
-    };
-    let (got1, deliver1) = sink();
-    let ep1 = TcpEndpoint::establish(cfg(1, l1), deliver1, None).unwrap();
-    let ep0 = TcpEndpoint::establish(cfg(0, l0), Box::new(|_| {}), None).unwrap();
-    (ep0, ep1, got1)
-}
-
-fn wait_for(got: &Sink, clock: u64, deadline: Duration) -> bool {
-    let end = Instant::now() + deadline;
-    while Instant::now() < end {
-        if got.lock().unwrap().contains(&clock) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    false
-}
-
-#[test]
-fn tcp_link_recovers_after_a_dead_stream() {
-    let policy = ReconnectPolicy {
-        max_attempts: 40,
-        base: Duration::from_millis(2),
-        cap: Duration::from_millis(20),
-    };
-    let (ep0, ep1, got1) = tcp_pair(Some(policy));
-    ep0.send(NodeId(1), &env(NodeId(0), 1)).unwrap();
-    assert!(
-        wait_for(&got1, 1, Duration::from_secs(5)),
-        "baseline send lost"
-    );
-
-    ep0.drop_link(NodeId(1));
-    // Keep sending fresh clocks: attempts while the link is down fail
-    // fast (or die with the old stream); once recovery redials, a send
-    // is accepted onto the fresh stream and must arrive.
-    let end = Instant::now() + Duration::from_secs(10);
-    let mut clock = 1u64;
-    let mut recovered = false;
-    while Instant::now() < end && !recovered {
-        clock += 1;
-        if ep0.send(NodeId(1), &env(NodeId(0), clock)).is_ok() {
-            recovered = wait_for(&got1, clock, Duration::from_secs(2));
-        } else {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-    assert!(recovered, "link never recovered after drop_link");
-    // Per-link FIFO held across the outage: clocks arrive in send order.
-    let seen = got1.lock().unwrap().clone();
-    assert!(seen.windows(2).all(|w| w[0] < w[1]), "reordered: {seen:?}");
-    ep0.close();
-    ep1.close();
-}
-
-#[test]
-fn tcp_reconnect_budget_exhaustion_turns_the_peer_down() {
-    let policy = ReconnectPolicy {
-        max_attempts: 3,
-        base: Duration::from_millis(1),
-        cap: Duration::from_millis(5),
-    };
-    let (ep0, ep1, got1) = tcp_pair(Some(policy));
-    ep0.send(NodeId(1), &env(NodeId(0), 1)).unwrap();
-    assert!(
-        wait_for(&got1, 1, Duration::from_secs(5)),
-        "baseline send lost"
-    );
-
-    // The peer goes away for good: its listener closes with it, so every
-    // redial is refused and the budget runs out.
-    ep1.close();
-    let end = Instant::now() + Duration::from_secs(10);
-    let mut down = false;
-    while Instant::now() < end && !down {
-        match ep0.send(NodeId(1), &env(NodeId(0), 99)) {
-            Err(NetError::Down(n)) => {
-                assert_eq!(n, NodeId(1));
-                down = true;
-            }
-            _ => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    assert!(down, "exhausted reconnect budget never surfaced as Down");
-    ep0.close();
-}
-
-#[test]
-fn tcp_without_reconnect_policy_stays_dead_forever() {
-    let (ep0, ep1, got1) = tcp_pair(None);
-    ep0.send(NodeId(1), &env(NodeId(0), 1)).unwrap();
-    assert!(
-        wait_for(&got1, 1, Duration::from_secs(5)),
-        "baseline send lost"
-    );
-    ep0.drop_link(NodeId(1));
-    // The historical contract: no recovery, the slot fails fast with the
-    // transient error and never turns Down on its own.
-    let end = Instant::now() + Duration::from_secs(3);
-    let mut saw_closed = false;
-    while Instant::now() < end {
-        match ep0.send(NodeId(1), &env(NodeId(0), 2)) {
-            Err(NetError::Closed(NodeId(1))) => {
-                saw_closed = true;
-                break;
-            }
-            Err(other) => panic!("expected Closed, got {other}"),
-            Ok(()) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-    assert!(saw_closed, "dead link never reported Closed");
-    assert!(matches!(
-        ep0.send(NodeId(1), &env(NodeId(0), 3)),
-        Err(NetError::Closed(NodeId(1)))
-    ));
-    ep0.close();
-    ep1.close();
 }

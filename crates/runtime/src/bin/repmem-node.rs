@@ -13,9 +13,12 @@
 //!
 //! The process serves until a control connection sends `Shutdown`.
 
+// The TCP mesh under `remote::serve` is epoll-based.
+#![cfg(target_os = "linux")]
+
 use repmem_core::{NodeId, ProtocolKind, SystemParams};
-use repmem_net::{ReconnectPolicy, WireMode};
-use repmem_runtime::remote::{serve, MeshBackend, ServeConfig};
+use repmem_net::ReconnectPolicy;
+use repmem_runtime::remote::{serve, ServeConfig};
 use repmem_runtime::{RecoveryPolicy, ShardConfig};
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -38,7 +41,6 @@ struct Args {
     reconnect_attempts: u32,
     retry_deadline: Duration,
     shard: ShardConfig,
-    mesh: MeshBackend,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -54,7 +56,6 @@ fn parse_args() -> Result<Args, String> {
     let mut reconnect_attempts = 0u32;
     let mut retry_deadline = Duration::ZERO;
     let mut shard = ShardConfig::default();
-    let mut mesh = MeshBackend::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -85,7 +86,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--shards" => shard.shards = parse(&value("--shards")?, "--shards")?,
             "--window" => shard.window = parse(&value("--window")?, "--window")?,
-            "--mesh" => mesh = parse_mesh(&value("--mesh")?)?,
             "--help" | "-h" => {
                 print!("{}", HELP);
                 std::process::exit(0);
@@ -115,21 +115,7 @@ fn parse_args() -> Result<Args, String> {
         reconnect_attempts,
         retry_deadline,
         shard,
-        mesh,
     })
-}
-
-fn parse_mesh(name: &str) -> Result<MeshBackend, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "threaded" | "tcp" => Ok(MeshBackend::Threaded(WireMode::Eager)),
-        "coalesce" | "tcp+coalesce" => Ok(MeshBackend::Threaded(WireMode::Coalesce)),
-        "batch" | "tcp+batch" => Ok(MeshBackend::Threaded(WireMode::Batch)),
-        #[cfg(target_os = "linux")]
-        "epoll" | "tcp+epoll" => Ok(MeshBackend::Epoll),
-        other => Err(format!(
-            "unknown mesh backend {other:?}; one of: threaded, coalesce, batch, epoll"
-        )),
-    }
 }
 
 const HELP: &str = "\
@@ -139,11 +125,13 @@ USAGE:
     repmem-node --node I --n-clients N --s S --p P --m M --protocol NAME
                 [--listen ADDR] [--peers A0,A1,...] [--link-timeout-secs T]
                 [--reconnect-attempts K] [--retry-deadline-ms D]
-                [--shards K] [--window W] [--mesh BACKEND]
+                [--shards K] [--window W]
 
 With no --peers, prints `LISTEN <addr>` and reads `PEERS <a0> <a1> ...`
 from stdin. Protocol names are the paper's (case-insensitive), e.g.
 Write-Through, Write-Once, Synapse, Illinois, Berkeley, Dragon, Firefly.
+Nodes talk over one TCP stream per node pair, all of a node's links on
+one epoll event loop (Linux only).
 
 --reconnect-attempts K > 0 redials dead mesh links (exponential backoff
 with jitter, K attempts) before declaring the peer permanently down;
@@ -153,10 +141,7 @@ the paper's fault-free channel assumption.
 
 --shards K runs K sequencer shard nodes (the cluster then has
 N-clients + K nodes; every process must agree); --window W allows W
-in-flight operations per node. --mesh picks the wire stack: threaded
-(default, one blocking reader thread per link), coalesce (threaded +
-per-link write coalescing at flush), batch (threaded + batch frames),
-or epoll (event-driven, one I/O loop thread; Linux only).
+in-flight operations per node.
 ";
 
 fn parse<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String>
@@ -244,7 +229,6 @@ fn run() -> Result<(), String> {
             RecoveryPolicy::with_deadline(args.retry_deadline)
         },
         shard: args.shard,
-        mesh: args.mesh,
     })
     .map_err(|e| e.to_string())
 }

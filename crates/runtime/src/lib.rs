@@ -9,9 +9,10 @@
 //!   the in-process transport (the original mpsc path).
 //! * [`Cluster::with_transport`] — any transport: metered, delayed, or
 //!   TCP-loopback meshes plug in without touching the node loop.
-//! * [`remote`] — one node per OS process over TCP: the `repmem-node`
-//!   binary serves a node, [`remote::RemoteCluster`] launches and
-//!   drives a full cluster of them.
+//! * [`remote`] — one node per OS process over the TCP mesh
+//!   (Linux-only, like the mesh): the `repmem-node` binary serves a
+//!   node, [`remote::RemoteCluster`] launches and drives a full cluster
+//!   of them.
 //!
 //! ```no_run
 //! use repmem_runtime::Cluster;
@@ -35,6 +36,7 @@
 
 pub mod cluster;
 mod node;
+#[cfg(target_os = "linux")]
 pub mod remote;
 pub mod shard;
 pub mod step;

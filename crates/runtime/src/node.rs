@@ -4,7 +4,7 @@
 //! This module is transport-agnostic and shared by the two cluster
 //! shapes: [`crate::Cluster`] (all nodes as threads of one process, any
 //! [`Transport`] backend) and [`crate::remote`] (one node per OS process
-//! over `TcpEndpoint`).
+//! over the TCP mesh).
 //!
 //! [`Transport`]: repmem_net::Transport
 

@@ -4,10 +4,10 @@
 //! `repmem_net::codec`:
 //!
 //! * [`serve`] — runs *one* node of the cluster in the current process:
-//!   the same node loop as [`crate::Cluster`], attached to a
-//!   [`TcpEndpoint`] mesh, with operations injected over control
-//!   connections instead of in-process handles. The `repmem-node` binary
-//!   is a thin argument parser around this function.
+//!   the same node loop as [`crate::Cluster`], attached to an
+//!   [`EpollEndpoint`] on the TCP mesh, with operations injected over
+//!   control connections instead of in-process handles. The
+//!   `repmem-node` binary is a thin argument parser around this function.
 //! * [`RemoteCluster`] — the driver: launches `N+1` `repmem-node`
 //!   processes on localhost, exchanges listen addresses over their
 //!   stdio (`LISTEN` / `PEERS` lines), and then speaks the framed
@@ -24,15 +24,15 @@ use crate::node::{
     node_loop, poison_get, AppReq, ClusterError, NodeCtx, Poison, RecoveryPolicy, ReplicaSnap,
     VersionClock, Wire,
 };
+use crate::shard::ShardConfig;
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, OpKind, OpTag, ProtocolKind, SystemParams};
 use repmem_net::codec::{read_frame, write_frame, Frame};
+use repmem_net::mesh::dial_with_retry;
 use repmem_net::{
-    CtrlConn, CtrlHandler, Endpoint, ReconnectPolicy, TcpEndpoint, TcpMeshConfig, WireMode,
-    CTRL_NODE, WIRE_VERSION,
+    CtrlConn, CtrlHandler, Endpoint, EpollEndpoint, MeshConfig, ReconnectPolicy, CTRL_NODE,
+    WIRE_VERSION,
 };
-#[cfg(target_os = "linux")]
-use repmem_net::{EpollEndpoint, MeshConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -40,25 +40,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Which wire mesh implementation a [`serve`] node runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeshBackend {
-    /// Thread-per-link blocking mesh ([`TcpEndpoint`]) with the given
-    /// send-to-syscall mapping.
-    Threaded(WireMode),
-    /// Event-driven epoll mesh ([`EpollEndpoint`]): one I/O loop thread
-    /// multiplexing every link, write coalescing at flush.
-    #[cfg(target_os = "linux")]
-    Epoll,
-}
-
-impl Default for MeshBackend {
-    fn default() -> Self {
-        MeshBackend::Threaded(WireMode::Eager)
-    }
-}
+use std::time::Duration;
 
 /// Everything one `repmem-node` process needs to join a cluster.
 pub struct ServeConfig {
@@ -83,9 +65,7 @@ pub struct ServeConfig {
     /// Sequencer sharding / pipelining (identical at every node; the
     /// default is the paper's exact topology: one sequencer, blocking
     /// operations). `peers` must cover `shard.total_nodes(&sys)` nodes.
-    pub shard: crate::shard::ShardConfig,
-    /// Wire mesh implementation (identical at every node).
-    pub mesh: MeshBackend,
+    pub shard: ShardConfig,
 }
 
 /// Run one node of a multi-process cluster until a control connection
@@ -129,38 +109,20 @@ pub fn serve(cfg: ServeConfig) -> Result<(), ClusterError> {
         })
     };
     let n_nodes = cfg.peers.len();
-    let endpoint: Box<dyn Endpoint> = match cfg.mesh {
-        MeshBackend::Threaded(mode) => Box::new(
-            TcpEndpoint::establish(
-                TcpMeshConfig {
-                    me: cfg.me,
-                    listener: cfg.listener,
-                    peers: cfg.peers,
-                    link_timeout: cfg.link_timeout,
-                    mode,
-                    reconnect: cfg.reconnect,
-                },
-                deliver,
-                Some(ctrl),
-            )
-            .map_err(|e| ClusterError::Transport(e.to_string()))?,
-        ),
-        #[cfg(target_os = "linux")]
-        MeshBackend::Epoll => Box::new(
-            EpollEndpoint::establish(
-                MeshConfig {
-                    me: cfg.me,
-                    listener: cfg.listener,
-                    peers: cfg.peers,
-                    link_timeout: cfg.link_timeout,
-                    reconnect: cfg.reconnect,
-                },
-                deliver,
-                Some(ctrl),
-            )
-            .map_err(|e| ClusterError::Transport(e.to_string()))?,
-        ),
-    };
+    let endpoint: Box<dyn Endpoint> = Box::new(
+        EpollEndpoint::establish(
+            MeshConfig {
+                me: cfg.me,
+                listener: cfg.listener,
+                peers: cfg.peers,
+                link_timeout: cfg.link_timeout,
+                reconnect: cfg.reconnect,
+            },
+            deliver,
+            Some(ctrl),
+        )
+        .map_err(|e| ClusterError::Transport(e.to_string()))?,
+    );
 
     let ctx = NodeCtx::new(
         cfg.me,
@@ -265,29 +227,13 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One driver-side control connection.
-struct CtrlLink {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-/// Per-cluster knobs for [`RemoteCluster::launch_with`] beyond the
-/// system parameters: sequencer sharding and the wire mesh backend.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LaunchOptions {
-    /// Sequencer sharding / pipelining (the cluster then runs
-    /// `n_clients + shards` processes). Default: the paper's topology.
-    pub shard: crate::shard::ShardConfig,
-    /// Wire mesh implementation every node runs on.
-    pub mesh: MeshBackend,
-}
-
 /// A cluster of `repmem-node` OS processes on localhost, driven over
 /// per-node TCP control connections.
 pub struct RemoteCluster {
     sys: SystemParams,
     children: Vec<Child>,
-    links: Vec<CtrlLink>,
+    /// The cluster's own control link to each node, indexed by node id.
+    links: Vec<RemoteHandle>,
     addrs: Vec<SocketAddr>,
 }
 
@@ -302,26 +248,18 @@ impl RemoteCluster {
         kind: ProtocolKind,
         bin: &Path,
     ) -> Result<RemoteCluster, ClusterError> {
-        RemoteCluster::launch_with(sys, kind, bin, LaunchOptions::default())
+        RemoteCluster::launch_with(sys, kind, bin, ShardConfig::default())
     }
 
-    /// [`RemoteCluster::launch`] with explicit [`LaunchOptions`]:
-    /// sharded sequencers (`n_clients + shards` processes) and/or a
-    /// non-default wire mesh backend.
+    /// [`RemoteCluster::launch`] with sharded sequencers and/or
+    /// pipelining: the cluster then runs `n_clients + shards` processes.
     pub fn launch_with(
         sys: SystemParams,
         kind: ProtocolKind,
         bin: &Path,
-        opts: LaunchOptions,
+        shard: ShardConfig,
     ) -> Result<RemoteCluster, ClusterError> {
-        let n = opts.shard.total_nodes(&sys);
-        let mesh_flag = match opts.mesh {
-            MeshBackend::Threaded(WireMode::Eager) => "threaded",
-            MeshBackend::Threaded(WireMode::Coalesce) => "coalesce",
-            MeshBackend::Threaded(WireMode::Batch) => "batch",
-            #[cfg(target_os = "linux")]
-            MeshBackend::Epoll => "epoll",
-        };
+        let n = shard.total_nodes(&sys);
         let fail =
             |what: &str, e: &dyn std::fmt::Display| ClusterError::Transport(format!("{what}: {e}"));
         let mut children = Vec::with_capacity(n);
@@ -342,11 +280,9 @@ impl RemoteCluster {
                 .arg("--listen")
                 .arg("127.0.0.1:0")
                 .arg("--shards")
-                .arg(opts.shard.shards.to_string())
+                .arg(shard.shards.to_string())
                 .arg("--window")
-                .arg(opts.shard.window.to_string())
-                .arg("--mesh")
-                .arg(mesh_flag)
+                .arg(shard.window.to_string())
                 .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
                 .spawn()
@@ -357,10 +293,9 @@ impl RemoteCluster {
             sys,
             children,
             links: Vec::with_capacity(n),
-            addrs: Vec::new(),
+            addrs: Vec::with_capacity(n),
         };
         // Each node binds an ephemeral port and announces it on stdout.
-        let mut addrs = Vec::with_capacity(n);
         for child in &mut cluster.children {
             let stdout = child.stdout.take().expect("stdout was piped");
             let mut line = String::new();
@@ -372,10 +307,11 @@ impl RemoteCluster {
                 .map(str::trim)
                 .and_then(|a| a.parse::<SocketAddr>().ok())
                 .ok_or_else(|| fail("parsing LISTEN line", &line.trim()))?;
-            addrs.push(addr);
+            cluster.addrs.push(addr);
         }
         // Tell every node the full address map; it then dials its peers.
-        let peer_line = addrs
+        let peer_line = cluster
+            .addrs
             .iter()
             .map(|a| a.to_string())
             .collect::<Vec<_>>()
@@ -384,28 +320,10 @@ impl RemoteCluster {
             let mut stdin = child.stdin.take().expect("stdin was piped");
             writeln!(stdin, "PEERS {peer_line}").map_err(|e| fail("writing PEERS line", &e))?;
         }
-        // Control connection per node.
-        for (i, addr) in addrs.iter().enumerate() {
-            let stream = connect_with_retry(*addr, Duration::from_secs(10))
-                .map_err(|e| fail(&format!("control connection to node {i}"), &e))?;
-            let _ = stream.set_nodelay(true);
-            let mut writer = stream
-                .try_clone()
-                .map_err(|e| fail("cloning control stream", &e))?;
-            write_frame(
-                &mut writer,
-                &Frame::Hello {
-                    version: WIRE_VERSION,
-                    node: CTRL_NODE,
-                },
-            )
-            .map_err(|e| fail("control hello", &e))?;
-            cluster.links.push(CtrlLink {
-                reader: BufReader::new(stream),
-                writer,
-            });
+        for i in 0..n {
+            let link = cluster.connect_handle(NodeId(i as u16))?;
+            cluster.links.push(link);
         }
-        cluster.addrs = addrs;
         Ok(cluster)
     }
 
@@ -432,7 +350,7 @@ impl RemoteCluster {
             .addrs
             .get(node.idx())
             .ok_or(ClusterError::NodeDown(node))?;
-        let stream = connect_with_retry(*addr, Duration::from_secs(10))
+        let stream = dial_with_retry(*addr, Duration::from_secs(10))
             .map_err(|e| fail(&format!("control connection to {node}"), &e))?;
         let _ = stream.set_nodelay(true);
         let mut writer = stream
@@ -448,16 +366,20 @@ impl RemoteCluster {
         .map_err(|e| fail("control hello", &e))?;
         Ok(RemoteHandle {
             node,
-            link: CtrlLink {
-                reader: BufReader::new(stream),
-                writer,
-            },
+            reader: BufReader::new(stream),
+            writer,
         })
+    }
+
+    fn link(&mut self, node: NodeId) -> Result<&mut RemoteHandle, ClusterError> {
+        self.links
+            .get_mut(node.idx())
+            .ok_or(ClusterError::NodeDown(node))
     }
 
     /// Read the shared object through `node`'s replica (blocking).
     pub fn read(&mut self, node: NodeId, object: ObjectId) -> Result<Bytes, ClusterError> {
-        self.op(node, OpKind::Read, object, None)
+        self.link(node)?.read(object)
     }
 
     /// Write the shared object through `node` (blocking, like
@@ -468,56 +390,19 @@ impl RemoteCluster {
         object: ObjectId,
         data: Bytes,
     ) -> Result<(), ClusterError> {
-        self.op(node, OpKind::Write, object, Some(data)).map(|_| ())
-    }
-
-    fn op(
-        &mut self,
-        node: NodeId,
-        op: OpKind,
-        object: ObjectId,
-        data: Option<Bytes>,
-    ) -> Result<Bytes, ClusterError> {
-        let link = self
-            .links
-            .get_mut(node.idx())
-            .ok_or(ClusterError::NodeDown(node))?;
-        write_frame(&mut link.writer, &Frame::Op { op, object, data })
-            .map_err(|e| ClusterError::Transport(format!("sending op to node {node}: {e}")))?;
-        match read_frame(&mut link.reader) {
-            Ok(Frame::OpDone { result }) => {
-                result.map_err(|reason| ClusterError::Poisoned { node, reason })
-            }
-            Ok(other) => Err(ClusterError::Transport(format!(
-                "unexpected control reply {other:?} from {node}"
-            ))),
-            Err(e) => Err(ClusterError::Transport(format!(
-                "reading op reply from {node}: {e}"
-            ))),
-        }
+        self.link(node)?.write(object, data)
     }
 
     /// Cluster-wide `(cost, messages)` totals right now.
     pub fn costs(&mut self) -> Result<(u64, u64), ClusterError> {
         let mut total = (0u64, 0u64);
-        for (i, link) in self.links.iter_mut().enumerate() {
-            write_frame(&mut link.writer, &Frame::CostQuery)
-                .map_err(|e| ClusterError::Transport(format!("cost query to node {i}: {e}")))?;
-            match read_frame(&mut link.reader) {
-                Ok(Frame::CostReport { cost, messages }) => {
+        for link in &mut self.links {
+            match link.call(&Frame::CostQuery)? {
+                Frame::CostReport { cost, messages } => {
                     total.0 += cost;
                     total.1 += messages;
                 }
-                Ok(other) => {
-                    return Err(ClusterError::Transport(format!(
-                        "unexpected control reply {other:?} from node {i}"
-                    )))
-                }
-                Err(e) => {
-                    return Err(ClusterError::Transport(format!(
-                        "reading cost report from node {i}: {e}"
-                    )))
-                }
+                other => return Err(link.unexpected(&other)),
             }
         }
         Ok(total)
@@ -541,11 +426,9 @@ impl RemoteCluster {
     /// Stop every node process and collect the final replica snapshot.
     pub fn shutdown(mut self) -> Result<ClusterDump, ClusterError> {
         let mut copies = Vec::with_capacity(self.links.len());
-        for (i, link) in self.links.iter_mut().enumerate() {
-            write_frame(&mut link.writer, &Frame::Shutdown)
-                .map_err(|e| ClusterError::Transport(format!("shutdown to node {i}: {e}")))?;
-            match read_frame(&mut link.reader) {
-                Ok(Frame::Dump { objects }) => copies.push(
+        for link in &mut self.links {
+            match link.call(&Frame::Shutdown)? {
+                Frame::Dump { objects } => copies.push(
                     objects
                         .into_iter()
                         .map(|(state, version, writer, data)| ReplicaSnap {
@@ -556,16 +439,7 @@ impl RemoteCluster {
                         })
                         .collect(),
                 ),
-                Ok(other) => {
-                    return Err(ClusterError::Transport(format!(
-                        "unexpected control reply {other:?} from node {i}"
-                    )))
-                }
-                Err(e) => {
-                    return Err(ClusterError::Transport(format!(
-                        "reading dump from node {i}: {e}"
-                    )))
-                }
+                other => return Err(link.unexpected(&other)),
             }
         }
         for child in &mut self.children {
@@ -575,13 +449,15 @@ impl RemoteCluster {
     }
 }
 
-/// An independent driver connection to one node of a [`RemoteCluster`]
-/// (see [`RemoteCluster::connect_handle`]): issues blocking operations
-/// over its own control stream, so handles on different threads don't
+/// A driver connection to one node of a [`RemoteCluster`]: the cluster's
+/// own link to that node, or an independent one from
+/// [`RemoteCluster::connect_handle`]. It issues blocking operations over
+/// its own control stream, so handles on different threads don't
 /// serialize against each other or the cluster's own links.
 pub struct RemoteHandle {
     node: NodeId,
-    link: CtrlLink,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
 }
 
 impl RemoteHandle {
@@ -607,19 +483,28 @@ impl RemoteHandle {
         data: Option<Bytes>,
     ) -> Result<Bytes, ClusterError> {
         let node = self.node;
-        write_frame(&mut self.link.writer, &Frame::Op { op, object, data })
-            .map_err(|e| ClusterError::Transport(format!("sending op to node {node}: {e}")))?;
-        match read_frame(&mut self.link.reader) {
-            Ok(Frame::OpDone { result }) => {
+        match self.call(&Frame::Op { op, object, data })? {
+            Frame::OpDone { result } => {
                 result.map_err(|reason| ClusterError::Poisoned { node, reason })
             }
-            Ok(other) => Err(ClusterError::Transport(format!(
-                "unexpected control reply {other:?} from {node}"
-            ))),
-            Err(e) => Err(ClusterError::Transport(format!(
-                "reading op reply from {node}: {e}"
-            ))),
+            other => Err(self.unexpected(&other)),
         }
+    }
+
+    /// One control round trip: send `request`, read the reply frame.
+    fn call(&mut self, request: &Frame) -> Result<Frame, ClusterError> {
+        let node = self.node;
+        write_frame(&mut self.writer, request)
+            .map_err(|e| ClusterError::Transport(format!("control request to {node}: {e}")))?;
+        read_frame(&mut self.reader)
+            .map_err(|e| ClusterError::Transport(format!("control reply from {node}: {e}")))
+    }
+
+    fn unexpected(&self, reply: &Frame) -> ClusterError {
+        ClusterError::Transport(format!(
+            "unexpected control reply {reply:?} from {}",
+            self.node
+        ))
     }
 }
 
@@ -630,34 +515,6 @@ impl Drop for RemoteCluster {
         for child in &mut self.children {
             let _ = child.kill();
             let _ = child.wait();
-        }
-    }
-}
-
-fn connect_with_retry(addr: SocketAddr, budget: Duration) -> std::io::Result<TcpStream> {
-    // Same shape as the mesh's dial path: bounded per-attempt connect
-    // (a stalled SYN can't eat the budget) plus growing backoff between
-    // refused attempts.
-    let deadline = Instant::now() + budget;
-    let mut wait = Duration::from_millis(5);
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                format!("connect budget {budget:?} exhausted"),
-            ));
-        }
-        match TcpStream::connect_timeout(&addr, left.min(Duration::from_secs(1))) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return Err(e);
-                }
-                std::thread::sleep(wait.min(left));
-                wait = (wait * 2).min(Duration::from_millis(200));
-            }
         }
     }
 }

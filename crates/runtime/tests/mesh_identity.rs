@@ -1,17 +1,18 @@
-//! Op-identity of the event-driven epoll mesh.
+//! Op-identity of the TCP mesh.
 //!
-//! The epoll mesh replaces thread-per-link blocking I/O with one shared
-//! event loop, but it is a *transport*, not a protocol change: for every
-//! one of the nine protocols, a serialized workload must produce the
-//! same per-operation cost deltas, message totals, and final replicas
-//! as the threaded mesh. Any divergence means the event loop reordered,
-//! dropped, or duplicated envelopes.
+//! The mesh puts real sockets, a wire codec and an epoll event loop
+//! under the cluster, but it is a *transport*, not a protocol change:
+//! for every one of the nine protocols, a serialized workload must
+//! produce the same per-operation cost deltas, message totals, and
+//! final replicas as `InProcTransport` — the reference the whole
+//! closed ≡ engine ≡ sim ≡ runtime chain ends in. Any divergence means
+//! the event loop reordered, dropped, or duplicated envelopes.
 
 #![cfg(target_os = "linux")]
 
 use bytes::Bytes;
 use repmem_core::{OpKind, ProtocolKind, Scenario, SystemParams};
-use repmem_net::{EpollTransport, TcpTransport, Transport};
+use repmem_net::{EpollTransport, InProcTransport, Transport};
 use repmem_runtime::{Cluster, ShardConfig};
 use repmem_workload::{OpEvent, ScenarioSampler};
 use std::time::Duration;
@@ -87,25 +88,21 @@ fn run(kind: ProtocolKind, transport: impl Transport, ops: &[OpEvent]) -> RunTra
 }
 
 #[test]
-fn epoll_mesh_is_op_for_op_identical_to_the_threaded_mesh() {
+fn epoll_mesh_is_op_for_op_identical_to_in_process() {
     let sys = sys();
     let ops = workload(&sys, 24);
     for kind in ProtocolKind::EVERY {
-        let threaded = run(
-            kind,
-            TcpTransport::loopback(sys.n_nodes()).expect("threaded mesh"),
-            &ops,
-        );
+        let inproc = run(kind, InProcTransport::new(sys.n_nodes()), &ops);
         let epoll = run(
             kind,
             EpollTransport::loopback(sys.n_nodes()).expect("epoll mesh"),
             &ops,
         );
         assert_eq!(
-            threaded.per_op_cost, epoll.per_op_cost,
-            "{kind:?}: epoll mesh changed per-operation costs"
+            inproc.per_op_cost, epoll.per_op_cost,
+            "{kind:?}: the TCP mesh changed per-operation costs"
         );
-        assert_eq!(threaded.total_messages, epoll.total_messages, "{kind:?}");
-        assert_eq!(threaded.finals, epoll.finals, "{kind:?}");
+        assert_eq!(inproc.total_messages, epoll.total_messages, "{kind:?}");
+        assert_eq!(inproc.finals, epoll.finals, "{kind:?}");
     }
 }

@@ -3,14 +3,14 @@
 //! The load-bearing guarantee: `K = 1` (the default) reproduces the
 //! paper's single-sequencer runtime *op for op* — same per-operation
 //! cost deltas, same message totals, same final replicas — on the
-//! Table 7 workload, over plain and batched wire paths alike. On top of
+//! Table 7 workload, in-process and over the TCP mesh alike. On top of
 //! that, `K > 1` keeps every coherence invariant (each object still has
 //! exactly one sequencing point) and `W > 1` pipelining preserves
 //! per-object program order.
 
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, OpKind, ProtocolKind, Scenario, SystemParams};
-use repmem_net::{InProcTransport, MeteredTransport, TcpTransport, Transport};
+use repmem_net::{InProcTransport, MeteredTransport, Transport};
 use repmem_runtime::{Cluster, ClusterError, ShardConfig};
 use repmem_workload::{OpEvent, ScenarioSampler};
 use std::time::Duration;
@@ -126,7 +126,8 @@ fn k1_sharded_is_op_for_op_identical_to_the_seed_runtime() {
 }
 
 #[test]
-fn k1_batched_tcp_agrees_with_in_process_exactly() {
+#[cfg(target_os = "linux")] // the TCP mesh is epoll-based
+fn k1_tcp_mesh_agrees_with_in_process_exactly() {
     let sys = sys();
     let ops = workload(&sys, 30);
     for kind in [ProtocolKind::WriteThroughV, ProtocolKind::Illinois] {
@@ -136,21 +137,19 @@ fn k1_batched_tcp_agrees_with_in_process_exactly() {
             InProcTransport::new(sys.n_nodes()),
             &ops,
         );
-        let batched = run(
+        let tcp = run(
             kind,
             ShardConfig::default(),
-            TcpTransport::loopback(sys.n_nodes())
-                .expect("loopback mesh")
-                .batched(),
+            repmem_net::EpollTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
             &ops,
         );
         assert_eq!(
-            inproc.per_op_cost, batched.per_op_cost,
-            "{kind:?}: batching changed per-operation costs"
+            inproc.per_op_cost, tcp.per_op_cost,
+            "{kind:?}: the flush-coalescing wire changed per-operation costs"
         );
-        assert_eq!(inproc.total_cost, batched.total_cost, "{kind:?}");
-        assert_eq!(inproc.total_messages, batched.total_messages, "{kind:?}");
-        assert_eq!(inproc.finals, batched.finals, "{kind:?}");
+        assert_eq!(inproc.total_cost, tcp.total_cost, "{kind:?}");
+        assert_eq!(inproc.total_messages, tcp.total_messages, "{kind:?}");
+        assert_eq!(inproc.finals, tcp.finals, "{kind:?}");
     }
 }
 

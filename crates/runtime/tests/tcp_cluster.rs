@@ -4,8 +4,12 @@
 //! settled cost and message-count delta after every op of the paper's
 //! Table 7 workload, and the same final replica contents — for the same
 //! seed. This is the end-to-end check that the wire codec, the TCP mesh
-//! and the Lamport version clock are all observationally equivalent to
-//! the shared-memory path.
+//! (its control-connection handoff included: every operation here
+//! travels over one) and the Lamport version clock are all
+//! observationally equivalent to the shared-memory path.
+
+// `remote` and `repmem-node` run on the epoll-based TCP mesh.
+#![cfg(target_os = "linux")]
 
 use bytes::Bytes;
 use repmem_core::{NodeId, OpKind, ProtocolKind, Scenario, SystemParams};

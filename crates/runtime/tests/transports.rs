@@ -5,10 +5,13 @@
 //! stack's per-class wire counters must reconcile exactly with the
 //! cluster's own cost-model accounting.
 
+// Two of the four cases run over the epoll-based TCP mesh.
+#![cfg(target_os = "linux")]
+
 use bytes::Bytes;
 use repmem_core::{OpKind, ProtocolKind, Scenario, SystemParams};
 use repmem_net::{
-    DelayConfig, DelayTransport, InProcTransport, MeteredTransport, TcpTransport, Transport,
+    DelayConfig, DelayTransport, EpollTransport, InProcTransport, MeteredTransport, Transport,
 };
 use repmem_runtime::{Cluster, ShardConfig};
 use repmem_workload::{OpEvent, ScenarioSampler};
@@ -106,7 +109,7 @@ fn tcp_loopback_agrees_with_in_process_exactly() {
         let inproc = run(kind, InProcTransport::new(sys.n_nodes()), &ops);
         let tcp = run(
             kind,
-            TcpTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
+            EpollTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
             &ops,
         );
         assert_eq!(
@@ -207,7 +210,7 @@ fn wrappers_compose_and_expose_the_meter_through_the_stack() {
     // Meter over delay over TCP loopback: the meter must still surface
     // through Transport::meter from the outermost layer.
     let transport = MeteredTransport::new(DelayTransport::new(
-        TcpTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
+        EpollTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
         DelayConfig {
             seed: 3,
             min: Duration::ZERO,

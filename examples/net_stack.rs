@@ -7,7 +7,7 @@
 //! ```
 
 use bytes::Bytes;
-use repmem::net::{InProcTransport, MeteredTransport, TcpTransport};
+use repmem::net::{InProcTransport, MeteredTransport};
 use repmem::prelude::*;
 
 fn main() {
@@ -29,11 +29,12 @@ fn main() {
     // The paper's channel is an abstraction: any FIFO transport gives the
     // same costs. Run one workload over both backends, metered.
     run(sys, kind, "in-process", InProcTransport::new(sys.n_nodes()));
+    #[cfg(target_os = "linux")] // the TCP mesh is epoll-based
     run(
         sys,
         kind,
         "tcp loopback",
-        TcpTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
+        repmem::net::EpollTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
     );
 
     println!(
