@@ -8,9 +8,14 @@
 //! phase's wall clock; latencies are merged across threads and the rep
 //! with the median throughput is the one whose percentiles are printed.
 //!
+//! Each cell also reports its *local hit share*: the fraction of the run
+//! phase's operations the runtime served from a node's replica table
+//! without visiting the node loop (`Cluster::local_read_hits`) — the
+//! property the read fast path helps, measured per mix and protocol.
+//!
 //! `--json` upserts a `"ycsb"` section into `BENCH_runtime.json` at the
 //! repository root — every cell records its zipfian `theta` and shard
-//! count alongside ops/s and p50/p99. `REPMEM_BENCH_SMOKE=1` shrinks the
+//! count alongside ops/s, p50/p99 and the hit share. `REPMEM_BENCH_SMOKE=1` shrinks the
 //! grid for CI.
 
 use repmem_bench::{bench_json_path, render_table, upsert_bench_sections};
@@ -37,6 +42,8 @@ struct Cell {
     ops_per_sec: f64,
     p50_us: f64,
     p99_us: f64,
+    /// Run-phase operations served on the read fast path ÷ operations.
+    hit_share: f64,
 }
 
 /// One `(workload, protocol)` measurement: load once, run from all
@@ -59,6 +66,7 @@ fn run_cell(w: YcsbWorkload, kind: ProtocolKind, p: &Params) -> Cell {
     driver::load(&mut loader, &load_spec).expect("load");
 
     let per_thread = (p.ops / p.n_clients as u64).max(1);
+    let hits_before = cluster.local_read_hits();
     let start = Instant::now();
     let reports: Vec<WorkloadReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..p.n_clients)
@@ -76,6 +84,7 @@ fn run_cell(w: YcsbWorkload, kind: ProtocolKind, p: &Params) -> Cell {
             .collect()
     });
     let secs = start.elapsed().as_secs_f64();
+    let hits = cluster.local_read_hits() - hits_before;
     cluster.shutdown().expect("shutdown");
 
     let total_ops: u64 = reports.iter().map(|r| r.ops).sum();
@@ -85,6 +94,7 @@ fn run_cell(w: YcsbWorkload, kind: ProtocolKind, p: &Params) -> Cell {
         ops_per_sec: total_ops as f64 / secs,
         p50_us: p50,
         p99_us: p99,
+        hit_share: hits as f64 / total_ops as f64,
     }
 }
 
@@ -138,6 +148,7 @@ fn main() {
     for w in YcsbWorkload::ALL {
         header.push(format!("{} ops/s", w.name()));
         header.push(format!("{} p99us", w.name()));
+        header.push(format!("{} hit%", w.name()));
     }
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut grid: Vec<(YcsbWorkload, Vec<(ProtocolKind, Cell)>)> = YcsbWorkload::ALL
@@ -150,6 +161,7 @@ fn main() {
             let cell = run_cell_median(*w, kind, &p);
             row.push(format!("{:.0}", cell.ops_per_sec));
             row.push(format!("{:.0}", cell.p99_us));
+            row.push(format!("{:.1}", cell.hit_share * 100.0));
             cells.push((kind, cell));
         }
         rows.push(row);
@@ -177,12 +189,14 @@ fn main() {
             cells_json.push_str(&format!("    \"{}\": {{\n", w.name()));
             for (ki, (kind, cell)) in cells.iter().enumerate() {
                 cells_json.push_str(&format!(
-                    "      \"{}\": {{\"ops_per_sec\": {:.1}, \"p50_us\": {:.1}, \
-                     \"p99_us\": {:.1}, \"theta\": {:.2}, \"shards\": {}}}{}\n",
+                    "      \"{}\": {{\"ops_per_sec\": {:.1}, \"p50_us\": {:.2}, \
+                     \"p99_us\": {:.1}, \"local_hit_share\": {:.3}, \"theta\": {:.2}, \
+                     \"shards\": {}}}{}\n",
                     kind.name(),
                     cell.ops_per_sec,
                     cell.p50_us,
                     cell.p99_us,
+                    cell.hit_share,
                     p.theta,
                     p.shards,
                     if ki + 1 < cells.len() { "," } else { "" }

@@ -204,18 +204,38 @@ fn run_explorations(sampling: bool, opts: &Options) -> ExitCode {
     let mode = if sampling { "sample" } else { "explore" };
     let mut failed = false;
     for &kind in &opts.protocols {
-        for palette in &opts.palettes {
-            let cfg = opts.config(kind, palette);
+        let mut runs: Vec<(&str, CheckConfig)> = opts
+            .palettes
+            .iter()
+            .map(|palette| (*palette, opts.config(kind, palette)))
+            .collect();
+        if !sampling {
+            // The litmus program never re-reads a copy; this one does.
+            let mut cfg = CheckConfig::reread(kind, opts.clients);
+            cfg.max_depth = opts.depth;
+            runs.push(("reread", cfg));
+            // Nor does it write a copy twice. Quorum has no silent
+            // local write to race, and its rounds put this program
+            // past the execution cap.
+            if !kind.polls_all_replicas() {
+                let mut cfg = CheckConfig::rewrite(kind, opts.clients);
+                cfg.max_depth = opts.depth;
+                runs.push(("rewrite", cfg));
+            }
+        }
+        let mut fast_path_reads = 0;
+        for (palette, cfg) in &runs {
             let report = if sampling {
-                sample(&cfg, opts.seed, opts.walks)
+                sample(cfg, opts.seed, opts.walks)
             } else {
-                exhaustive(&cfg, opts.limits)
+                exhaustive(cfg, opts.limits)
             };
             println!("[{mode}/{palette}] {}", report.summary());
+            fast_path_reads += report.fast_path_reads;
             if let Some(found) = report.violation {
                 failed = true;
                 eprintln!("VIOLATION [{}] {}", found.kind, found.detail);
-                let shrunk = minimize(&cfg, &found.events);
+                let shrunk = minimize(cfg, &found.events);
                 eprintln!(
                     "shrunk to {} events (from {})",
                     shrunk.len(),
@@ -236,6 +256,18 @@ fn run_explorations(sampling: bool, opts: &Options) -> ExitCode {
                     Err(e) => eprintln!("could not write artifact: {e}"),
                 }
             }
+        }
+        // "No violation" only counts if the explorer went through the
+        // read predicate the runtime ships: every sequencer protocol
+        // serves the re-read from its replica table in some schedule,
+        // and Quorum (every read is a round) in none.
+        if !sampling && (fast_path_reads == 0) != kind.polls_all_replicas() {
+            failed = true;
+            eprintln!(
+                "FAST PATH [{}] {fast_path_reads} reads completed on the fast path: \
+                 the explorer is not exercising the shipped read predicate",
+                kind.name()
+            );
         }
     }
     if failed {

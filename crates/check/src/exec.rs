@@ -125,6 +125,42 @@ impl CheckConfig {
             .collect()
     }
 
+    /// The re-read workload: client 0 reads object 0 twice while every
+    /// other client writes it once. Read-after-read is the shape the
+    /// litmus program lacks (it never reads a copy it already holds),
+    /// and the one where the runtime serves the second read from its
+    /// replica table — possibly just ahead of the writers' waves.
+    pub fn reread(kind: ProtocolKind, n_clients: usize) -> CheckConfig {
+        let mut cfg = CheckConfig::new(kind, n_clients, 1, 0);
+        cfg.program = (0..n_clients)
+            .map(|c| match c {
+                0 => vec![ProgOp::Read(0), ProgOp::Read(0)],
+                _ => vec![ProgOp::Write(0)],
+            })
+            .collect();
+        cfg
+    }
+
+    /// The double-write workload: every client reads object 0, writes it
+    /// — client 0 twice in a row — and reads it back. A second write to
+    /// a copy the first one made exclusive is the silent local
+    /// transition of the ownership protocols (Write-Once's
+    /// `RESERVED → DIRTY`), raced here by the other clients' writes from
+    /// copies that are valid when written and stale when ordered. The
+    /// litmus program writes each object once per client and never gets
+    /// there.
+    pub fn rewrite(kind: ProtocolKind, n_clients: usize) -> CheckConfig {
+        use ProgOp::{Read, Write};
+        let mut cfg = CheckConfig::new(kind, n_clients, 1, 0);
+        cfg.program = (0..n_clients)
+            .map(|c| match c {
+                0 => vec![Read(0), Write(0), Write(0), Read(0)],
+                _ => vec![Read(0), Write(0), Read(0)],
+            })
+            .collect();
+        cfg
+    }
+
     /// The unique value written by step `index` of `client`: two bytes
     /// `[client, index]`, distinct from every other write and from the
     /// empty initial value.

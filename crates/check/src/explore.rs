@@ -54,6 +54,12 @@ pub struct Report {
     pub truncated: u64,
     /// Longest schedule followed.
     pub deepest: usize,
+    /// Reads the checked schedules completed on the runtime's fast path
+    /// (served from the replica table by `StepCluster::issue`, no
+    /// machine step). Zero for a sequencer protocol whose program
+    /// re-reads a copy means the explorer bypassed the shipped read
+    /// predicate instead of exploring it.
+    pub fast_path_reads: u64,
     /// Whether a safety cap ([`ExploreLimits`]) cut the run short.
     pub capped: bool,
     /// First violation found, if any (the run stops there).
@@ -69,6 +75,7 @@ impl Report {
             terminals: 0,
             truncated: 0,
             deepest: 0,
+            fast_path_reads: 0,
             capped: false,
             violation: None,
         }
@@ -77,13 +84,14 @@ impl Report {
     /// One-line summary for logs.
     pub fn summary(&self) -> String {
         format!(
-            "{}: {} executions, {} states, {} terminals, {} truncated, depth<={}{}{}",
+            "{}: {} executions, {} states, {} terminals, {} truncated, depth<={}, {} fast-path reads{}{}",
             self.protocol.name(),
             self.executions,
             self.distinct_states,
             self.terminals,
             self.truncated,
             self.deepest,
+            self.fast_path_reads,
             if self.capped { ", CAPPED" } else { "" },
             match &self.violation {
                 Some(v) => format!(", VIOLATION[{}]", v.kind),
@@ -130,6 +138,7 @@ pub fn exhaustive(cfg: &CheckConfig, limits: ExploreLimits) -> Report {
             } else {
                 report.truncated += 1;
             }
+            report.fast_path_reads += exec.cluster().local_read_hits();
             if let Some(Violation { kind, detail }) = checks::check(&exec) {
                 report.violation = Some(FoundViolation {
                     kind,
@@ -170,6 +179,7 @@ pub fn sample(cfg: &CheckConfig, seed: u64, walks: u64) -> Report {
                 }
                 report.executions += 1;
                 report.deepest = report.deepest.max(events.len());
+                report.fast_path_reads += exec.cluster().local_read_hits();
                 if let Some(Violation { kind, detail }) = checks::check(&exec) {
                     report.violation = Some(FoundViolation {
                         kind,

@@ -169,3 +169,77 @@ fn quorum_completes_under_minority_kill_while_sequencers_degrade() {
         }
     }
 }
+
+/// The explorer goes through the read predicate the runtime ships:
+/// on the re-read workload every sequencer protocol serves a read from
+/// the replica table in some schedule — with the writers' waves racing
+/// it — and stays clean; Quorum, whose every read is a round, never
+/// does. A refactor that routes `StepCluster::issue` around the
+/// predicate turns the first count to 0 and must fail here, not pass
+/// as "no violation".
+#[test]
+fn reread_exploration_is_clean_and_exercises_the_fast_path() {
+    for kind in ProtocolKind::EVERY {
+        let cfg = CheckConfig::reread(kind, 2);
+        // Quorum's rounds enumerate ~300 k schedules here: the CI
+        // `check` job does that in release; debug mode samples.
+        let report = if kind == ProtocolKind::Quorum {
+            sample(&cfg, 7, 500)
+        } else {
+            exhaustive(&cfg, ExploreLimits::default())
+        };
+        assert!(!report.capped, "{}", report.summary());
+        assert!(
+            report.violation.is_none(),
+            "{kind:?}: {}",
+            report.violation.unwrap().detail
+        );
+        assert_eq!(
+            report.fast_path_reads == 0,
+            kind == ProtocolKind::Quorum,
+            "{}",
+            report.summary()
+        );
+    }
+}
+
+/// What a lost invalidation looks like now: the stale copy is served by
+/// the fast path. c0 reads (miss, copy VALID); c1 writes; the W-INV to
+/// c0 is dropped; c0's second read completes at issue, from the table,
+/// with the old value — and the checker still flags the schedule.
+#[test]
+fn dropped_invalidation_surfaces_as_a_stale_fast_path_read() {
+    use repmem_check::{Ev, Exec, OpStatus};
+    let mut cfg = CheckConfig::reread(ProtocolKind::WriteThrough, 2);
+    cfg.mutation = Mutation::DropKind {
+        kind: MsgKind::WInv,
+        nth: 1,
+    };
+    let schedule = [
+        Ev::Issue(0),      // c0: R(0) misses
+        Ev::Deliver(0, 2), // R-PER
+        Ev::Deliver(2, 0), // R-GNT: c0 VALID
+        Ev::Issue(1),      // c1: W(0)
+        Ev::Deliver(1, 2), // W-PER: sequencer applies, invalidates c0
+        Ev::Deliver(2, 0), // the W-INV — lost
+        Ev::Issue(0),      // c0: R(0) again
+    ];
+    let (exec, applied) = Exec::replay_traced(&cfg, &schedule);
+    assert_eq!(applied.len(), schedule.len());
+    assert_eq!(exec.cluster().local_read_hits(), 1);
+    let reread = &exec.records()[2];
+    assert_eq!((reread.client, reread.index), (0, 1));
+    assert_eq!(reread.status, OpStatus::Done);
+    assert_eq!(
+        reread.read_value.as_deref(),
+        Some(&[][..]),
+        "the second read should have seen the stale initial value"
+    );
+    let violation = check(&exec).expect("the stale replica must be flagged");
+    assert_eq!(
+        violation.kind,
+        ViolationKind::Divergence,
+        "{}",
+        violation.detail
+    );
+}

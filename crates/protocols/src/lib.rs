@@ -53,7 +53,32 @@ pub use write_once::WriteOnce;
 pub use write_through::WriteThrough;
 pub use write_through_v::WriteThroughV;
 
-use repmem_core::{CoherenceProtocol, ProtocolKind};
+use repmem_core::{CoherenceProtocol, CopyState, ProtocolKind, Role};
+
+/// Whether a read request (`R-REQ`) entering `kind`'s `role` machine in
+/// `state` is a *pure local hit*: the output routine is `return` alone
+/// and the state is kept — the "read hit: 0" column above. Hosts may
+/// serve such a read without running the machine.
+///
+/// This is not [`CopyState::readable`]: Quorum's `VALID` opens a
+/// majority round, and Write-Through-V's sequencer serves reads while
+/// `RECALLING`. The table is pinned against `step` for every protocol,
+/// role and state by `crates/runtime/tests/read_fast_path.rs`.
+pub fn read_hits_locally(kind: ProtocolKind, role: Role, state: CopyState) -> bool {
+    use CopyState::*;
+    use ProtocolKind::*;
+    match (kind, role, state) {
+        (Quorum, _, _) => false,
+        // Berkeley's behaviour is uniform across roles.
+        (Berkeley, _, Valid | Dirty | SharedDirty) => true,
+        (Dragon, Role::Client, SharedClean) | (Dragon, Role::Sequencer, SharedDirty) => true,
+        (WriteThroughV, Role::Sequencer, Recalling) => true,
+        (WriteOnce, Role::Client, Reserved | Dirty) => true,
+        (Synapse | Illinois, Role::Client, Dirty) => true,
+        (WriteThrough | WriteThroughV | WriteOnce | Synapse | Illinois | Firefly, _, Valid) => true,
+        _ => false,
+    }
+}
 
 /// Look up the static instance of a protocol by kind.
 pub fn protocol(kind: ProtocolKind) -> &'static dyn CoherenceProtocol {

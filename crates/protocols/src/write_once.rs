@@ -20,6 +20,20 @@
 //! owner register and sends a one-token downgrade `RECALL` before serving
 //! a read miss while a `RESERVED` copy exists (the holder's copy is clean,
 //! so no flush is needed — the miss costs `S+3` instead of `S+2`).
+//!
+//! A bus orders the silent transitions for free; message channels do not.
+//! Nothing acknowledges a write-through, so a client that has gone
+//! `RESERVED` (or on to `DIRTY`) cannot tell a `W-INV` of a wave ordered
+//! *before* its own write from one ordered after it, and the sequencer's
+//! owner register can name a holder whose copy such a wave has already
+//! taken. Three rules keep that coherent and live, all off the race-free
+//! paths the cost model prices: a `DIRTY` copy hit by a wave is written
+//! back; every recall but the priced downgrade is answered with whatever
+//! the client holds, and the sequencer completes a waiting recall only on
+//! the flush that echoes its generation (merging any other); and data
+//! that reaches the sequencer under a `DIRTY` reign from anyone but the
+//! holder is merged and the holder's copy called in. Version-checked
+//! merges (`change`/`install`) make the order of arrival irrelevant.
 
 use repmem_core::{
     protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
@@ -29,6 +43,17 @@ use repmem_core::{
 /// The distributed Write-Once protocol.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WriteOnce;
+
+/// A recall the sequencer waits on: sent to the registered owner under a
+/// fresh generation (the epoch register, stamped on the message by the
+/// host and echoed by the flush that answers it), so that no other flush
+/// still in flight — the answer to an earlier downgrade, say — can be
+/// taken for this one's and complete the wrong request.
+fn recall(env: &mut dyn Actions, kind: MsgKind) -> CopyState {
+    env.set_owner_epoch(env.owner_epoch() + 1);
+    env.push(Dest::To(env.owner()), kind, PayloadKind::Token);
+    CopyState::Recalling
+}
 
 impl WriteOnce {
     fn client_step(&self, env: &mut dyn Actions, state: CopyState, msg: &Msg) -> CopyState {
@@ -83,29 +108,42 @@ impl WriteOnce {
                 env.enable_local();
                 Reserved
             }
-            (MsgKind::WInv, _) => Invalid,
-            (MsgKind::Recall, Dirty) => {
-                env.push(Dest::To(home), MsgKind::Flush, PayloadKind::Copy);
-                Valid
-            }
-            (MsgKind::RecallX, Dirty) => {
+            // A DIRTY copy holds writes nobody else has, and the wave may
+            // be one ordered *before* the write-through that made us the
+            // holder (nothing acknowledges that, so we cannot tell) — in
+            // which case the sequencer never asks for them. Write them
+            // back; the version-checked install sorts out the order.
+            (MsgKind::WInv, Dirty) => {
                 env.push(Dest::To(home), MsgKind::FlushX, PayloadKind::Copy);
                 Invalid
             }
+            (MsgKind::WInv, _) => Invalid,
             // Downgrade: another node is about to read; our clean
             // exclusive copy becomes plain VALID. The sequencer already
-            // has the data, so no flush travels.
+            // has the data and does not wait, so no flush travels.
             (MsgKind::Recall, Reserved) => Valid,
-            // A recall can cross our DIRTY-NOTE in flight and reach us
-            // after a concurrent downgrade already flushed us to VALID;
-            // answer with the (current) copy so the sequencer's recall
-            // always completes.
-            (MsgKind::Recall, Valid) => {
+            // Every other recall is answered with whatever we hold, under
+            // the generation it came with (see `seq_step`): the
+            // sequencer may be waiting, and its owner register can name
+            // us when we are not DIRTY any more — a downgrade crossed
+            // our DIRTY-NOTE, or a W-INV from a wave ordered before our
+            // own write-through took the copy away, DIRTY data included,
+            // which then survives only in these bytes. The sequencer's
+            // install is version-checked.
+            (MsgKind::Recall, Dirty | Valid | Invalid) => {
+                env.set_owner_epoch(msg.epoch);
                 env.push(Dest::To(home), MsgKind::Flush, PayloadKind::Copy);
-                Valid
+                if state == Invalid {
+                    Invalid
+                } else {
+                    Valid
+                }
             }
-            (MsgKind::Recall, Invalid) => state,
-            (MsgKind::RecallX, Invalid | Valid | Reserved) => Invalid,
+            (MsgKind::RecallX, _) => {
+                env.set_owner_epoch(msg.epoch);
+                env.push(Dest::To(home), MsgKind::FlushX, PayloadKind::Copy);
+                Invalid
+            }
             (MsgKind::Retry, _) => {
                 let kind = match env.pending_op() {
                     Some(OpKind::Read) => MsgKind::RPer,
@@ -128,9 +166,9 @@ impl WriteOnce {
                 Valid
             }
             (MsgKind::RReq, Invalid) => {
-                env.push(Dest::To(env.owner()), MsgKind::Recall, PayloadKind::Token);
+                let next = recall(env, MsgKind::Recall);
                 env.disable_local();
-                Recalling
+                next
             }
             (MsgKind::WReq, Valid) => {
                 env.change();
@@ -144,9 +182,9 @@ impl WriteOnce {
                 Valid
             }
             (MsgKind::WReq, Invalid) => {
-                env.push(Dest::To(env.owner()), MsgKind::RecallX, PayloadKind::Token);
+                let next = recall(env, MsgKind::RecallX);
                 env.disable_local();
-                Recalling
+                next
             }
             (MsgKind::RPer, Valid) => {
                 // Downgrade an exclusive RESERVED holder before handing
@@ -158,10 +196,7 @@ impl WriteOnce {
                 env.push(Dest::To(msg.initiator), MsgKind::RGnt, PayloadKind::Copy);
                 Valid
             }
-            (MsgKind::RPer, Invalid) => {
-                env.push(Dest::To(env.owner()), MsgKind::Recall, PayloadKind::Token);
-                Recalling
-            }
+            (MsgKind::RPer, Invalid) => recall(env, MsgKind::Recall),
             // A VALID client's write-through: apply, invalidate others;
             // the writer now holds the exclusive RESERVED copy.
             (MsgKind::WPer, Valid) if msg.payload == PayloadKind::Params => {
@@ -186,10 +221,21 @@ impl WriteOnce {
                 env.set_owner(msg.initiator);
                 Valid
             }
-            (MsgKind::WPer, Invalid) => {
+            // Write parameters reaching us while a DIRTY holder reigns: a
+            // write-through (either leg) that left its copy before the
+            // wave that took the copy away arrived. Nobody waits for an
+            // answer. Merge them and call the holder's copy in for good
+            // (same generation — we do not wait either), so that no copy
+            // older than the merge survives as DIRTY or, after a
+            // downgrade, VALID.
+            (MsgKind::WPer | MsgKind::Upd, Invalid | Recalling)
+                if msg.payload == PayloadKind::Params =>
+            {
+                env.change();
                 env.push(Dest::To(env.owner()), MsgKind::RecallX, PayloadKind::Token);
-                Recalling
+                state
             }
+            (MsgKind::WPer, Invalid) => recall(env, MsgKind::RecallX),
             // The write-through leg of a write miss.
             (MsgKind::Upd, Valid) => {
                 env.change();
@@ -202,28 +248,17 @@ impl WriteOnce {
             }
             // A RESERVED copy went DIRTY: our copy is now stale. Only
             // accept the note from the node our owner register says holds
-            // the RESERVED copy — a stale note (its sender was already
-            // invalidated by a grant it had not yet seen) is answered
-            // with an exclusive recall so its data merges back instead of
-            // forking the object.
+            // the RESERVED copy. A stale note — the register moved on
+            // while it was in flight — needs no answer: whatever moved
+            // the register also sent that node a RECALL (it flushes and
+            // downgrades) or a W-INV (its write is ordered before the
+            // one that invalidated it), FIFO-behind which nothing of
+            // ours can overtake. Recalling it *again* from here would
+            // reach it an arbitrary time later — possibly into its next,
+            // legitimate DIRTY reign, leaving us INVALID with an owner
+            // that has nothing left to flush.
             (MsgKind::DirtyNote, Valid) if msg.initiator == env.owner() => Invalid,
-            (MsgKind::DirtyNote, Valid | Invalid) => {
-                if msg.initiator != env.owner() {
-                    env.push(
-                        Dest::To(msg.initiator),
-                        MsgKind::RecallX,
-                        PayloadKind::Token,
-                    );
-                }
-                state
-            }
-            // Defensive: an UPD (write-through leg) that raced past a
-            // DIRTY-NOTE; merge the parameters, no wave (the grant wave
-            // already ran).
-            (MsgKind::Upd, Invalid) => {
-                env.change();
-                Invalid
-            }
+            (MsgKind::DirtyNote, Valid | Invalid | Recalling) => state,
             (MsgKind::RPer | MsgKind::WPer, Recalling) => {
                 env.push(Dest::To(msg.initiator), MsgKind::Retry, PayloadKind::Token);
                 Recalling
@@ -244,7 +279,7 @@ impl WriteOnce {
                 env.push(Dest::To(home), kind, payload);
                 state
             }
-            (MsgKind::Flush, Recalling) => {
+            (MsgKind::Flush, Recalling) if msg.epoch == env.owner_epoch() => {
                 env.install();
                 env.set_owner(home);
                 if msg.initiator == home {
@@ -255,7 +290,7 @@ impl WriteOnce {
                 }
                 Valid
             }
-            (MsgKind::FlushX, Recalling) => {
+            (MsgKind::FlushX, Recalling) if msg.epoch == env.owner_epoch() => {
                 env.install();
                 if msg.initiator == home {
                     env.change();
@@ -273,18 +308,42 @@ impl WriteOnce {
                     Valid
                 }
             }
-            // An unsolicited flush from the node our owner register points
-            // at heals the DIRTY-NOTE/downgrade crossing race: the owner
-            // wrote back (and holds a VALID copy), so our copy is current
-            // again. Stale duplicate flushes from anyone else are dropped
-            // (the data install is version-checked by the host anyway).
-            (MsgKind::Flush, Invalid) if msg.sender == env.owner() => {
+            // A flush we are not waiting for (while RECALLING: one of
+            // another generation) is merged; who may keep a copy
+            // depends on where we stand.
+            //
+            // INVALID, from the node our owner register names: the
+            // holder wrote back — a downgrade crossed its DIRTY-NOTE, or
+            // we called its copy in above — so ours is current again and
+            // no other client holds one.
+            (MsgKind::Flush | MsgKind::FlushX, Invalid) if msg.sender == env.owner() => {
                 env.install();
                 env.set_owner(home);
                 Valid
             }
-            (MsgKind::Flush | MsgKind::FlushX, Valid | Invalid) => {
+            // VALID: the holder we downgraded as RESERVED (clean, so the
+            // read miss was granted from our copy without waiting) had
+            // silently gone DIRTY, its note still in flight. Whoever we
+            // granted since holds the older data as VALID: invalidate
+            // everyone but the flusher so they re-fetch.
+            (MsgKind::Flush | MsgKind::FlushX, Valid) => {
                 env.install();
+                env.push(
+                    Dest::AllExcept(msg.sender, Some(home)),
+                    MsgKind::WInv,
+                    PayloadKind::Token,
+                );
+                Valid
+            }
+            // Otherwise a DIRTY holder still reigns: as with stray write
+            // parameters above, a merge from anyone else calls its copy
+            // in. (Its own stray flush, while RECALLING, needs nothing:
+            // the answer we wait for is behind it.)
+            (MsgKind::Flush | MsgKind::FlushX, Invalid | Recalling) => {
+                env.install();
+                if msg.sender != env.owner() {
+                    env.push(Dest::To(env.owner()), MsgKind::RecallX, PayloadKind::Token);
+                }
                 state
             }
             _ => protocol_error(self.kind(), state, msg),
@@ -372,7 +431,8 @@ mod tests {
         assert!(seq.pushes.is_empty());
 
         // A stale note from a node that is no longer the registered
-        // holder is answered with an exclusive recall instead.
+        // holder is dropped: the recall or invalidation that moved the
+        // register is already on its way to that node.
         let mut seq = MockActions::sequencer(N);
         seq.owner = NodeId(2);
         let s = WriteOnce.step(
@@ -381,8 +441,8 @@ mod tests {
             &net_msg(MsgKind::DirtyNote, 0, 0, PayloadKind::Token),
         );
         assert_eq!(s, CopyState::Valid);
-        assert_eq!(seq.pushes[0].kind, MsgKind::RecallX);
-        assert_eq!(seq.pushes[0].dest, Dest::To(NodeId(0)));
+        assert!(seq.pushes.is_empty());
+        assert_eq!(seq.owner, NodeId(2));
     }
 
     #[test]
@@ -540,5 +600,159 @@ mod tests {
             );
             assert_eq!(s, CopyState::Invalid);
         }
+    }
+
+    /// The downgrade race: a read miss is granted from the sequencer's
+    /// copy while the RESERVED holder is told to downgrade — but the
+    /// holder had already written again (DIRTY, note in flight) and
+    /// answers the RECALL with a flush. The grantee now holds the older
+    /// data as VALID; the flush must invalidate it.
+    #[test]
+    fn unsolicited_flush_while_valid_invalidates_the_stale_grantees() {
+        let mut seq = MockActions::sequencer(N);
+        let s = WriteOnce.step(
+            &mut seq,
+            CopyState::Valid,
+            &net_msg(MsgKind::Flush, 2, 1, PayloadKind::Copy),
+        );
+        assert_eq!(s, CopyState::Valid);
+        assert_eq!(seq.installs, 1);
+        assert_eq!(seq.pushes.len(), 1);
+        assert_eq!(seq.pushes[0].kind, MsgKind::WInv);
+        assert_eq!(
+            seq.pushes[0].dest,
+            Dest::AllExcept(NodeId(1), Some(NodeId(N as u16)))
+        );
+    }
+
+    /// A wave that hits a DIRTY copy may be older than the reign it
+    /// ends, so the sequencer may never ask for the data: write it back.
+    #[test]
+    fn a_wave_hitting_a_dirty_copy_writes_it_back() {
+        let mut env = MockActions::client(0, N);
+        let s = WriteOnce.step(
+            &mut env,
+            CopyState::Dirty,
+            &net_msg(MsgKind::WInv, 1, N as u16, PayloadKind::Token),
+        );
+        assert_eq!(s, CopyState::Invalid);
+        assert_eq!(env.pushes.len(), 1);
+        assert_eq!(env.pushes[0].kind, MsgKind::FlushX);
+        assert_eq!(env.pushes[0].payload, PayloadKind::Copy);
+        assert_eq!(env.pushes[0].dest, Dest::To(NodeId(N as u16)));
+    }
+
+    /// The sequencer waits on every recall but the downgrade of a
+    /// RESERVED copy, whatever became of the copy it recalls: each is
+    /// answered, under the generation it came with.
+    #[test]
+    fn every_recall_but_the_reserved_downgrade_is_answered() {
+        use CopyState::*;
+        for (kind, answer) in [
+            (MsgKind::Recall, MsgKind::Flush),
+            (MsgKind::RecallX, MsgKind::FlushX),
+        ] {
+            for state in [Invalid, Valid, Reserved, Dirty] {
+                let mut env = MockActions::client(0, N);
+                let mut recall = net_msg(kind, 2, N as u16, PayloadKind::Token);
+                recall.epoch = 7;
+                let next = WriteOnce.step(&mut env, state, &recall);
+                if (kind, state) == (MsgKind::Recall, Reserved) {
+                    assert_eq!(next, Valid);
+                    assert!(env.pushes.is_empty());
+                    continue;
+                }
+                let kept = kind == MsgKind::Recall && state != Invalid;
+                assert_eq!(
+                    next,
+                    if kept { Valid } else { Invalid },
+                    "{kind:?} {state:?}"
+                );
+                assert_eq!(env.pushes.len(), 1, "{kind:?} {state:?}");
+                assert_eq!(env.pushes[0].kind, answer);
+                assert_eq!(env.pushes[0].payload, PayloadKind::Copy);
+                assert_eq!(env.owner_epoch, 7, "the answer echoes the generation");
+            }
+        }
+    }
+
+    /// A flush left over from an earlier exchange must not complete the
+    /// recall the sequencer is waiting on (and grant the wrong request):
+    /// only the flush echoing the recall's generation does.
+    #[test]
+    fn only_the_flush_of_its_generation_completes_a_recall() {
+        let mut seq = MockActions::sequencer(N);
+        seq.owner = NodeId(0);
+        seq.owner_epoch = 2;
+        let s = WriteOnce.step(
+            &mut seq,
+            CopyState::Invalid,
+            &net_msg(MsgKind::RPer, 2, 2, PayloadKind::Token),
+        );
+        assert_eq!(s, CopyState::Recalling);
+        assert_eq!(seq.owner_epoch, 3);
+
+        // A stray flush from another node: merged, and — a DIRTY holder
+        // still reigns — the holder's copy is called in.
+        let mut stray = net_msg(MsgKind::Flush, 1, 1, PayloadKind::Copy);
+        stray.epoch = 2;
+        seq.pushes.clear();
+        let s = WriteOnce.step(&mut seq, CopyState::Recalling, &stray);
+        assert_eq!(s, CopyState::Recalling);
+        assert_eq!(seq.installs, 1);
+        assert_eq!(seq.pushes.len(), 1);
+        assert_eq!(seq.pushes[0].kind, MsgKind::RecallX);
+        assert_eq!(seq.pushes[0].dest, Dest::To(NodeId(0)));
+        assert_eq!(seq.owner_epoch, 3, "nobody waits on that recall");
+
+        // The holder's own stray flush: merged, nothing else.
+        let mut stray = net_msg(MsgKind::Flush, 1, 0, PayloadKind::Copy);
+        stray.epoch = 2;
+        seq.pushes.clear();
+        let s = WriteOnce.step(&mut seq, CopyState::Recalling, &stray);
+        assert_eq!(s, CopyState::Recalling);
+        assert!(seq.pushes.is_empty());
+
+        // The answer.
+        let mut answer = net_msg(MsgKind::Flush, 2, 0, PayloadKind::Copy);
+        answer.epoch = 3;
+        let s = WriteOnce.step(&mut seq, CopyState::Recalling, &answer);
+        assert_eq!(s, CopyState::Valid);
+        assert_eq!(seq.owner, NodeId(N as u16));
+        assert_eq!(seq.pushes.len(), 1);
+        assert_eq!(seq.pushes[0].kind, MsgKind::RGnt);
+        assert_eq!(seq.pushes[0].dest, Dest::To(NodeId(2)));
+    }
+
+    /// A fire-and-forget write-through (either leg) that reaches the
+    /// sequencer under a DIRTY reign is not a write miss: nobody waits
+    /// for a grant. Its parameters are merged and the holder called in.
+    #[test]
+    fn write_parameters_under_a_dirty_reign_are_merged_not_granted() {
+        for kind in [MsgKind::WPer, MsgKind::Upd] {
+            for state in [CopyState::Invalid, CopyState::Recalling] {
+                let mut seq = MockActions::sequencer(N);
+                seq.owner = NodeId(0);
+                seq.owner_epoch = 4;
+                let s = WriteOnce.step(&mut seq, state, &net_msg(kind, 1, 1, PayloadKind::Params));
+                assert_eq!(s, state, "{kind:?}");
+                assert_eq!(seq.changes, 1);
+                assert_eq!(seq.pushes.len(), 1);
+                assert_eq!(seq.pushes[0].kind, MsgKind::RecallX);
+                assert_eq!(seq.pushes[0].dest, Dest::To(NodeId(0)));
+                assert_eq!(seq.owner_epoch, 4);
+            }
+        }
+        // The holder's write-back then finds us INVALID and not waiting.
+        let mut seq = MockActions::sequencer(N);
+        seq.owner = NodeId(0);
+        let s = WriteOnce.step(
+            &mut seq,
+            CopyState::Invalid,
+            &net_msg(MsgKind::FlushX, 1, 0, PayloadKind::Copy),
+        );
+        assert_eq!(s, CopyState::Valid);
+        assert_eq!(seq.owner, NodeId(N as u16));
+        assert!(seq.pushes.is_empty());
     }
 }

@@ -40,8 +40,10 @@ mod node;
 pub mod remote;
 pub mod shard;
 pub mod step;
+mod table;
 
 pub use cluster::{Cluster, ClusterDump, Handle, Ticket, DEFAULT_STOP_DEADLINE};
 pub use node::{ClusterError, RecoveryPolicy, ReplicaSnap};
 pub use shard::ShardConfig;
 pub use step::StepCluster;
+pub use table::ENTRY_BYTES;

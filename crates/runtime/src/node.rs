@@ -9,6 +9,7 @@
 //! [`Transport`]: repmem_net::Transport
 
 use crate::shard::{ShardConfig, ShardMap};
+use crate::table::{Replica, ReplicaTable};
 use bytes::Bytes;
 use repmem_core::{
     Actions, CopyState, Dest, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag, PayloadKind,
@@ -16,8 +17,8 @@ use repmem_core::{
 };
 use repmem_net::{Endpoint, Envelope, Payload};
 use repmem_protocols::protocol;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -166,16 +167,32 @@ impl DeadSet {
 }
 
 /// First-error-wins poison cell shared by every node of a cluster.
-pub(crate) type Poison = Arc<Mutex<Option<ClusterError>>>;
-
-pub(crate) fn poison_get(poison: &Poison) -> Option<ClusterError> {
-    poison.lock().unwrap_or_else(|e| e.into_inner()).clone()
+///
+/// Every operation asks "poisoned?" and the answer is almost always no,
+/// so the question is one atomic load; the mutex is taken only to set
+/// the error or to clone it out once the flag is up.
+#[derive(Default)]
+pub(crate) struct Poison {
+    /// Raised (release) after `first` is written; pairs with the
+    /// acquire load in [`Poison::get`].
+    set: AtomicBool,
+    first: Mutex<Option<ClusterError>>,
 }
 
-pub(crate) fn poison_set(poison: &Poison, err: ClusterError) {
-    let mut g = poison.lock().unwrap_or_else(|e| e.into_inner());
-    if g.is_none() {
-        *g = Some(err);
+impl Poison {
+    pub fn get(&self) -> Option<ClusterError> {
+        if !self.set.load(Ordering::Acquire) {
+            return None;
+        }
+        self.first.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    pub fn set(&self, err: ClusterError) {
+        let mut first = self.first.lock().unwrap_or_else(|e| e.into_inner());
+        if first.is_none() {
+            *first = Some(err);
+            self.set.store(true, Ordering::Release);
+        }
     }
 }
 
@@ -239,25 +256,6 @@ pub(crate) struct AppReq {
     pub reply: SyncSender<Result<Bytes, ClusterError>>,
 }
 
-/// Per-(node, object) protocol-process state.
-pub(crate) struct Proc {
-    pub state: CopyState,
-    pub owner: NodeId,
-    /// Reign number of the owner the register names; only protocols
-    /// with migrating ownership advance it (see `Actions::owner_epoch`).
-    pub owner_epoch: u64,
-    pub copy: Payload,
-    /// Quorum round bookkeeping: votes counted, votes needed, and the
-    /// op tag of the armed round — stragglers from a superseded round
-    /// carry an older tag and must not count toward a fresh round.
-    pub votes: usize,
-    pub need: usize,
-    pub round: OpTag,
-    /// Peers whose vote was counted this round, so the shortfall sweep
-    /// can tell which live peers could still contribute a fresh vote.
-    pub voted: Vec<NodeId>,
-}
-
 /// Final state of one replica, reported at node exit.
 #[derive(Debug, Clone)]
 pub struct ReplicaSnap {
@@ -282,7 +280,7 @@ impl ReplicaSnap {
 ///
 /// With pipelining (`window > 1`) a node keeps up to `window` of these,
 /// at most one per object — the per-object Mealy machine serializes its
-/// own operations, so the in-flight table is indexed by object.
+/// own operations, so the in-flight map is keyed by object.
 struct PendingApp {
     op: OpKind,
     tag: OpTag,
@@ -290,6 +288,14 @@ struct PendingApp {
     reply: SyncSender<Result<Bytes, ClusterError>>,
     /// `true` once the protocol requires a response before completion.
     blocked: bool,
+    /// Quorum round bookkeeping: votes counted and votes needed in the
+    /// armed phase. The round *is* this operation — stragglers from a
+    /// superseded round carry another tag and must not count.
+    votes: usize,
+    need: usize,
+    /// Peers whose vote was counted this phase, so the shortfall sweep
+    /// can tell which live peers could still contribute a fresh vote.
+    voted: Vec<NodeId>,
 }
 
 pub(crate) struct NodeCtx {
@@ -297,28 +303,33 @@ pub(crate) struct NodeCtx {
     pub sys: SystemParams,
     pub kind: ProtocolKind,
     pub endpoint: Box<dyn Endpoint>,
-    pub procs: Vec<Proc>,
+    /// This node's replicas, shared with its application handles.
+    pub table: Arc<ReplicaTable>,
     pub cost: Arc<AtomicU64>,
     pub messages: Arc<AtomicU64>,
     pub clock: VersionClock,
-    pub poison: Poison,
+    pub poison: Arc<Poison>,
     shards: ShardMap,
     /// Reaction to transient send failures (default: none, the paper's
     /// fault-free assumption).
     recovery: RecoveryPolicy,
     /// Max in-flight application operations (`ShardConfig::window`).
     window: usize,
-    /// In-flight table, one slot per object.
-    pending: Vec<Option<PendingApp>>,
-    /// Number of occupied `pending` slots.
-    in_flight: usize,
+    /// In-flight operations by object, at most `window` of them.
+    pending: HashMap<ObjectId, PendingApp>,
+    /// Operations the unreachable-peer sweep failed with `NodeDown`
+    /// after their request had left. An answer may still be in flight —
+    /// sent before the peer died — and must not be run against whatever
+    /// holds the object by then. At most `window` tags per discovered
+    /// death.
+    abandoned: HashSet<OpTag>,
     /// Peers this node has observed as permanently dead (a send failed
     /// with [`repmem_net::NetError::Down`], or outlived the retry
     /// budget). Kills are permanent, so the set only grows; it lets the
     /// node fail *other* blocked operations whose service node is
     /// already known dead instead of leaving them to hang until the
     /// shutdown deadline.
-    known_down: std::collections::HashSet<NodeId>,
+    known_down: HashSet<NodeId>,
     /// Cluster-wide dead-peer hint shared with every other node loop
     /// (see [`DeadSet`]): written when this node discovers a death, read
     /// to fast-fail sends to peers some *other* node already buried.
@@ -326,70 +337,39 @@ pub(crate) struct NodeCtx {
 }
 
 impl NodeCtx {
+    /// A node loop's state over `table` (which names the node, the
+    /// protocol and the shard map, and is what the node's handles read).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        me: NodeId,
+        table: Arc<ReplicaTable>,
         sys: SystemParams,
-        kind: ProtocolKind,
         cfg: ShardConfig,
         endpoint: Box<dyn Endpoint>,
         cost: Arc<AtomicU64>,
         messages: Arc<AtomicU64>,
         clock: VersionClock,
-        poison: Poison,
+        poison: Arc<Poison>,
         recovery: RecoveryPolicy,
         dead: Arc<DeadSet>,
     ) -> NodeCtx {
-        let proto = protocol(kind);
-        let shards = cfg.map(&sys);
-        let procs = (0..sys.m_objects)
-            .map(|obj| {
-                let home = shards.home_of(ObjectId(obj as u32));
-                let role = if me == home {
-                    repmem_core::Role::Sequencer
-                } else {
-                    repmem_core::Role::Client
-                };
-                // Under the client-driven promise a shard node's replica
-                // of a foreign object is unreadable by construction (no
-                // application runs here, and broadcast waves skip it),
-                // so it starts INVALID regardless of the protocol's
-                // client initial state — keeping coherence dumps honest
-                // for update protocols whose client copies are
-                // otherwise born readable.
-                let state = if shards.prunes(kind) && me != home && shards.is_shard(me) {
-                    repmem_core::CopyState::Invalid
-                } else {
-                    proto.initial_state(role)
-                };
-                Proc {
-                    state,
-                    owner: home,
-                    owner_epoch: 0,
-                    copy: Payload::initial(),
-                    votes: 0,
-                    need: 0,
-                    round: OpTag(0),
-                    voted: Vec::new(),
-                }
-            })
-            .collect();
+        let window = cfg.window.max(1);
         NodeCtx {
-            me,
+            me: table.me,
             sys,
-            kind,
+            kind: table.kind,
             endpoint,
-            procs,
+            table,
             cost,
             messages,
             clock,
             poison,
-            shards,
+            shards: cfg.map(&sys),
             recovery,
-            window: cfg.window.max(1),
-            pending: (0..sys.m_objects).map(|_| None).collect(),
-            in_flight: 0,
-            known_down: std::collections::HashSet::new(),
+            window,
+            // Bounded by the window, not by the object count.
+            pending: HashMap::with_capacity(window.min(1024)),
+            abandoned: HashSet::new(),
+            known_down: HashSet::new(),
             dead,
         }
     }
@@ -400,40 +380,21 @@ impl NodeCtx {
     /// a window slot is free and no operation is in flight on the
     /// object. Used by the step-driven cluster, which has no backlog.
     pub(crate) fn can_accept(&self, object: ObjectId) -> bool {
-        self.in_flight < self.window && self.pending.get(object.idx()).is_some_and(Option::is_none)
+        object.idx() < self.sys.m_objects
+            && self.pending.len() < self.window
+            && !self.pending.contains_key(&object)
     }
 
-    /// Snapshot every replica of this node without consuming it (the
-    /// step-driven cluster's state-extraction hook; `node_loop` keeps
-    /// its consuming variant for the threaded shutdown path).
-    pub(crate) fn replica_snaps(&self) -> Vec<ReplicaSnap> {
-        self.procs
-            .iter()
-            .map(|p| ReplicaSnap {
-                state: p.state,
-                data: p.copy.data.clone(),
-                version: p.copy.version,
-                writer: p.copy.writer,
-            })
-            .collect()
-    }
-
-    /// The ownership register of every object's protocol process.
-    pub(crate) fn owner_registers(&self) -> Vec<NodeId> {
-        self.procs.iter().map(|p| p.owner).collect()
-    }
-
-    /// The in-flight operations at this node:
-    /// `(object, kind, tag, blocked)` per occupied pending slot.
+    /// The in-flight operations at this node, by object:
+    /// `(object, kind, tag, blocked)`.
     pub(crate) fn pending_brief(&self) -> Vec<(ObjectId, OpKind, OpTag, bool)> {
-        self.pending
+        let mut ops: Vec<_> = self
+            .pending
             .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                slot.as_ref()
-                    .map(|p| (ObjectId(i as u32), p.op, p.tag, p.blocked))
-            })
-            .collect()
+            .map(|(&object, p)| (object, p.op, p.tag, p.blocked))
+            .collect();
+        ops.sort_unstable_by_key(|&(object, ..)| object);
+        ops
     }
 }
 
@@ -443,9 +404,11 @@ struct NodeHost<'a> {
     kind: ProtocolKind,
     shards: ShardMap,
     endpoint: &'a dyn Endpoint,
-    proc_: &'a mut Proc,
+    /// This step's replica, locked for the whole step (the table's
+    /// publication invariant).
+    proc_: &'a mut Replica,
     /// The in-flight operation *for this step's object*, if any.
-    pending: &'a mut Option<PendingApp>,
+    pending: Option<&'a mut PendingApp>,
     env: &'a Envelope,
     cost: &'a AtomicU64,
     messages: &'a AtomicU64,
@@ -454,7 +417,7 @@ struct NodeHost<'a> {
     /// Peers the node already observed as permanently dead before this
     /// step (`NodeCtx::known_down`); sends to them skip the retry
     /// budget and fail as `Down` after one attempt.
-    known_down: &'a std::collections::HashSet<NodeId>,
+    known_down: &'a HashSet<NodeId>,
     /// Cluster-wide dead-peer hint (see [`DeadSet`]): deaths discovered
     /// by *other* node loops, consulted on the same fast-fail path.
     dead: &'a DeadSet,
@@ -479,6 +442,19 @@ impl NodeHost<'_> {
         if self.error.is_none() {
             self.error = Some(reason);
         }
+    }
+
+    /// Whether this step completed the object's in-flight operation:
+    /// the step belongs to it, and its read returned or its write is
+    /// no longer (or never was) blocked.
+    fn completed(&self) -> bool {
+        self.pending.as_ref().is_some_and(|p| {
+            p.tag == self.env.msg.op
+                && match p.op {
+                    OpKind::Read => self.returned,
+                    OpKind::Write => self.enabled || !p.blocked,
+                }
+        })
     }
 
     /// The write parameters in scope for the current step: either carried
@@ -716,69 +692,89 @@ impl Actions for NodeHost<'_> {
         self.pending.as_ref().map(|p| p.op)
     }
     fn quorum_arm(&mut self, need: usize) {
-        self.proc_.need = need;
-        self.proc_.votes = 0;
-        self.proc_.round = self.env.msg.op;
-        self.proc_.voted.clear();
+        if let Some(p) = self.pending.as_mut() {
+            debug_assert_eq!(
+                p.tag, self.env.msg.op,
+                "a round is armed by its own operation"
+            );
+            p.need = need;
+            p.votes = 0;
+            p.voted.clear();
+        }
     }
     fn quorum_vote(&mut self) -> bool {
-        if self.env.msg.op != self.proc_.round {
+        let Some(p) = self.pending.as_mut() else {
+            return false;
+        };
+        if self.env.msg.op != p.tag {
             return false; // straggler from a superseded round
         }
-        self.proc_.votes += 1;
-        self.proc_.voted.push(self.env.msg.sender);
-        self.proc_.votes == self.proc_.need
+        p.votes += 1;
+        p.voted.push(self.env.msg.sender);
+        p.votes == p.need
     }
 }
 
 impl NodeCtx {
-    fn proc_index(&self, object: ObjectId) -> usize {
-        object.idx()
-    }
-
-    /// Run one machine step; returns (returned, enabled) completion
-    /// flags or the reason this node must poison the cluster.
-    fn step(&mut self, env: &Envelope) -> Result<(bool, bool), String> {
+    /// Run one machine step and answer the operation it completes, if
+    /// any; `Err` is the reason this node must poison the cluster.
+    fn step(&mut self, env: &Envelope) -> Result<(), String> {
         let proto = protocol(self.kind);
-        let idx = self.proc_index(env.msg.object);
-        if idx >= self.procs.len() {
+        let object = env.msg.object;
+        let Some(entry) = self.table.entry(object) else {
             return Err(format!(
-                "message for out-of-range {} (cluster has {} objects)",
-                env.msg.object, self.sys.m_objects
+                "message for out-of-range {object} (cluster has {} objects)",
+                self.sys.m_objects
             ));
-        }
-        let state = self.procs[idx].state;
-        let mut host = NodeHost {
-            me: self.me,
-            sys: self.sys,
-            kind: self.kind,
-            shards: self.shards,
-            endpoint: self.endpoint.as_ref(),
-            proc_: &mut self.procs[idx],
-            pending: &mut self.pending[idx],
-            env,
-            cost: &self.cost,
-            messages: &self.messages,
-            clock: &self.clock,
-            recovery: self.recovery,
-            known_down: &self.known_down,
-            dead: &self.dead,
-            error: None,
-            dead_dest: None,
-            down: Vec::new(),
-            returned: false,
-            enabled: false,
         };
-        let next = proto.step(&mut host, state, &env.msg);
-        let (returned, enabled, error, dead, down) = (
-            host.returned,
-            host.enabled,
-            host.error,
-            host.dead_dest,
-            host.down,
-        );
-        if let Some(reason) = error {
-            return Err(reason);
+        let (value, dead, down) = {
+            // Held across the whole step, sends included: handles must
+            // see the post-step replica before anything the step emits
+            // can be observed (see the table module).
+            let mut replica = entry.lock();
+            let state = replica.state;
+            let mut host = NodeHost {
+                me: self.me,
+                sys: self.sys,
+                kind: self.kind,
+                shards: self.shards,
+                endpoint: self.endpoint.as_ref(),
+                proc_: &mut replica,
+                pending: self.pending.get_mut(&object),
+                env,
+                cost: &self.cost,
+                messages: &self.messages,
+                clock: &self.clock,
+                recovery: self.recovery,
+                known_down: &self.known_down,
+                dead: &self.dead,
+                error: None,
+                dead_dest: None,
+                down: Vec::new(),
+                returned: false,
+                enabled: false,
+            };
+            let next = proto.step(&mut host, state, &env.msg);
+            let completed = host.completed();
+            let (error, dead, down) = (host.error, host.dead_dest, host.down);
+            if let Some(reason) = error {
+                return Err(reason);
+            }
+            // Degraded completion (`dead` set) does *not* advance the
+            // machine — the request never left, so the replica stays in
+            // its pre-request state and later operations start clean.
+            if dead.is_none() {
+                replica.state = next;
+            }
+            // The operation is retired under the lock of the step that
+            // completes it, before its ticket is answered below.
+            let value = (completed && dead.is_none()).then(|| replica.retire());
+            (value, dead, down)
+        };
+        if let Some(value) = value {
+            if let Some(p) = self.pending.remove(&object) {
+                let _ = p.reply.send(Ok(value));
+            }
         }
         let mut newly_down = false;
         for peer in down {
@@ -788,25 +784,25 @@ impl NodeCtx {
             self.dead.mark(peer);
         }
         if let Some(peer) = dead {
-            // Degraded completion: the one peer this step's operation
-            // needed is gone. Fail that operation with `NodeDown` and
-            // do *not* advance the machine — the request never left, so
-            // the replica stays in its pre-request state and later
-            // operations on the object start clean.
-            if let Some(p) = self.pending[idx].take() {
-                self.in_flight -= 1;
-                let _ = p.reply.send(Err(ClusterError::NodeDown(peer)));
-            }
-            if newly_down {
-                self.sweep_unreachable();
-            }
-            return Ok((false, false));
+            // The one peer this step's operation needed is gone: fail
+            // that operation with `NodeDown`.
+            self.fail_op(object, ClusterError::NodeDown(peer));
         }
-        self.procs[idx].state = next;
         if newly_down {
             self.sweep_unreachable();
         }
-        Ok((returned, enabled))
+        Ok(())
+    }
+
+    /// Fail the in-flight operation on `object` with `err`: drop it
+    /// from the in-flight map, retire it in the table, and only then
+    /// answer its ticket.
+    fn fail_op(&mut self, object: ObjectId, err: ClusterError) {
+        let Some(p) = self.pending.remove(&object) else {
+            return;
+        };
+        self.table.retire(object);
+        let _ = p.reply.send(Err(err));
     }
 
     /// Fail every in-flight operation whose service node is already
@@ -824,12 +820,13 @@ impl NodeCtx {
         }
         let quorum = self.kind == ProtocolKind::Quorum;
         let migrating = self.kind.migrating_sequencer();
-        for idx in 0..self.procs.len() {
-            if self.pending[idx].is_none() {
+        let mut doomed = Vec::new();
+        for (&object, p) in &self.pending {
+            let Some(entry) = self.table.entry(object) else {
                 continue;
-            }
-            let dead_peer = if quorum {
-                let p = &self.procs[idx];
+            };
+            let mut replica = entry.lock();
+            if quorum {
                 // Peers that could still contribute a fresh vote: alive
                 // and not already counted this round.
                 let potential = (0..self.sys.n_nodes() as u16)
@@ -838,36 +835,32 @@ impl NodeCtx {
                         n != self.me && !self.known_down.contains(&n) && !p.voted.contains(&n)
                     })
                     .count();
-                let shortfall = matches!(p.state, CopyState::Querying | CopyState::Committing)
-                    && p.votes + potential < p.need;
-                if shortfall {
-                    self.known_down.iter().min().copied()
-                } else {
-                    None
+                let shortfall =
+                    matches!(replica.state, CopyState::Querying | CopyState::Committing)
+                        && p.votes + potential < p.need;
+                if let Some(&peer) = self.known_down.iter().min().filter(|_| shortfall) {
+                    // Abort the round: the object returns to VALID with
+                    // the (unchanged) local copy, ready for later
+                    // operations.
+                    replica.state = CopyState::Valid;
+                    doomed.push((object, peer));
                 }
             } else {
                 let service = if migrating {
-                    self.procs[idx].owner
+                    replica.owner
                 } else {
-                    self.shards.home_of(ObjectId(idx as u32))
+                    self.shards.home_of(object)
                 };
-                (service != self.me && self.known_down.contains(&service)).then_some(service)
-            };
-            let Some(peer) = dead_peer else {
-                continue;
-            };
-            if quorum {
-                // Abort the round: the object returns to VALID with the
-                // (unchanged) local copy, ready for later operations.
-                self.procs[idx].state = CopyState::Valid;
-                self.procs[idx].votes = 0;
-                self.procs[idx].need = 0;
-                self.procs[idx].voted.clear();
+                if service != self.me && self.known_down.contains(&service) {
+                    doomed.push((object, service));
+                }
             }
-            if let Some(p) = self.pending[idx].take() {
-                self.in_flight -= 1;
-                let _ = p.reply.send(Err(ClusterError::NodeDown(peer)));
+        }
+        for (object, peer) in doomed {
+            if let Some(p) = self.pending.get(&object) {
+                self.abandoned.insert(p.tag);
             }
+            self.fail_op(object, ClusterError::NodeDown(peer));
         }
     }
 
@@ -879,43 +872,30 @@ impl NodeCtx {
         if let Some(c) = &env.copy {
             self.clock.observe(c.version);
         }
-        let (returned, enabled) = self.step(&env)?;
-        self.complete_if_done(returned, enabled, env.msg.object, env.msg.op);
-        Ok(())
+        if env.msg.initiator == self.me && self.abandoned.contains(&env.msg.op) {
+            // A straggling answer to an operation the sweep already
+            // failed: the caller has its `NodeDown`, and a grant with no
+            // operation to apply would be a protocol error. Treat it as
+            // lost with the peer.
+            return Ok(());
+        }
+        self.step(&env)
     }
 
-    fn complete_if_done(&mut self, returned: bool, enabled: bool, object: ObjectId, tag: OpTag) {
-        let idx = self.proc_index(object);
-        let Some(p) = self.pending.get(idx).and_then(Option::as_ref) else {
-            return;
-        };
-        if p.tag != tag {
-            return;
-        }
-        let done = match p.op {
-            OpKind::Read => returned,
-            OpKind::Write => enabled || !p.blocked,
-        };
-        if done {
-            let Some(p) = self.pending[idx].take() else {
-                return;
-            };
-            self.in_flight -= 1;
-            let value = self.procs[idx].copy.data.clone();
-            let _ = p.reply.send(Ok(value));
-        }
-    }
-
-    pub(crate) fn handle_app(&mut self, req: AppReq, tag: OpTag) -> Result<(), String> {
-        let idx = self.proc_index(req.object);
-        if idx >= self.procs.len() {
-            return Err(format!(
+    /// Why `req` must not be started at this node, if it must not: each
+    /// reason poisons the cluster. Checked while the caller can still be
+    /// answered (the request is backlogged, or its issuer is at hand) —
+    /// a reply channel dropped on the way to the poison would let
+    /// `Ticket::wait` see a disconnect before the poison is set.
+    pub(crate) fn refusal(&self, req: &AppReq) -> Option<String> {
+        if req.object.idx() >= self.sys.m_objects {
+            return Some(format!(
                 "operation on out-of-range {} (cluster has {} objects)",
                 req.object, self.sys.m_objects
             ));
         }
-        if self.pending[idx].is_some() {
-            return Err(format!(
+        if self.pending.contains_key(&req.object) {
+            return Some(format!(
                 "{}: second operation on {} started while one is in flight",
                 self.me, req.object
             ));
@@ -926,12 +906,21 @@ impl NodeCtx {
             // of the foreign object was pruned from every wave, so
             // serving the operation here could return stale data. Fail
             // loudly instead.
-            return Err(format!(
+            return Some(format!(
                 "{}: operation on foreign {} at a sequencer shard violates \
                  the client-driven promise (ShardConfig::exclusive)",
                 self.me, req.object
             ));
         }
+        None
+    }
+
+    /// Start an application operation that passed [`NodeCtx::refusal`]
+    /// and entered through [`ReplicaTable::admit`] (so it is counted as
+    /// queued on its object until the step that completes it, or
+    /// [`NodeCtx::fail_op`], retires it).
+    pub(crate) fn handle_app(&mut self, req: AppReq, tag: OpTag) -> Result<(), String> {
+        let is_home = self.me == self.shards.home_of(req.object);
         let kind = match req.op {
             OpKind::Read => MsgKind::RReq,
             OpKind::Write => MsgKind::WReq,
@@ -944,23 +933,26 @@ impl NodeCtx {
             version: 0,
             writer: self.me,
         });
-        self.pending[idx] = Some(PendingApp {
-            op: req.op,
-            tag,
-            data,
-            reply: req.reply,
-            blocked: false,
-        });
-        self.in_flight += 1;
+        self.pending.insert(
+            req.object,
+            PendingApp {
+                op: req.op,
+                tag,
+                data,
+                reply: req.reply,
+                blocked: false,
+                votes: 0,
+                need: 0,
+                voted: Vec::new(),
+            },
+        );
         let env = Envelope {
             msg,
             params: None,
             copy: None,
             clock: self.clock.now(),
         };
-        let (returned, enabled) = self.step(&env)?;
-        self.complete_if_done(returned, enabled, req.object, tag);
-        Ok(())
+        self.step(&env)
     }
 
     /// Start the first backlogged operation that can run now: the node
@@ -971,13 +963,12 @@ impl NodeCtx {
         &mut self,
         backlog: &mut VecDeque<(AppReq, OpTag)>,
     ) -> Result<bool, String> {
-        if self.in_flight >= self.window {
+        if self.pending.len() >= self.window {
             return Ok(false);
         }
         let mut pick = None;
         for (i, (req, _)) in backlog.iter().enumerate() {
-            let idx = self.proc_index(req.object);
-            let object_free = self.pending.get(idx).is_none_or(|p| p.is_none())
+            let object_free = !self.pending.contains_key(&req.object)
                 && !backlog
                     .iter()
                     .take(i)
@@ -990,6 +981,10 @@ impl NodeCtx {
         let Some(i) = pick else {
             return Ok(false);
         };
+        // Refused while still backlogged: `fail_all` answers it.
+        if let Some(reason) = self.refusal(&backlog[i].0) {
+            return Err(reason);
+        }
         let Some((req, tag)) = backlog.remove(i) else {
             return Ok(false);
         };
@@ -1009,11 +1004,8 @@ impl NodeCtx {
 
     /// Fail every in-flight and backlogged caller with `err`.
     fn fail_all(&mut self, backlog: &mut VecDeque<(AppReq, OpTag)>, err: &ClusterError) {
-        for slot in &mut self.pending {
-            if let Some(p) = slot.take() {
-                self.in_flight -= 1;
-                let _ = p.reply.send(Err(err.clone()));
-            }
+        for (_, p) in self.pending.drain() {
+            let _ = p.reply.send(Err(err.clone()));
         }
         for (req, _) in backlog.drain(..) {
             let _ = req.reply.send(Err(err.clone()));
@@ -1022,26 +1014,27 @@ impl NodeCtx {
 }
 
 /// Drive one node until `Stop`, channel disconnect, or an error that
-/// poisons the cluster. Always returns the final replica snapshot; on
-/// error, the pending and backlogged callers are failed with the poison
-/// reason instead of being left to hang.
+/// poisons the cluster. On return the node's replica table is closed
+/// and final; on error, the pending and backlogged callers are failed
+/// with the poison reason instead of being left to hang.
 ///
 /// The endpoint is handed back (not closed) so the caller can publish
-/// the snapshot *before* tearing the transport down — endpoint close
-/// may join service threads that are themselves waiting on the
-/// snapshot (the multi-process control plane does exactly that).
-pub(crate) fn node_loop(
-    mut ctx: NodeCtx,
-    rx: Receiver<Wire>,
-) -> (Vec<ReplicaSnap>, Box<dyn Endpoint>) {
+/// the final replicas *before* tearing the transport down — endpoint
+/// close may join service threads that are themselves waiting on them
+/// (the multi-process control plane does exactly that).
+pub(crate) fn node_loop(mut ctx: NodeCtx, rx: Receiver<Wire>) -> Box<dyn Endpoint> {
     let mut backlog: VecDeque<(AppReq, OpTag)> = VecDeque::new();
-    match run_loop(&mut ctx, &rx, &mut backlog) {
+    let stopped = run_loop(&mut ctx, &rx, &mut backlog);
+    // Nobody retires operations or applies invalidations from here on:
+    // handles must stop reading the table before any caller is failed.
+    ctx.table.close();
+    match stopped {
         Err(reason) => {
             let err = ClusterError::Poisoned {
                 node: ctx.me,
                 reason,
             };
-            poison_set(&ctx.poison, err.clone());
+            ctx.poison.set(err.clone());
             ctx.fail_all(&mut backlog, &err);
             // Fail late arrivals that were already queued behind the error.
             while let Ok(wire) = rx.try_recv() {
@@ -1056,8 +1049,8 @@ pub(crate) fn node_loop(
             // callers explicitly with the cluster's own error — never
             // drop a reply channel and leave `Ticket::wait` to guess
             // from a disconnect.
-            if ctx.in_flight > 0 || !backlog.is_empty() {
-                let err = poison_get(&ctx.poison).unwrap_or(ClusterError::NodeDown(ctx.me));
+            if !ctx.pending.is_empty() || !backlog.is_empty() {
+                let err = ctx.poison.get().unwrap_or(ClusterError::NodeDown(ctx.me));
                 ctx.fail_all(&mut backlog, &err);
             }
         }
@@ -1065,17 +1058,7 @@ pub(crate) fn node_loop(
     // Push out anything still buffered (batching endpoints) so peers
     // aren't left waiting on messages this node already "sent".
     let _ = ctx.endpoint.flush();
-    let snaps = ctx
-        .procs
-        .into_iter()
-        .map(|p| ReplicaSnap {
-            state: p.state,
-            data: p.copy.data,
-            version: p.copy.version,
-            writer: p.copy.writer,
-        })
-        .collect();
-    (snaps, ctx.endpoint)
+    ctx.endpoint
 }
 
 fn run_loop(

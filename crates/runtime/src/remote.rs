@@ -19,14 +19,14 @@
 //! so the merged outcome is deterministic without any shared counter
 //! (see the node module docs).
 
-use crate::cluster::ClusterDump;
+use crate::cluster::{ClusterDump, Handle};
 use crate::node::{
-    node_loop, poison_get, AppReq, ClusterError, NodeCtx, Poison, RecoveryPolicy, ReplicaSnap,
-    VersionClock, Wire,
+    node_loop, ClusterError, NodeCtx, Poison, RecoveryPolicy, ReplicaSnap, VersionClock, Wire,
 };
 use crate::shard::ShardConfig;
+use crate::table::ReplicaTable;
 use bytes::Bytes;
-use repmem_core::{NodeId, ObjectId, OpKind, OpTag, ProtocolKind, SystemParams};
+use repmem_core::{NodeId, ObjectId, OpKind, ProtocolKind, SystemParams};
 use repmem_net::codec::{read_frame, write_frame, Frame};
 use repmem_net::mesh::dial_with_retry;
 use repmem_net::{
@@ -38,7 +38,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -75,11 +75,22 @@ pub fn serve(cfg: ServeConfig) -> Result<(), ClusterError> {
     let (tx, rx) = channel::<Wire>();
     let cost = Arc::new(AtomicU64::new(0));
     let messages = Arc::new(AtomicU64::new(0));
-    let poison: Poison = Arc::new(Mutex::new(None));
+    let poison = Arc::new(Poison::default());
     let (snap_tx, snap_rx) = channel::<Vec<ReplicaSnap>>();
     // Only one control connection gets to collect the final snapshot.
     let snap_slot = Arc::new(Mutex::new(Some(snap_rx)));
-    let next_tag = Arc::new(AtomicU64::new(1));
+    let table = Arc::new(ReplicaTable::new(cfg.me, cfg.sys, cfg.kind, cfg.shard));
+    // Control connections issue operations exactly as in-process
+    // callers do: through a handle on this node.
+    let handle = Handle {
+        node: cfg.me,
+        tx: tx.clone(),
+        // High bits carry the node id so tags stay unique across
+        // processes without coordination.
+        next_tag: Arc::new(AtomicU64::new((u64::from(cfg.me.0) << 48) | 1)),
+        poison: Arc::clone(&poison),
+        table: Arc::clone(&table),
+    };
 
     let deliver = {
         let tx = tx.clone();
@@ -88,23 +99,16 @@ pub fn serve(cfg: ServeConfig) -> Result<(), ClusterError> {
         })
     };
     let ctrl: CtrlHandler = {
-        let tx = tx.clone();
         let cost = Arc::clone(&cost);
         let messages = Arc::clone(&messages);
-        let poison = Arc::clone(&poison);
-        let snap_slot = Arc::clone(&snap_slot);
-        let next_tag = Arc::clone(&next_tag);
-        let me = cfg.me;
         Box::new(move |conn| {
             control_loop(
                 conn,
-                me,
+                handle.clone(),
                 tx.clone(),
                 Arc::clone(&cost),
                 Arc::clone(&messages),
-                Arc::clone(&poison),
                 Arc::clone(&snap_slot),
-                Arc::clone(&next_tag),
             )
         })
     };
@@ -125,9 +129,8 @@ pub fn serve(cfg: ServeConfig) -> Result<(), ClusterError> {
     );
 
     let ctx = NodeCtx::new(
-        cfg.me,
+        Arc::clone(&table),
         cfg.sys,
-        cfg.kind,
         cfg.shard,
         endpoint,
         cost,
@@ -141,31 +144,22 @@ pub fn serve(cfg: ServeConfig) -> Result<(), ClusterError> {
     );
     // Publish the snapshot before closing the endpoint: close joins the
     // control threads, and the shutdown-issuing one is waiting on it.
-    let (snap, endpoint) = node_loop(ctx, rx);
-    let _ = snap_tx.send(snap);
+    let endpoint = node_loop(ctx, rx);
+    let _ = snap_tx.send(table.snaps());
     endpoint.close();
-    match poison_get(&poison) {
+    match poison.get() {
         Some(e) => Err(e),
         None => Ok(()),
     }
 }
 
-fn down_reason(poison: &Poison, me: NodeId) -> String {
-    poison_get(poison)
-        .unwrap_or(ClusterError::NodeDown(me))
-        .to_string()
-}
-
-#[allow(clippy::too_many_arguments)]
 fn control_loop(
     mut conn: CtrlConn,
-    me: NodeId,
+    handle: Handle,
     tx: Sender<Wire>,
     cost: Arc<AtomicU64>,
     messages: Arc<AtomicU64>,
-    poison: Poison,
     snap_slot: Arc<Mutex<Option<Receiver<Vec<ReplicaSnap>>>>>,
-    next_tag: Arc<AtomicU64>,
 ) {
     loop {
         let frame = match read_frame(&mut conn.reader) {
@@ -174,24 +168,10 @@ fn control_loop(
         };
         match frame {
             Frame::Op { op, object, data } => {
-                let (reply_tx, reply_rx) = sync_channel(1);
-                // High bits carry the node id so tags stay unique across
-                // processes without coordination.
-                let tag = OpTag((u64::from(me.0) << 48) | next_tag.fetch_add(1, Ordering::Relaxed));
-                let req = AppReq {
-                    op,
-                    object,
-                    data,
-                    reply: reply_tx,
-                };
-                let result = if tx.send(Wire::Local(req, tag)).is_err() {
-                    Err(down_reason(&poison, me))
-                } else {
-                    match reply_rx.recv() {
-                        Ok(r) => r.map_err(|e| e.to_string()),
-                        Err(_) => Err(down_reason(&poison, me)),
-                    }
-                };
+                let result = handle
+                    .request(op, object, data)
+                    .wait()
+                    .map_err(|e| e.to_string());
                 if write_frame(&mut conn.writer, &Frame::OpDone { result }).is_err() {
                     return;
                 }
@@ -445,7 +425,9 @@ impl RemoteCluster {
         for child in &mut self.children {
             let _ = child.wait();
         }
-        Ok(ClusterDump { copies })
+        Ok(ClusterDump {
+            copies: copies.into(),
+        })
     }
 }
 

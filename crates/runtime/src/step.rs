@@ -35,10 +35,10 @@
 //!   thread inbox can exhibit.
 
 use crate::node::{
-    poison_get, poison_set, AppReq, ClusterError, NodeCtx, Poison, RecoveryPolicy, ReplicaSnap,
-    VersionClock,
+    AppReq, ClusterError, NodeCtx, Poison, RecoveryPolicy, ReplicaSnap, VersionClock,
 };
 use crate::shard::ShardConfig;
+use crate::table::ReplicaTable;
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, OpKind, OpTag, ProtocolKind, SystemParams};
 use repmem_net::{Envelope, FaultAction, SchedHandle, SchedTransport, Transport};
@@ -53,7 +53,7 @@ pub struct StepCluster {
     nodes: Vec<NodeCtx>,
     inboxes: Vec<Arc<Mutex<VecDeque<Envelope>>>>,
     sched: SchedHandle,
-    poison: Poison,
+    poison: Arc<Poison>,
     versions: Arc<AtomicU64>,
     cost: Arc<AtomicU64>,
     messages: Arc<AtomicU64>,
@@ -75,7 +75,7 @@ impl StepCluster {
     ) -> Result<StepCluster, ClusterError> {
         let n = cfg.total_nodes(&sys);
         let (mut transport, sched) = SchedTransport::new(n);
-        let poison: Poison = Arc::new(Mutex::new(None));
+        let poison = Arc::new(Poison::default());
         let versions = Arc::new(AtomicU64::new(0));
         let cost = Arc::new(AtomicU64::new(0));
         let messages = Arc::new(AtomicU64::new(0));
@@ -97,9 +97,8 @@ impl StepCluster {
                 )
                 .map_err(|e| ClusterError::Transport(e.to_string()))?;
             nodes.push(NodeCtx::new(
-                me,
+                Arc::new(ReplicaTable::new(me, sys, kind, cfg)),
                 sys,
-                kind,
                 cfg,
                 endpoint,
                 Arc::clone(&cost),
@@ -145,7 +144,7 @@ impl StepCluster {
     /// operation is in flight on that object.
     pub fn can_issue(&self, node: NodeId, object: ObjectId) -> bool {
         self.alive(node)
-            && poison_get(&self.poison).is_none()
+            && self.poison.get().is_none()
             && self
                 .nodes
                 .get(node.idx())
@@ -157,10 +156,13 @@ impl StepCluster {
     /// lifetime (it doubles as the protocol-level operation tag) and is
     /// echoed by [`StepCluster::poll`] when the operation completes.
     ///
-    /// The operation's *request* runs synchronously (the protocol
-    /// machine consumes the request token and typically queues messages
-    /// on the mesh); its completion generally needs later
-    /// [`StepCluster::deliver`] steps.
+    /// The operation enters through the same door as a threaded
+    /// [`crate::Handle`]'s: a read the node's replica table can serve
+    /// (see the `table` module's three clauses) completes on the spot
+    /// without running the machine. Otherwise the *request* runs
+    /// synchronously (the protocol machine consumes the request token
+    /// and typically queues messages on the mesh); its completion
+    /// generally needs later [`StepCluster::deliver`] steps.
     pub fn issue(
         &mut self,
         node: NodeId,
@@ -169,7 +171,7 @@ impl StepCluster {
         data: Option<Bytes>,
         op_id: u64,
     ) -> Result<(), ClusterError> {
-        if let Some(e) = poison_get(&self.poison) {
+        if let Some(e) = self.poison.get() {
             return Err(e);
         }
         if !self.alive(node) {
@@ -185,16 +187,24 @@ impl StepCluster {
             )));
         }
         let (reply_tx, reply_rx) = sync_channel(1);
+        self.replies.push((op_id, reply_rx));
+        if let Some(value) = ctx.table.admit(op, object) {
+            let _ = reply_tx.send(Ok(value));
+            return Ok(());
+        }
         let req = AppReq {
             op,
             object,
             data,
             reply: reply_tx,
         };
-        self.replies.push((op_id, reply_rx));
-        if let Err(reason) = ctx.handle_app(req, OpTag(op_id)) {
+        let started = match ctx.refusal(&req) {
+            Some(reason) => Err(reason),
+            None => ctx.handle_app(req, OpTag(op_id)),
+        };
+        if let Err(reason) = started {
             let err = ClusterError::Poisoned { node, reason };
-            poison_set(&self.poison, err.clone());
+            self.poison.set(err.clone());
             return Err(err);
         }
         self.pump(node)
@@ -205,7 +215,7 @@ impl StepCluster {
     /// link had nothing deliverable (empty queue or dead destination) —
     /// a no-op, not an error.
     pub fn deliver(&mut self, from: NodeId, to: NodeId) -> Result<bool, ClusterError> {
-        if let Some(e) = poison_get(&self.poison) {
+        if let Some(e) = self.poison.get() {
             return Err(e);
         }
         if !self.sched.deliver(from, to) {
@@ -236,7 +246,7 @@ impl StepCluster {
             };
             if let Err(reason) = self.nodes[node.idx()].handle_env(env) {
                 let err = ClusterError::Poisoned { node, reason };
-                poison_set(&self.poison, err.clone());
+                self.poison.set(err.clone());
                 return Err(err);
             }
         }
@@ -274,14 +284,14 @@ impl StepCluster {
     /// every node, killed nodes included (callers filter by
     /// [`StepCluster::alive`]).
     pub fn replicas(&self) -> Vec<Vec<ReplicaSnap>> {
-        self.nodes.iter().map(NodeCtx::replica_snaps).collect()
+        self.nodes.iter().map(|ctx| ctx.table.snaps()).collect()
     }
 
     /// State extraction: `owners()[node][object]` — each protocol
     /// process's ownership register (part of the machine state for the
     /// migrating-ownership protocols).
     pub fn owners(&self) -> Vec<Vec<NodeId>> {
-        self.nodes.iter().map(NodeCtx::owner_registers).collect()
+        self.nodes.iter().map(|ctx| ctx.table.owners()).collect()
     }
 
     /// State extraction: the in-flight operations of every node as
@@ -313,9 +323,16 @@ impl StepCluster {
         self.messages.load(Ordering::Relaxed)
     }
 
+    /// Reads completed by [`StepCluster::issue`] from a node's replica
+    /// table, without running the machine (see
+    /// [`crate::Cluster::local_read_hits`]).
+    pub fn local_read_hits(&self) -> u64 {
+        self.nodes.iter().map(|ctx| ctx.table.hits()).sum()
+    }
+
     /// The first error that poisoned this cluster, if any.
     pub fn poisoned(&self) -> Option<ClusterError> {
-        poison_get(&self.poison)
+        self.poison.get()
     }
 }
 
