@@ -168,16 +168,11 @@ impl Scenario {
     }
 }
 
-/// Aggressive retry policy: severed links self-heal via the
-/// send-counter-advancing retries (restores trigger on send counts),
-/// and a link that stays dark degrades the operation within 500ms
-/// instead of stalling the soak.
+/// Severed links self-heal via the send-counter-advancing retries
+/// (restores trigger on send counts), and a link that stays dark
+/// degrades the operation within 500ms instead of stalling the soak.
 fn retry_policy() -> RecoveryPolicy {
-    RecoveryPolicy {
-        retry_deadline: Duration::from_millis(500),
-        base: Duration::from_micros(100),
-        cap: Duration::from_millis(1),
-    }
+    RecoveryPolicy::with_deadline(Duration::from_millis(500))
 }
 
 /// Run one scenario to completion, bumping `tick` as operations finish
@@ -292,22 +287,6 @@ fn run(sc: &Scenario, rng: &mut Rng, trace: bool, tick: &AtomicU64) -> Result<()
             Err(e) => return Err(format!("pipelined write on {obj}: {e}")),
         }
     }
-
-    // Let in-flight cascades drain before stopping, exactly as the
-    // runtime's own convergence test does. Two races make the dump
-    // transiently stale otherwise: fire-and-forget tails (e.g.
-    // Write-Through-V completes the writer *before* the sequencer's
-    // UPD-triggered invalidation wave, so Stop can overtake the WInv
-    // into a reader's queue), and sends stalled inside a sender's loop
-    // by a delay burst or sever retry, which have not enqueued yet and
-    // would land after their receiver exits. 150ms dominates the worst
-    // stall the generator can produce (3ms x 24 burst sends; sever
-    // restores fire within a dozen ~1ms-backoff retries).
-    std::thread::sleep(Duration::from_millis(if sc.faults.is_empty() {
-        30
-    } else {
-        150
-    }));
 
     if let Some(p) = cluster.poisoned() {
         return Err(format!("cluster poisoned: {p}"));

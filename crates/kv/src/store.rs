@@ -13,10 +13,10 @@
 //! tickets are drained in issue order — on a cluster with `W > 1` the
 //! reads overlap across shards, and per-object program order still
 //! holds because the node loop serializes operations per object. A
-//! scan touching a shard the node already knows is dead fails with
+//! scan touching a shard already in the cluster's dead set fails with
 //! [`ClusterError::NodeDown`] on its first affected key instead of
-//! paying the retry deadline once per key (see the runtime's
-//! known-down send short-circuit).
+//! paying the retry deadline once per key (the runtime gives a send to
+//! a buried node one attempt and no retry budget).
 
 use crate::keyspace::KeySpace;
 use bytes::Bytes;

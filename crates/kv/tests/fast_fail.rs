@@ -27,11 +27,7 @@ fn scan_touching_a_dead_shard_fails_fast() {
     let schedule = FaultSchedule::new();
     let transport = FaultTransport::new(InProcTransport::new(cfg.total_nodes(&sys)), schedule);
     let fault = transport.handle();
-    let policy = RecoveryPolicy {
-        retry_deadline: DEADLINE,
-        base: Duration::from_micros(100),
-        cap: Duration::from_millis(1),
-    };
+    let policy = RecoveryPolicy::with_deadline(DEADLINE);
     let cluster = Cluster::with_recovery(sys, ProtocolKind::WriteThrough, cfg, transport, policy)
         .expect("cluster");
     let space = KeySpace::new(64, 42);
@@ -117,11 +113,7 @@ fn first_op_from_another_node_rides_the_shared_dead_set() {
         FaultSchedule::new(),
     );
     let fault = transport.handle();
-    let policy = RecoveryPolicy {
-        retry_deadline: DEADLINE,
-        base: Duration::from_micros(100),
-        cap: Duration::from_millis(1),
-    };
+    let policy = RecoveryPolicy::with_deadline(DEADLINE);
     let cluster = Cluster::with_recovery(sys, ProtocolKind::WriteThrough, cfg, transport, policy)
         .expect("cluster");
     let space = KeySpace::new(64, 42);

@@ -25,9 +25,6 @@
 //! * [`MeteredTransport`] — per-link message/byte counters bucketed by
 //!   the paper's cost classes (`1`, `P+1`, `S+1`), so measured wire
 //!   traffic can be reconciled against the analytic cost model.
-//! * [`DelayTransport`] — seeded, deterministic per-link latency
-//!   injection that preserves FIFO order, for exercising timeout and
-//!   backlog behaviour.
 //! * [`FaultTransport`] — scripted fault injection: sever/restore links,
 //!   kill endpoints and stretch delivery at exact send counts, with FIFO
 //!   order preserved on every surviving segment — the harness behind the
@@ -38,11 +35,10 @@
 //!   the FIFO-channel axioms admit (plus inject [`FaultAction`]s at
 //!   chosen points). The substrate of the `repmem-check` explorer.
 //!
-//! Wrappers compose: `MeteredTransport::new(DelayTransport::new(...))`
-//! meters the delayed link.
+//! Wrappers compose: `MeteredTransport::new(FaultTransport::new(...))`
+//! meters the faulted link.
 
 pub mod codec;
-pub mod delay;
 #[cfg(target_os = "linux")]
 pub mod epoll;
 pub mod fault;
@@ -53,7 +49,6 @@ pub mod metered;
 pub mod sched;
 
 pub use codec::{CodecError, Frame, FrameBuf, MAX_FRAME_LEN, WIRE_VERSION};
-pub use delay::{DelayConfig, DelayTransport};
 pub use fault::{FaultAction, FaultEvent, FaultHandle, FaultSchedule, FaultTransport};
 pub use inproc::InProcTransport;
 #[cfg(target_os = "linux")]

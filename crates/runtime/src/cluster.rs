@@ -251,9 +251,10 @@ impl Cluster {
     /// Spawn the `N + K` node threads over an arbitrary transport.
     ///
     /// The transport must wire exactly [`ShardConfig::total_nodes`]
-    /// endpoints. It also decides the version-clock flavour: in-process
-    /// backends share one global counter, socket backends run a Lamport
-    /// clock per node (see `VersionClock` in the node module).
+    /// endpoints. Whatever the transport, the nodes are threads of this
+    /// process and stamp writes from one shared counter; only
+    /// [`crate::remote`]'s one-node-per-process clusters run a Lamport
+    /// clock (see `VersionClock` in the node module).
     pub fn with_transport(
         sys: SystemParams,
         kind: ProtocolKind,
@@ -412,6 +413,66 @@ impl Cluster {
         self.meter.as_ref()
     }
 
+    /// Wait until the cluster is quiescent — every envelope any node
+    /// sent has been handled and every node is idle, so nothing further
+    /// can happen until the application issues another operation — and
+    /// return the `(cost, messages)` totals of that moment.
+    ///
+    /// Exact, not timed: each node loop counts the envelopes a link
+    /// accepted from it and the envelopes it took off its inbox, and
+    /// reports both only at an idle point (inbox drained, nothing
+    /// startable, outbound flushed). Two consecutive rounds of answers
+    /// that are identical and whose sums agree prove that between the
+    /// rounds no node sent or handled anything and nothing was in
+    /// flight (Mattern's four-counter termination test; DESIGN,
+    /// "Quiescence"). An operation blocked on a reply that can never
+    /// come does not hold it up; a sender still retrying does.
+    ///
+    /// Fails with the poison, or [`ClusterError::NodeDown`] naming a
+    /// node that never reached an idle point, once
+    /// [`DEFAULT_STOP_DEADLINE`] has passed.
+    pub fn settle(&self) -> Result<(u64, u64), ClusterError> {
+        self.quiesce(Instant::now() + DEFAULT_STOP_DEADLINE)
+    }
+
+    fn quiesce(&self, end: Instant) -> Result<(u64, u64), ClusterError> {
+        let gone = |node: usize| {
+            let node = NodeId(node as u16);
+            self.poison.get().unwrap_or(ClusterError::NodeDown(node))
+        };
+        let mut last = Vec::new();
+        loop {
+            // One round: every node reports its counters at its next
+            // idle point. A node that stays silent is inside a step, or
+            // its loop exited with the probe queued.
+            let (tx, rx) = channel();
+            for (i, inbox) in self.txs.iter().enumerate() {
+                inbox.send(Wire::Probe(tx.clone())).map_err(|_| gone(i))?;
+            }
+            drop(tx);
+            let mut round = vec![None; self.txs.len()];
+            while let Ok((node, sent, handled)) =
+                rx.recv_timeout(end.saturating_duration_since(Instant::now()))
+            {
+                round[node.idx()] = Some((sent, handled));
+            }
+            if let Some(silent) = round.iter().position(Option::is_none) {
+                return Err(gone(silent));
+            }
+            let sent: u64 = round.iter().flatten().map(|&(sent, _)| sent).sum();
+            let handled: u64 = round.iter().flatten().map(|&(_, handled)| handled).sum();
+            if sent == handled && round == last {
+                return Ok((self.total_cost(), self.total_messages()));
+            }
+            if Instant::now() >= end {
+                return Err(self.poison.get().unwrap_or(ClusterError::Transport(format!(
+                    "no quiescence: {sent} envelopes sent, {handled} handled"
+                ))));
+            }
+            last = round;
+        }
+    }
+
     /// Stop all node threads and return the final replica snapshot,
     /// waiting up to [`DEFAULT_STOP_DEADLINE`] for them to exit.
     pub fn shutdown(self) -> Result<ClusterDump, ClusterError> {
@@ -424,14 +485,20 @@ impl Cluster {
     /// [`ClusterError::StopTimeout`] and left detached. A poisoned
     /// cluster shuts down cleanly but reports the poison error.
     pub fn shutdown_within(mut self, deadline: Duration) -> Result<ClusterDump, ClusterError> {
-        // The channels are FIFO, so a Stop behind in-flight
-        // fire-and-forget cascades is processed after they drain.
+        let end = Instant::now() + deadline;
+        // Drain before stopping. The inboxes are FIFO, but a wave is
+        // several hops: a `Stop` queued behind a request the sequencer
+        // has yet to handle is *ahead* of the invalidations that
+        // request will fan out, and would leave their receivers stale.
+        // Half the budget goes to the drain; a cluster that will not
+        // quiesce (callers still issuing, a sender stuck in its retry
+        // loop) is stopped regardless and reports its stragglers below.
+        let _ = self.quiesce(Instant::now() + deadline / 2);
         for tx in &self.txs {
             let _ = tx.send(Wire::Stop);
         }
         let n = self.txs.len();
         let mut exited = vec![false; n];
-        let end = Instant::now() + deadline;
         let mut got = 0;
         while got < n {
             let left = end.saturating_duration_since(Instant::now());
@@ -517,18 +584,10 @@ mod tests {
             writer
                 .write(ObjectId(2), Bytes::from_static(b"shared"))
                 .unwrap();
-            // Blocking write + blocking read through the sequencer gives
-            // the reader the new value for every protocol in a quiet
-            // system... modulo in-flight invalidations for the
-            // fire-and-forget write protocols, so retry briefly.
-            let mut seen = reader.read(ObjectId(2)).unwrap();
-            for _ in 0..100 {
-                if &seen[..] == b"shared" {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                seen = reader.read(ObjectId(2)).unwrap();
-            }
+            // The write is asynchronous for the fire-and-forget and
+            // update protocols: its wave lands, then the reader reads.
+            cluster.settle().unwrap();
+            let seen = reader.read(ObjectId(2)).unwrap();
             assert_eq!(&seen[..], b"shared", "{kind:?}");
             cluster.shutdown().unwrap();
         }
@@ -540,9 +599,7 @@ mod tests {
         let cluster = Cluster::new(sys, ProtocolKind::WriteThrough);
         let h = cluster.handle(NodeId(0));
         h.write(ObjectId(0), Bytes::from_static(b"x")).unwrap(); // P+N
-                                                                 // Wait for the invalidation wave to drain before reading.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let base = cluster.total_cost();
+        let (base, _) = cluster.settle().unwrap();
         assert_eq!(base, sys.p + sys.n_clients as u64);
         h.read(ObjectId(0)).unwrap(); // own copy INVALID -> S+2
         let after = cluster.total_cost();
@@ -577,8 +634,6 @@ mod tests {
             for t in threads {
                 t.join().unwrap();
             }
-            // Let in-flight cascades drain before stopping.
-            std::thread::sleep(std::time::Duration::from_millis(30));
             let dump = cluster.shutdown().unwrap();
             assert!(dump.is_coherent(), "{kind:?}: replicas diverged");
         }

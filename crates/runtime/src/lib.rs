@@ -7,8 +7,9 @@
 //!
 //! * [`Cluster::new`] — all `N+1` nodes as threads of one process over
 //!   the in-process transport (the original mpsc path).
-//! * [`Cluster::with_transport`] — any transport: metered, delayed, or
-//!   TCP-loopback meshes plug in without touching the node loop.
+//! * [`Cluster::with_transport`] — any transport: metered,
+//!   fault-injecting, or TCP-loopback meshes plug in without touching
+//!   the node loop.
 //! * [`remote`] — one node per OS process over the TCP mesh
 //!   (Linux-only, like the mesh): the `repmem-node` binary serves a
 //!   node, [`remote::RemoteCluster`] launches and drives a full cluster

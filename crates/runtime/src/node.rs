@@ -19,7 +19,7 @@ use repmem_net::{Endpoint, Envelope, Payload};
 use repmem_protocols::protocol;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -90,32 +90,17 @@ impl std::error::Error for ClusterError {}
 /// The default is the paper's fault-free assumption: no retries, a
 /// closed link is treated as a routine shutdown-time condition and the
 /// message is dropped. With a non-zero `retry_deadline` the node
-/// retries a failed send with exponential backoff (`base` doubling up
-/// to `cap`) until the deadline; a send that stays failed — or fails
-/// with the permanent [`repmem_net::NetError::Down`] — *degrades*
-/// instead of poisoning: a request whose sequencer shard is unreachable
-/// fails that one operation with [`ClusterError::NodeDown`] (protocol
-/// state rolled back), and a fire-and-forget update to a dead client is
-/// dropped. Poison stays reserved for genuine protocol-state
-/// corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// retries a failed send with exponential backoff until the deadline; a
+/// send that stays failed — or fails with the permanent
+/// [`repmem_net::NetError::Down`] — *degrades* instead of poisoning: a
+/// request whose sequencer shard is unreachable fails that one
+/// operation with [`ClusterError::NodeDown`] (protocol state rolled
+/// back), and a fire-and-forget update to a dead client is dropped.
+/// Poison stays reserved for genuine protocol-state corruption.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Total retry budget per send; `Duration::ZERO` disables retries.
     pub retry_deadline: Duration,
-    /// First backoff step between retries (doubles each attempt).
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            retry_deadline: Duration::ZERO,
-            base: Duration::from_micros(200),
-            cap: Duration::from_millis(20),
-        }
-    }
 }
 
 impl RecoveryPolicy {
@@ -123,33 +108,32 @@ impl RecoveryPolicy {
     pub fn with_deadline(deadline: Duration) -> Self {
         RecoveryPolicy {
             retry_deadline: deadline,
-            ..RecoveryPolicy::default()
         }
     }
 }
 
-/// Cluster-wide dead-peer hint: one monotonic flag per node, shared by
-/// every node loop (and application handle path) of a cluster.
+/// The cluster's dead set: one monotonic flag per node, shared by every
+/// node loop of a cluster (one node per process under
+/// [`crate::remote`], where it is that node's own view).
 ///
-/// When any node's send outlives its whole recovery budget — or fails
-/// with the permanent [`repmem_net::NetError::Down`] — it marks the
-/// peer here as well as in its private `known_down` set. Other nodes
-/// consult the shared set on their *first* transient send failure to a
-/// peer, so the first operation each of N concurrent handles aims at an
-/// already-discovered-dead shard fails fast instead of each paying the
-/// full `retry_deadline` as detection (the documented first-op stall).
-/// Kills are permanent in this system, so flags only ever go up and a
-/// reader needs no lock — a relaxed load is a valid hint.
+/// A node marks a peer here when a send to it outlives the whole
+/// recovery budget or fails with the permanent
+/// [`repmem_net::NetError::Down`]. Every node reads it in two places:
+/// on a *transient* send failure, where a peer somebody already buried
+/// gets no second retry budget (the first operation each of N handles
+/// aims at a dead shard fails fast instead of each paying the deadline
+/// as detection), and in the sweep that fails operations blocked on a
+/// dead service node. Kills are permanent in this system, so flags only
+/// ever go up and a reader needs no lock — a relaxed load is a valid
+/// hint.
 pub(crate) struct DeadSet {
-    peers: Vec<std::sync::atomic::AtomicBool>,
+    peers: Vec<AtomicBool>,
 }
 
 impl DeadSet {
     pub fn new(n: usize) -> DeadSet {
         DeadSet {
-            peers: (0..n)
-                .map(|_| std::sync::atomic::AtomicBool::new(false))
-                .collect(),
+            peers: (0..n).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -163,6 +147,12 @@ impl DeadSet {
         self.peers
             .get(peer.idx())
             .is_some_and(|f| f.load(Ordering::Relaxed))
+    }
+
+    /// The lowest-numbered dead node, if any.
+    fn first(&self) -> Option<NodeId> {
+        let i = self.peers.iter().position(|f| f.load(Ordering::Relaxed))?;
+        Some(NodeId(i as u16))
     }
 }
 
@@ -245,8 +235,17 @@ impl VersionClock {
 pub(crate) enum Wire {
     Net(Envelope),
     Local(AppReq, OpTag),
+    /// A quiescence probe from [`crate::Cluster::settle`]: answered with
+    /// the node's [`Tally`] at its next idle point. Not a message — it
+    /// never touches the transport, the cost counters or a meter.
+    Probe(Sender<Tally>),
     Stop,
 }
+
+/// One node's answer to a quiescence probe: `(node, sent, handled)` —
+/// envelopes it has handed to a link that accepted them (self-sends
+/// included) and envelopes it has taken off its inbox.
+pub(crate) type Tally = (NodeId, u64, u64);
 
 /// An application request delivered to the local protocol process.
 pub(crate) struct AppReq {
@@ -323,17 +322,16 @@ pub(crate) struct NodeCtx {
     /// holds the object by then. At most `window` tags per discovered
     /// death.
     abandoned: HashSet<OpTag>,
-    /// Peers this node has observed as permanently dead (a send failed
-    /// with [`repmem_net::NetError::Down`], or outlived the retry
-    /// budget). Kills are permanent, so the set only grows; it lets the
-    /// node fail *other* blocked operations whose service node is
-    /// already known dead instead of leaving them to hang until the
-    /// shutdown deadline.
-    known_down: HashSet<NodeId>,
-    /// Cluster-wide dead-peer hint shared with every other node loop
-    /// (see [`DeadSet`]): written when this node discovers a death, read
-    /// to fast-fail sends to peers some *other* node already buried.
+    /// The cluster's dead set (see [`DeadSet`]): written when a send of
+    /// this node finds a peer dead, read to fast-fail sends to — and
+    /// operations blocked on — peers anybody already buried.
     dead: Arc<DeadSet>,
+    /// Envelopes a link accepted from this node, self-sends included.
+    sent: u64,
+    /// Envelopes taken off this node's inbox, counted at dequeue (so a
+    /// dropped straggler counts too). With `sent`, this node's half of
+    /// the cluster's quiescence test; both are private to its loop.
+    handled: u64,
 }
 
 impl NodeCtx {
@@ -369,8 +367,9 @@ impl NodeCtx {
             // Bounded by the window, not by the object count.
             pending: HashMap::with_capacity(window.min(1024)),
             abandoned: HashSet::new(),
-            known_down: HashSet::new(),
             dead,
+            sent: 0,
+            handled: 0,
         }
     }
 }
@@ -414,23 +413,22 @@ struct NodeHost<'a> {
     messages: &'a AtomicU64,
     clock: &'a VersionClock,
     recovery: RecoveryPolicy,
-    /// Peers the node already observed as permanently dead before this
-    /// step (`NodeCtx::known_down`); sends to them skip the retry
-    /// budget and fail as `Down` after one attempt.
-    known_down: &'a HashSet<NodeId>,
-    /// Cluster-wide dead-peer hint (see [`DeadSet`]): deaths discovered
-    /// by *other* node loops, consulted on the same fast-fail path.
+    /// The cluster's dead set (see [`DeadSet`]): a send to a peer in it
+    /// gets one attempt and no retry budget, and a send that finds its
+    /// peer dead marks it.
     dead: &'a DeadSet,
+    /// The node's count of envelopes a link accepted (`NodeCtx::sent`).
+    sent: &'a mut u64,
     /// First unrecoverable condition hit during this step, if any.
     error: Option<String>,
     /// A peer this step could not reach even after its recovery budget:
     /// the step must degrade (fail the pending operation, keep the
     /// protocol state) instead of poisoning the cluster.
     dead_dest: Option<NodeId>,
-    /// Every peer this step's sends found dead (broadcast legs
-    /// included); merged into the node's `known_down` set after the
-    /// step so blocked operations elsewhere can fail fast.
-    down: Vec<NodeId>,
+    /// Whether a send of this step (broadcast legs included) found its
+    /// peer dead: the node then sweeps its blocked operations, whoever
+    /// raised the flag first.
+    buried: bool,
     /// Set when `ret` fires (read completion).
     returned: bool,
     /// Set when `enable_local` fires (blocked-write completion).
@@ -493,17 +491,21 @@ impl NodeHost<'_> {
     /// schedules keyed on send counts keep advancing while a severed
     /// link waits for its restore.
     ///
-    /// A destination already in the node's `known_down` set gets one
-    /// attempt but no retry budget: some earlier send to it already
-    /// outlived a whole deadline (or failed permanently), and kills are
-    /// permanent, so a second deadline cannot change the outcome. The
-    /// transient failure is promoted to `Down` so the caller degrades
-    /// immediately — this is what makes a multi-object `scan` touching
-    /// a dead shard fail fast instead of paying the deadline per key.
-    /// With a zero retry deadline (the fault-free default, and the
-    /// step-driven checker) the path is unchanged.
+    /// A destination already in the cluster's dead set gets one attempt
+    /// but no retry budget: some earlier send to it already outlived a
+    /// whole deadline (or failed permanently), and kills are permanent,
+    /// so a second deadline cannot change the outcome. The transient
+    /// failure is promoted to `Down` so the caller degrades immediately
+    /// — this is what makes a multi-object `scan` touching a dead shard
+    /// fail fast instead of paying the deadline per key. With a zero
+    /// retry deadline (the fault-free default, and the step-driven
+    /// checker) the path is unchanged.
     fn send_with_recovery(&self, to: NodeId, env: &Envelope) -> Result<(), repmem_net::NetError> {
         use repmem_net::NetError;
+        /// First backoff step between retries (doubles each attempt).
+        const BACKOFF_BASE: Duration = Duration::from_micros(200);
+        /// Backoff ceiling.
+        const BACKOFF_CAP: Duration = Duration::from_millis(20);
         let mut last = match self.endpoint.send(to, env) {
             Ok(()) => return Ok(()),
             Err(e @ NetError::Down(_)) => return Err(e),
@@ -512,11 +514,11 @@ impl NodeHost<'_> {
         if self.recovery.retry_deadline.is_zero() {
             return Err(last);
         }
-        if self.known_down.contains(&to) || self.dead.is_down(to) {
+        if self.dead.is_down(to) {
             return Err(NetError::Down(to));
         }
         let deadline = Instant::now() + self.recovery.retry_deadline;
-        let mut wait = self.recovery.base.max(Duration::from_micros(50));
+        let mut wait = BACKOFF_BASE;
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
@@ -528,7 +530,7 @@ impl NodeHost<'_> {
                 Err(e @ NetError::Down(_)) => return Err(e),
                 Err(e) => last = e,
             }
-            wait = wait.saturating_mul(2).min(self.recovery.cap.max(wait));
+            wait = (wait * 2).min(BACKOFF_CAP);
         }
     }
 
@@ -567,32 +569,41 @@ impl NodeHost<'_> {
             copy: copy.clone(),
             clock: self.clock.now(),
         };
-        if let Err(e) = self.send_with_recovery(r, &env) {
-            use repmem_net::NetError;
-            let retrying = !self.recovery.retry_deadline.is_zero();
-            let degrade = matches!(e, NetError::Down(_))
-                || (retrying && matches!(e, NetError::Closed(_) | NetError::Io(_)));
-            if degrade {
-                // The peer is gone (or outlived the whole retry
-                // budget). If this step is my own operation talking
-                // to the one peer it needs, that operation must
-                // fail; a broadcast or relayed message to a dead
-                // peer is simply dropped (degraded service).
-                if !self.down.contains(&r) {
-                    self.down.push(r);
-                }
-                if single
-                    && self.env.msg.initiator == self.me
-                    && self.pending.is_some()
-                    && self.dead_dest.is_none()
-                {
-                    self.dead_dest = Some(r);
-                }
-            } else if !matches!(e, NetError::Closed(_)) {
-                // Fault-free default: a closed peer during shutdown
-                // is routine; anything else poisons the cluster.
-                self.fail(format!("send {:?} to {r} failed: {e}", kind));
+        use repmem_net::NetError;
+        let e = match self.send_with_recovery(r, &env) {
+            Ok(()) => {
+                *self.sent += 1;
+                return;
             }
+            Err(e) => e,
+        };
+        let retrying = !self.recovery.retry_deadline.is_zero();
+        let degrade = matches!(e, NetError::Down(_))
+            || (retrying && matches!(e, NetError::Closed(_) | NetError::Io(_)));
+        if degrade {
+            // The peer is gone (or outlived the whole retry budget), or
+            // — `Down(me)` from a fault layer — this node is. Bury
+            // whichever the transport named. If this step is my own
+            // operation talking to the one peer it needs, that
+            // operation must fail; a broadcast or relayed message to a
+            // dead peer is simply dropped (degraded service).
+            let gone = match e {
+                NetError::Down(gone) => gone,
+                _ => r,
+            };
+            self.dead.mark(gone);
+            self.buried = true;
+            if single
+                && self.env.msg.initiator == self.me
+                && self.pending.is_some()
+                && self.dead_dest.is_none()
+            {
+                self.dead_dest = Some(gone);
+            }
+        } else if !matches!(e, NetError::Closed(_)) {
+            // Fault-free default: a closed peer during shutdown is
+            // routine; anything else poisons the cluster.
+            self.fail(format!("send {:?} to {r} failed: {e}", kind));
         }
     }
 }
@@ -727,7 +738,7 @@ impl NodeCtx {
                 self.sys.m_objects
             ));
         };
-        let (value, dead, down) = {
+        let (value, dead, buried) = {
             // Held across the whole step, sends included: handles must
             // see the post-step replica before anything the step emits
             // can be observed (see the table module).
@@ -746,17 +757,17 @@ impl NodeCtx {
                 messages: &self.messages,
                 clock: &self.clock,
                 recovery: self.recovery,
-                known_down: &self.known_down,
                 dead: &self.dead,
+                sent: &mut self.sent,
                 error: None,
                 dead_dest: None,
-                down: Vec::new(),
+                buried: false,
                 returned: false,
                 enabled: false,
             };
             let next = proto.step(&mut host, state, &env.msg);
             let completed = host.completed();
-            let (error, dead, down) = (host.error, host.dead_dest, host.down);
+            let (error, dead, buried) = (host.error, host.dead_dest, host.buried);
             if let Some(reason) = error {
                 return Err(reason);
             }
@@ -769,26 +780,22 @@ impl NodeCtx {
             // The operation is retired under the lock of the step that
             // completes it, before its ticket is answered below.
             let value = (completed && dead.is_none()).then(|| replica.retire());
-            (value, dead, down)
+            (value, dead, buried)
         };
         if let Some(value) = value {
             if let Some(p) = self.pending.remove(&object) {
                 let _ = p.reply.send(Ok(value));
             }
         }
-        let mut newly_down = false;
-        for peer in down {
-            newly_down |= self.known_down.insert(peer);
-            // Publish the death cluster-wide so concurrent handles on
-            // other nodes fast-fail instead of re-paying detection.
-            self.dead.mark(peer);
-        }
         if let Some(peer) = dead {
             // The one peer this step's operation needed is gone: fail
             // that operation with `NodeDown`.
             self.fail_op(object, ClusterError::NodeDown(peer));
         }
-        if newly_down {
+        // Sweep on this step's own finding, not on having raised the
+        // shared flag first: the second node to run into a death still
+        // has operations of its own blocked on it.
+        if buried {
             self.sweep_unreachable();
         }
         Ok(())
@@ -815,9 +822,6 @@ impl NodeCtx {
     /// could still commit (counted votes stay counted, and every
     /// unanswered live peer is presumed to vote).
     fn sweep_unreachable(&mut self) {
-        if self.known_down.is_empty() {
-            return;
-        }
         let quorum = self.kind == ProtocolKind::Quorum;
         let migrating = self.kind.migrating_sequencer();
         let mut doomed = Vec::new();
@@ -831,14 +835,12 @@ impl NodeCtx {
                 // and not already counted this round.
                 let potential = (0..self.sys.n_nodes() as u16)
                     .map(NodeId)
-                    .filter(|&n| {
-                        n != self.me && !self.known_down.contains(&n) && !p.voted.contains(&n)
-                    })
+                    .filter(|&n| n != self.me && !self.dead.is_down(n) && !p.voted.contains(&n))
                     .count();
                 let shortfall =
                     matches!(replica.state, CopyState::Querying | CopyState::Committing)
                         && p.votes + potential < p.need;
-                if let Some(&peer) = self.known_down.iter().min().filter(|_| shortfall) {
+                if let Some(peer) = self.dead.first().filter(|_| shortfall) {
                     // Abort the round: the object returns to VALID with
                     // the (unchanged) local copy, ready for later
                     // operations.
@@ -851,7 +853,7 @@ impl NodeCtx {
                 } else {
                     self.shards.home_of(object)
                 };
-                if service != self.me && self.known_down.contains(&service) {
+                if service != self.me && self.dead.is_down(service) {
                     doomed.push((object, service));
                 }
             }
@@ -1066,31 +1068,68 @@ fn run_loop(
     rx: &Receiver<Wire>,
     backlog: &mut VecDeque<(AppReq, OpTag)>,
 ) -> Result<(), String> {
+    // Quiescence probes waiting for this node's next idle point.
+    let mut probes: Vec<Sender<Tally>> = Vec::new();
     loop {
         // Distributed messages take priority (global sequencing): drain
         // everything already queued before starting a local request.
-        loop {
-            match rx.try_recv() {
-                Ok(Wire::Net(env)) => ctx.handle_env(env)?,
-                Ok(Wire::Local(req, tag)) => backlog.push_back((req, tag)),
-                Ok(Wire::Stop) => return Ok(()),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return Ok(()),
+        let wire = match rx.try_recv() {
+            Ok(wire) => wire,
+            Err(TryRecvError::Disconnected) => return Ok(()),
+            Err(TryRecvError::Empty) => {
+                // Start backlogged local requests while window slots are
+                // free, preserving per-object program order.
+                if ctx.start_from_backlog(backlog)? {
+                    continue;
+                }
+                // About to block: everything this iteration produced
+                // must be on the wire first, or a batching endpoint
+                // would deadlock the cluster (every node waiting on a
+                // neighbour's buffered frame).
+                ctx.flush_outbound()?;
+                // The idle point: inbox drained, nothing startable, all
+                // sends made and counted. Only here is a probe answered
+                // — a node parked inside a step (a send's retry loop, a
+                // delay burst) stays silent until the step is over.
+                for probe in probes.drain(..) {
+                    let _ = probe.send((ctx.me, ctx.sent, ctx.handled));
+                }
+                match rx.recv() {
+                    Ok(wire) => wire,
+                    Err(_) => return Ok(()),
+                }
             }
+        };
+        match wire {
+            Wire::Net(env) => {
+                ctx.handled += 1;
+                ctx.handle_env(env)?;
+            }
+            Wire::Local(req, tag) => backlog.push_back((req, tag)),
+            Wire::Probe(reply) => probes.push(reply),
+            Wire::Stop => return Ok(()),
         }
-        // Start backlogged local requests while window slots are free,
-        // preserving per-object program order.
-        if ctx.start_from_backlog(backlog)? {
-            continue;
-        }
-        // About to block: everything this iteration produced must be on
-        // the wire first, or a batching endpoint would deadlock the
-        // cluster (every node waiting on a neighbour's buffered frame).
-        ctx.flush_outbound()?;
-        match rx.recv() {
-            Ok(Wire::Net(env)) => ctx.handle_env(env)?,
-            Ok(Wire::Local(req, tag)) => backlog.push_back((req, tag)),
-            Ok(Wire::Stop) | Err(_) => return Ok(()),
-        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dead_set_is_monotone_and_names_its_lowest_member() {
+        let dead = DeadSet::new(4);
+        assert_eq!(dead.first(), None);
+        assert!((0..4).all(|n| !dead.is_down(NodeId(n))));
+        dead.mark(NodeId(3));
+        dead.mark(NodeId(1));
+        dead.mark(NodeId(3));
+        assert!(dead.is_down(NodeId(1)) && dead.is_down(NodeId(3)));
+        assert!(!dead.is_down(NodeId(0)) && !dead.is_down(NodeId(2)));
+        assert_eq!(dead.first(), Some(NodeId(1)));
+        // A node the cluster does not have is neither marked nor dead.
+        dead.mark(NodeId(9));
+        assert!(!dead.is_down(NodeId(9)));
+        assert_eq!(dead.first(), Some(NodeId(1)));
     }
 }

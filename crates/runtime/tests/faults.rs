@@ -1,10 +1,11 @@
 //! Deterministic fault-schedule harness: the cluster must ride out
 //! scripted link failures without observable damage.
 //!
-//! * A sever-then-restore blackout of every client↔sequencer link,
-//!   triggered at fixed send counts, must leave a serialized workload's
+//! * A sever-then-restore blackout of every client↔sequencer link
+//!   (every link, for Quorum, which has no sequencer), triggered at
+//!   fixed send counts, must leave a serialized workload's
 //!   per-operation costs, message totals and final replica state
-//!   **byte-identical** to the fault-free run — for all eight
+//!   **byte-identical** to the fault-free run — for all nine
 //!   protocols. Retried sends advance the same send counter that
 //!   triggers the restore, so the schedule is self-healing and needs no
 //!   wall clock.
@@ -38,34 +39,20 @@ fn workload(sys: &SystemParams, ops: usize) -> Vec<OpEvent> {
 }
 
 /// Retry policy for the fault runs: a generous deadline (faults here
-/// heal in a few attempts) with a backoff cap far below `SETTLE_POLL`,
-/// so an actively-retrying sender is guaranteed to bump the send
-/// counter between any two settle samples.
+/// heal in a few attempts).
 fn retry_policy() -> RecoveryPolicy {
-    RecoveryPolicy {
-        retry_deadline: Duration::from_secs(5),
-        base: Duration::from_micros(100),
-        cap: Duration::from_millis(1),
-    }
+    RecoveryPolicy::with_deadline(Duration::from_secs(5))
 }
 
-const SETTLE_POLL: Duration = Duration::from_millis(5);
-
-/// Quiescence: the cost counter (charged once per logical message,
-/// before its first send attempt) *and* the fault layer's send-attempt
-/// counter are both stable across one poll. The second condition rules
-/// out a cascade parked in a retry loop: with the backoff cap above, a
-/// retrying sender attempts at least once per poll interval.
-fn settle(cluster: &Cluster, faults: &FaultHandle) -> u64 {
-    let mut last = (cluster.total_cost(), faults.sends());
-    loop {
-        std::thread::sleep(SETTLE_POLL);
-        let now = (cluster.total_cost(), faults.sends());
-        if now == last {
-            return now.0;
-        }
-        last = now;
-    }
+/// A cluster of `sys()` over a fault-injected in-process mesh, with
+/// `window` operations in flight per node, and its fault controls.
+fn start(kind: ProtocolKind, window: usize, schedule: FaultSchedule) -> (Cluster, FaultHandle) {
+    let transport = FaultTransport::new(InProcTransport::new(sys().n_nodes()), schedule);
+    let faults = transport.handle();
+    let cfg = ShardConfig::default().with_window(window);
+    let cluster =
+        Cluster::with_recovery(sys(), kind, cfg, transport, retry_policy()).expect("cluster");
+    (cluster, faults)
 }
 
 type Replica = (CopyState, Bytes, u64, NodeId);
@@ -83,16 +70,7 @@ struct RunTrace {
 /// Serialized run of the seeded workload over a fault-injected
 /// in-process mesh, settling after every operation.
 fn run(kind: ProtocolKind, schedule: FaultSchedule, ops: &[OpEvent]) -> RunTrace {
-    let transport = FaultTransport::new(InProcTransport::new(sys().n_nodes()), schedule);
-    let faults = transport.handle();
-    let cluster = Cluster::with_recovery(
-        sys(),
-        kind,
-        ShardConfig::default(),
-        transport,
-        retry_policy(),
-    )
-    .expect("cluster");
+    let (cluster, faults) = start(kind, 1, schedule);
     let mut per_op_cost = Vec::with_capacity(ops.len());
     let mut before = 0u64;
     for (i, ev) in ops.iter().enumerate() {
@@ -105,7 +83,7 @@ fn run(kind: ProtocolKind, schedule: FaultSchedule, ops: &[OpEvent]) -> RunTrace
                 .write(ev.object, Bytes::from(format!("op{i}@{}", ev.node)))
                 .expect("write"),
         }
-        let after = settle(&cluster, &faults);
+        let (after, _) = cluster.settle().expect("settle");
         per_op_cost.push(after - before);
         before = after;
     }
@@ -132,17 +110,27 @@ fn run(kind: ProtocolKind, schedule: FaultSchedule, ops: &[OpEvent]) -> RunTrace
     }
 }
 
-/// Sever every client↔sequencer link at send count `at` and restore
-/// them all four attempts later. Whichever send crosses the trigger
-/// next needs the sequencer (every operation does), fails, and its
-/// retries advance the counter across the restore — the blackout always
-/// bites and always heals, with no reference to time.
-fn blackout(schedule: FaultSchedule, at: u64, sys: &SystemParams) -> FaultSchedule {
-    let home = sys.home();
-    (0..sys.n_clients as u16).fold(schedule, |s, c| {
-        s.sever_at(at, NodeId(c), home)
-            .restore_at(at + 4, NodeId(c), home)
-    })
+/// Sever every link some operation must cross at send count `at` and
+/// restore them all four attempts later: every client↔sequencer pair
+/// for the sequencer protocols, every pair for those that poll all
+/// replicas (Quorum's peer-to-peer votes would otherwise carry the
+/// counter across the window without touching a severed link).
+/// Whichever send crosses the trigger next fails, and its retries
+/// advance the counter across the restore — the blackout always bites
+/// and always heals, with no reference to time.
+fn blackout(
+    schedule: FaultSchedule,
+    at: u64,
+    sys: &SystemParams,
+    kind: ProtocolKind,
+) -> FaultSchedule {
+    let n = sys.n_nodes() as u16;
+    (0..n)
+        .flat_map(|a| (a + 1..n).map(move |b| (NodeId(a), NodeId(b))))
+        .filter(|&(_, b)| kind.polls_all_replicas() || b == sys.home())
+        .fold(schedule, |s, (a, b)| {
+            s.sever_at(at, a, b).restore_at(at + 4, a, b)
+        })
 }
 
 #[test]
@@ -155,7 +143,12 @@ fn sever_then_restore_is_invisible_in_the_final_state() {
         // run's send count so they land mid-workload for any protocol.
         let early = (base.sends / 4).max(1);
         let mid = (base.sends / 2).max(early + 8);
-        let schedule = blackout(blackout(FaultSchedule::new(), early, &sys), mid, &sys);
+        let schedule = blackout(
+            blackout(FaultSchedule::new(), early, &sys, kind),
+            mid,
+            &sys,
+            kind,
+        );
         let faulted = run(kind, schedule, &ops);
         assert!(
             faulted.sends > base.sends,
@@ -176,14 +169,8 @@ fn sever_then_restore_is_invisible_in_the_final_state() {
 
 #[test]
 fn killing_one_passive_client_never_wedges_the_cluster() {
-    let sys = sys();
     for kind in ProtocolKind::EVERY {
-        let transport =
-            FaultTransport::new(InProcTransport::new(sys.n_nodes()), FaultSchedule::new());
-        let faults = transport.handle();
-        let cluster =
-            Cluster::with_recovery(sys, kind, ShardConfig::default(), transport, retry_policy())
-                .expect("cluster");
+        let (cluster, faults) = start(kind, 1, FaultSchedule::new());
         // Node 2 never issues an operation, so it never owns anything;
         // after the kill it only ever misses broadcast updates.
         faults.kill(NodeId(2));
@@ -196,7 +183,7 @@ fn killing_one_passive_client_never_wedges_the_cluster() {
             h1.read(obj)
                 .unwrap_or_else(|e| panic!("{kind:?}: read with a dead bystander: {e}"));
         }
-        settle(&cluster, &faults);
+        cluster.settle().expect("settle");
         assert!(
             cluster.poisoned().is_none(),
             "{kind:?}: a dead bystander poisoned the cluster"
@@ -218,16 +205,11 @@ fn killing_the_sequencer_degrades_per_operation_not_cluster_wide() {
         ProtocolKind::Illinois,
         ProtocolKind::Dragon,
     ] {
-        let transport =
-            FaultTransport::new(InProcTransport::new(sys.n_nodes()), FaultSchedule::new());
-        let faults = transport.handle();
-        let cluster =
-            Cluster::with_recovery(sys, kind, ShardConfig::default(), transport, retry_policy())
-                .expect("cluster");
+        let (cluster, faults) = start(kind, 1, FaultSchedule::new());
         let h0 = cluster.handle(NodeId(0));
         h0.write(ObjectId(0), Bytes::from_static(b"warm"))
             .expect("warm-up write");
-        settle(&cluster, &faults);
+        cluster.settle().expect("settle");
         faults.kill(sys.home());
         // Fresh objects force a sequencer round-trip; the operation
         // fails with the peer's identity, and nothing is poisoned.
@@ -283,7 +265,7 @@ fn dropped_broadcasts_surface_in_the_meter() {
             h0.write(obj, Bytes::from(round.to_le_bytes().to_vec()))
                 .unwrap_or_else(|e| panic!("{kind:?}: write with a dead bystander: {e}"));
         }
-        settle(&cluster, &faults);
+        cluster.settle().expect("settle");
         let total = meter.total();
         assert!(
             total.dropped() > 0,
@@ -306,4 +288,81 @@ fn dropped_broadcasts_surface_in_the_meter() {
             .shutdown_within(DEFAULT_STOP_DEADLINE)
             .unwrap_or_else(|e| panic!("{kind:?}: shutdown with a dead bystander: {e}"));
     }
+}
+
+#[test]
+fn an_operation_blocked_on_a_peer_somebody_else_buried_fails_at_the_nodes_own_discovery() {
+    let sys = sys();
+    let home = sys.home();
+    // Send 1 is node 1's write request; send 2 is the sequencer's first
+    // answer to it, which finds the sequencer dead: the request got
+    // through, its grant never will.
+    let schedule = FaultSchedule::new().kill_at(2, home);
+    let (cluster, _) = start(ProtocolKind::Illinois, 2, schedule);
+    let b = cluster.handle(NodeId(1));
+    let blocked = b.write_async(ObjectId(0), Bytes::from_static(b"never granted"));
+    cluster.settle().expect("settle");
+    // Node 0 runs into the dead sequencer first and buries it.
+    let err = cluster
+        .handle(NodeId(0))
+        .write(ObjectId(1), Bytes::from_static(b"x"))
+        .expect_err("write through a dead sequencer");
+    assert!(
+        matches!(err, ClusterError::NodeDown(n) if n == home),
+        "{err}"
+    );
+    // Node 1 did not raise the flag, but its own first failed send must
+    // still sweep: the blocked write fails there and then, with the
+    // dead peer's name — not at shutdown, with node 1's.
+    let err = b
+        .write(ObjectId(2), Bytes::from_static(b"y"))
+        .expect_err("write through a dead sequencer");
+    assert!(
+        matches!(err, ClusterError::NodeDown(n) if n == home),
+        "{err}"
+    );
+    cluster.settle().expect("settle");
+    cluster
+        .shutdown_within(DEFAULT_STOP_DEADLINE)
+        .expect("shutdown with a dead sequencer");
+    let err = blocked.wait().expect_err("a write nobody can grant");
+    assert!(
+        matches!(err, ClusterError::NodeDown(n) if n == home),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_killed_nodes_failed_sends_bury_the_killed_node_not_its_live_peers() {
+    let sys = sys();
+    let home = sys.home();
+    let zombie = NodeId(2);
+    // Send 1 is the killed node's own request: the fault layer refuses
+    // it with `Down(zombie)`. Sends 2-4 are node 0's request, refused
+    // while its link is severed; send 5 is the retry that gets through.
+    let schedule = FaultSchedule::new()
+        .kill_at(1, zombie)
+        .sever_at(2, NodeId(0), home)
+        .restore_at(5, NodeId(0), home);
+    let (cluster, _) = start(ProtocolKind::WriteThrough, 1, schedule);
+    let err = cluster
+        .handle(zombie)
+        .write(ObjectId(0), Bytes::from_static(b"from the grave"))
+        .expect_err("write from a killed node");
+    assert!(
+        matches!(err, ClusterError::NodeDown(n) if n == zombie),
+        "{err}"
+    );
+    // Had that failure buried its destination, this transient refusal
+    // would be promoted to `Down` on its first attempt and the write
+    // lost to a sequencer that is alive and one retry away.
+    cluster
+        .handle(NodeId(0))
+        .write(ObjectId(1), Bytes::from_static(b"x"))
+        .expect("a severed link to a live sequencer is retried until it heals");
+    cluster.settle().expect("settle");
+    assert!(cluster.poisoned().is_none());
+    cluster
+        .shutdown_within(DEFAULT_STOP_DEADLINE)
+        .expect("shutdown with a dead client");
 }

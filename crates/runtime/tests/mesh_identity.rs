@@ -15,7 +15,6 @@ use repmem_core::{OpKind, ProtocolKind, Scenario, SystemParams};
 use repmem_net::{EpollTransport, InProcTransport, Transport};
 use repmem_runtime::{Cluster, ShardConfig};
 use repmem_workload::{OpEvent, ScenarioSampler};
-use std::time::Duration;
 
 fn sys() -> SystemParams {
     SystemParams {
@@ -31,18 +30,6 @@ fn workload(sys: &SystemParams, ops: usize) -> Vec<OpEvent> {
     ScenarioSampler::new(&sc, sys.m_objects, 41)
         .take(ops)
         .collect()
-}
-
-fn settle(cluster: &Cluster) -> u64 {
-    let mut last = cluster.total_cost();
-    loop {
-        std::thread::sleep(Duration::from_millis(3));
-        let now = cluster.total_cost();
-        if now == last {
-            return now;
-        }
-        last = now;
-    }
 }
 
 struct RunTrace {
@@ -68,7 +55,7 @@ fn run(kind: ProtocolKind, transport: impl Transport, ops: &[OpEvent]) -> RunTra
                 .write(ev.object, Bytes::from(format!("op{i}@{}", ev.node)))
                 .expect("write"),
         }
-        let after = settle(&cluster);
+        let (after, _) = cluster.settle().expect("settle");
         per_op_cost.push(after - before);
         before = after;
     }

@@ -27,11 +27,7 @@ fn sys() -> SystemParams {
 }
 
 fn retry_policy() -> RecoveryPolicy {
-    RecoveryPolicy {
-        retry_deadline: Duration::from_secs(5),
-        base: Duration::from_micros(100),
-        cap: Duration::from_millis(1),
-    }
+    RecoveryPolicy::with_deadline(Duration::from_secs(5))
 }
 
 /// Kill the paper's fixed sequencer node at the very first send

@@ -32,19 +32,6 @@ fn sys() -> SystemParams {
     }
 }
 
-/// Wait until no message has been sent for two consecutive samples.
-fn settle(cluster: &Cluster) {
-    let mut last = cluster.total_messages();
-    loop {
-        std::thread::sleep(Duration::from_millis(5));
-        let now = cluster.total_messages();
-        if now == last {
-            return;
-        }
-        last = now;
-    }
-}
-
 /// Clause (a) is read off a table; the machines are the truth. For
 /// every protocol, role and state, the table says "hit" exactly when
 /// the machine's `R-REQ` entry is `return` alone with the state kept —
@@ -101,7 +88,7 @@ fn warm_reads_cost_nothing_and_are_counted() {
         h.write(ObjectId(2), value.clone()).unwrap();
         // Cold read: a miss for the invalidate-on-write protocols.
         assert_eq!(h.read(ObjectId(2)).unwrap(), value, "{kind:?}");
-        settle(&cluster);
+        cluster.settle().unwrap();
         let (cost, messages, hits) = (
             cluster.total_cost(),
             cluster.total_messages(),
@@ -216,7 +203,7 @@ fn stress(kind: ProtocolKind, transport: impl Transport, writes: u64) {
     for t in threads {
         assert!(t.join().expect("reader panicked") > 0);
     }
-    settle(&cluster);
+    cluster.settle().unwrap();
     assert!(cluster.poisoned().is_none(), "{kind:?}");
     let dump = cluster.shutdown().expect("shutdown");
     assert!(dump.is_coherent(), "{kind:?}: replicas diverged");
@@ -264,7 +251,7 @@ fn fresh_cluster_has_no_entries_and_entries_stay_small() {
     let h = cluster.handle(NodeId(0));
     h.write(ObjectId(40_000), Bytes::from_static(b"x")).unwrap();
     assert_eq!(&h.read(ObjectId(40_000)).unwrap()[..], b"x");
-    settle(&cluster);
+    cluster.settle().unwrap();
     let touched = cluster.materialised_entries();
     assert!(
         (1..=6).contains(&touched),

@@ -34,18 +34,6 @@ fn workload(sys: &SystemParams, ops: usize) -> Vec<OpEvent> {
         .collect()
 }
 
-fn settle(cluster: &Cluster) -> u64 {
-    let mut last = cluster.total_cost();
-    loop {
-        std::thread::sleep(Duration::from_millis(3));
-        let now = cluster.total_cost();
-        if now == last {
-            return now;
-        }
-        last = now;
-    }
-}
-
 struct RunTrace {
     per_op_cost: Vec<u64>,
     total_cost: u64,
@@ -75,7 +63,7 @@ fn run(
                 .write(ev.object, Bytes::from(format!("op{i}@{}", ev.node)))
                 .expect("write"),
         }
-        let after = settle(&cluster);
+        let (after, _) = cluster.settle().expect("settle");
         per_op_cost.push(after - before);
         before = after;
     }
@@ -172,7 +160,7 @@ fn k2_cluster_stays_coherent_and_partitions_sequencing() {
                     .expect("write"),
             }
         }
-        settle(&cluster);
+        cluster.settle().expect("settle");
         // Per-shard reconciliation: the meter's per-class counts still
         // fold through the cost model exactly, and both shards carry
         // real sequencing traffic (requests arrive *at* each shard).

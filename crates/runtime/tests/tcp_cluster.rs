@@ -17,7 +17,6 @@ use repmem_runtime::remote::RemoteCluster;
 use repmem_runtime::Cluster;
 use repmem_workload::{OpEvent, ScenarioSampler};
 use std::path::Path;
-use std::time::Duration;
 
 /// Table 7 read-disturbance cell driven through both runtimes. The
 /// scenario has a single writing actor (the center, node 0), so write
@@ -43,14 +42,6 @@ struct Trace {
 
 fn run_in_process(sys: SystemParams, kind: ProtocolKind, ops: &[OpEvent]) -> Trace {
     let cluster = Cluster::new(sys, kind);
-    let settle = |mut last: (u64, u64)| loop {
-        std::thread::sleep(Duration::from_millis(2));
-        let now = (cluster.total_cost(), cluster.total_messages());
-        if now == last {
-            return now;
-        }
-        last = now;
-    };
     let mut per_op = Vec::with_capacity(ops.len());
     let mut before = (0, 0);
     for (i, ev) in ops.iter().enumerate() {
@@ -61,7 +52,7 @@ fn run_in_process(sys: SystemParams, kind: ProtocolKind, ops: &[OpEvent]) -> Tra
             }
             OpKind::Write => h.write(ev.object, write_data(i, ev.node)).expect("write"),
         }
-        let after = settle(before);
+        let after = cluster.settle().expect("settle");
         per_op.push((after.0 - before.0, after.1 - before.1));
         before = after;
     }

@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use repmem_core::{OpKind, ProtocolKind, Scenario, SystemParams};
 use repmem_net::{
-    DelayConfig, DelayTransport, EpollTransport, InProcTransport, MeteredTransport, Transport,
+    EpollTransport, FaultSchedule, FaultTransport, InProcTransport, MeteredTransport, Transport,
 };
 use repmem_runtime::{Cluster, ShardConfig};
 use repmem_workload::{OpEvent, ScenarioSampler};
@@ -33,23 +33,10 @@ fn workload(sys: &SystemParams, ops: usize) -> Vec<OpEvent> {
         .collect()
 }
 
-/// Wait until the cluster's cost counter is quiescent. The poll interval
-/// is much longer than any injected link delay, so two equal samples
-/// mean genuinely drained (cost accrues at send time; a message can sit
-/// hidden in a delay queue for at most `DELAY_MAX`).
-const SETTLE_POLL: Duration = Duration::from_millis(3);
-const DELAY_MAX: Duration = Duration::from_micros(300);
-
-fn settle(cluster: &Cluster) -> u64 {
-    let mut last = cluster.total_cost();
-    loop {
-        std::thread::sleep(SETTLE_POLL);
-        let now = cluster.total_cost();
-        if now == last {
-            return now;
-        }
-        last = now;
-    }
+/// Stall every send of a run for `dur` on its sender's thread: links
+/// get slower, never reordered.
+fn delayed(dur: Duration) -> FaultSchedule {
+    FaultSchedule::new().delay_burst_at(1, dur, u64::MAX)
 }
 
 struct RunTrace {
@@ -76,7 +63,7 @@ fn run(kind: ProtocolKind, transport: impl Transport, ops: &[OpEvent]) -> RunTra
                 .write(ev.object, Bytes::from(format!("op{i}@{}", ev.node)))
                 .expect("write"),
         }
-        let after = settle(&cluster);
+        let (after, _) = cluster.settle().expect("settle");
         per_op_cost.push(after - before);
         before = after;
     }
@@ -189,13 +176,9 @@ fn delayed_links_change_timing_but_not_outcome() {
     let base = run(kind, InProcTransport::new(sys.n_nodes()), &ops);
     let delayed = run(
         kind,
-        DelayTransport::new(
+        FaultTransport::new(
             InProcTransport::new(sys.n_nodes()),
-            DelayConfig {
-                seed: 7,
-                min: Duration::ZERO,
-                max: DELAY_MAX,
-            },
+            delayed(Duration::from_micros(150)),
         ),
         &ops,
     );
@@ -207,16 +190,12 @@ fn delayed_links_change_timing_but_not_outcome() {
 #[test]
 fn wrappers_compose_and_expose_the_meter_through_the_stack() {
     let sys = sys();
-    // Meter over delay over TCP loopback: the meter must still surface
+    // Delay over meter over TCP loopback: the meter must still surface
     // through Transport::meter from the outermost layer.
-    let transport = MeteredTransport::new(DelayTransport::new(
-        EpollTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
-        DelayConfig {
-            seed: 3,
-            min: Duration::ZERO,
-            max: Duration::from_micros(100),
-        },
-    ));
+    let transport = FaultTransport::new(
+        MeteredTransport::new(EpollTransport::loopback(sys.n_nodes()).expect("loopback mesh")),
+        delayed(Duration::from_micros(50)),
+    );
     let cluster = Cluster::with_transport(
         sys,
         ProtocolKind::Synapse,
@@ -229,7 +208,7 @@ fn wrappers_compose_and_expose_the_meter_through_the_stack() {
     h.write(repmem_core::ObjectId(0), Bytes::from_static(b"x"))
         .expect("write");
     let _ = h.read(repmem_core::ObjectId(0)).expect("read");
-    settle(&cluster);
+    cluster.settle().expect("settle");
     let meter = cluster.meter().expect("meter").clone();
     assert_eq!(meter.total().msgs(), cluster.total_messages());
     assert_eq!(meter.model_cost(&cluster.system()), cluster.total_cost());

@@ -90,9 +90,7 @@ fn main() {
     for t in threads {
         t.join().expect("worker");
     }
-    std::thread::sleep(std::time::Duration::from_millis(30));
-    let cost = cluster.total_cost();
-    let msgs = cluster.total_messages();
+    let (cost, msgs) = cluster.settle().unwrap();
     let dump = cluster.shutdown().unwrap();
     assert!(dump.is_coherent(), "live run diverged");
     println!(

@@ -57,8 +57,8 @@ fn run(sys: SystemParams, kind: ProtocolKind, label: &str, transport: impl repme
             .unwrap();
         let _ = reader.read(obj).unwrap();
     }
-    // Let fire-and-forget cascades drain before reading the counters.
-    std::thread::sleep(std::time::Duration::from_millis(20));
+    // Fire-and-forget cascades land before the counters are read.
+    cluster.settle().unwrap();
 
     let total = meter.total();
     let [token, params, copy] = total.classes;

@@ -32,23 +32,16 @@ fn main() {
         let alice = cluster.handle(NodeId(0));
         let bob = cluster.handle(NodeId(1));
 
-        // Alice publishes and re-reads (read-your-writes); Bob observes
-        // the value as soon as the coherence traffic lands — the write is
-        // asynchronous for fire-and-forget and update protocols, so poll
-        // briefly.
+        // Alice publishes and re-reads (read-your-writes). The write is
+        // asynchronous for fire-and-forget and update protocols, so Bob
+        // reads once its coherence traffic has landed.
         alice
             .write(ObjectId(3), Bytes::from_static(b"hello, replicated world"))
             .unwrap();
         let again = alice.read(ObjectId(3)).unwrap();
         assert_eq!(&again[..], b"hello, replicated world");
-        let mut seen = bob.read(ObjectId(3)).unwrap();
-        for _ in 0..100 {
-            if &seen[..] == b"hello, replicated world" {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            seen = bob.read(ObjectId(3)).unwrap();
-        }
+        cluster.settle().unwrap();
+        let seen = bob.read(ObjectId(3)).unwrap();
         assert_eq!(&seen[..], b"hello, replicated world");
 
         println!(

@@ -7,20 +7,6 @@ use bytes::Bytes;
 use repmem::prelude::*;
 use repmem_analytic::oracle::Global;
 
-/// Wait until the cluster's cost counter is quiescent (in-flight
-/// fire-and-forget cascades drained).
-fn settle(cluster: &Cluster) -> u64 {
-    let mut last = cluster.total_cost();
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(3));
-        let now = cluster.total_cost();
-        if now == last {
-            return now;
-        }
-        last = now;
-    }
-}
-
 #[test]
 fn serial_usage_costs_match_the_oracle_exactly() {
     let sys = SystemParams {
@@ -64,9 +50,9 @@ fn serial_usage_costs_match_the_oracle_exactly() {
                 }
                 OpKind::Write => h.write(obj, Bytes::from_static(b"v")).unwrap(),
             }
-            settle(&cluster);
+            cluster.settle().unwrap();
         }
-        let measured = settle(&cluster);
+        let (measured, _) = cluster.settle().unwrap();
         let dump = cluster.shutdown().unwrap();
         assert_eq!(
             measured, predicted,
