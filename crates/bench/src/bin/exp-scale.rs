@@ -13,10 +13,10 @@
 //! measured average message count per operation can sit next to the
 //! model's cost surfaces, and the throughput column records what the
 //! wire stack actually sustains at `N` an order of magnitude past the
-//! 4-client perf grid. `--json` upserts the `scale` section of
-//! `BENCH_runtime.json` (the sections owned by `exp-perf`/`exp-ycsb`
-//! survive untouched). `--n 500` is accepted for stress runs but is far
-//! past what a CI box resolves in reasonable time.
+//! pinned benchmark's 4-client workloads. `--json` upserts the `scale`
+//! section of `BENCH_runtime.json` (the `ycsb` section, owned by
+//! `exp-ycsb`, survives untouched). `--n 500` is accepted for stress
+//! runs but is far past what a CI box resolves in reasonable time.
 
 // `repmem_runtime::remote` runs on the epoll-based TCP mesh.
 #![cfg(target_os = "linux")]

@@ -15,8 +15,8 @@
 //!
 //! `--json` upserts a `"ycsb"` section into `BENCH_runtime.json` at the
 //! repository root — every cell records its zipfian `theta` and shard
-//! count alongside ops/s, p50/p99 and the hit share. `REPMEM_BENCH_SMOKE=1` shrinks the
-//! grid for CI.
+//! count alongside ops/s, p50/p99 and the hit share. `--records`,
+//! `--ops` and `--reps` shrink the grid for CI.
 
 use repmem_bench::{bench_json_path, render_table, upsert_bench_sections};
 use repmem_core::{NodeId, ProtocolKind, SystemParams};
@@ -118,30 +118,22 @@ fn main() {
             })
             .unwrap_or(default)
     };
-    let smoke = std::env::var("REPMEM_BENCH_SMOKE").is_ok();
     let p = Params {
-        records: flag("--records", if smoke { 200 } else { 2000 }),
-        ops: flag("--ops", if smoke { 400 } else { 8000 }),
-        reps: flag("--reps", if smoke { 1 } else { 3 }).max(1) as usize,
+        records: flag("--records", 2000),
+        ops: flag("--ops", 8000),
+        reps: flag("--reps", 3).max(1) as usize,
         theta: 0.99,
         value_len: 100,
         n_clients: 4,
-        slots: if smoke { 1024 } else { 16384 },
+        slots: 16384,
         shards: flag("--shards", 2) as usize,
         window: flag("--window", 8) as usize,
         seed: 42,
     };
     println!(
         "exp-ycsb — YCSB over repmem-kv, N={} clients, K={} shards, W={}, \
-         {} records, {} ops/cell, theta {:.2}, median of {}{}\n",
-        p.n_clients,
-        p.shards,
-        p.window,
-        p.records,
-        p.ops,
-        p.theta,
-        p.reps,
-        if smoke { " [smoke]" } else { "" }
+         {} records, {} ops/cell, theta {:.2}, median of {}\n",
+        p.n_clients, p.shards, p.window, p.records, p.ops, p.theta, p.reps
     );
 
     let mut header: Vec<String> = vec!["protocol".into()];
@@ -173,7 +165,7 @@ fn main() {
         let config = format!(
             "{{\"records\": {}, \"ops\": {}, \"reps\": {}, \"theta\": {:.2}, \
              \"value_len\": {}, \"n_clients\": {}, \"slots\": {}, \"shards\": {}, \
-             \"window\": {}, \"smoke\": {smoke}}}",
+             \"window\": {}}}",
             p.records,
             p.ops,
             p.reps,

@@ -1,10 +1,9 @@
 //! # repmem-bench
 //!
-//! Experiment binaries and Criterion benches that regenerate every table
-//! and figure of the paper's evaluation (§5). Each binary writes CSV/text
-//! artifacts into the workspace `results/` directory and prints a
-//! human-readable summary; the index lives in DESIGN.md §5 and the
-//! measured-vs-paper record in EXPERIMENTS.md.
+//! Experiment binaries that regenerate every table and figure of the
+//! paper's evaluation (§5) and the extension experiments, as CSV/text
+//! under `results/` plus a printed summary (index: DESIGN.md §5; record:
+//! EXPERIMENTS.md). Wall-clock performance is the pinned `benchmark/`'s.
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -17,6 +16,10 @@
 //! | `exp-table7` | Table 7 analysis-vs-simulation comparison |
 //! | `exp-crossover` | §5.1 dominance and crossover analysis |
 //! | `exp-adaptive` | §6 adaptive self-tuning extension |
+//! | `exp-transient` | burn-in before the stationary regime (E13) |
+//! | `exp-assignment` | per-object protocol assignment (E14) |
+//! | `exp-ycsb` | YCSB A/B/C/D/F × nine protocols over the KV service, hit shares (E20) |
+//! | `exp-scale` | the Fig-5 configuration as 52 OS processes (E21) |
 
 pub mod sweep;
 
@@ -134,8 +137,8 @@ pub fn split_sections(text: &str) -> Vec<(String, String)> {
 
 /// Read `path` (tolerating a missing file), replace-or-append each
 /// `(key, raw JSON value)` section, and rewrite the whole file. Sections
-/// owned by other binaries survive untouched, so `exp-perf --json` and
-/// `exp-ycsb --json` can update the scoreboard independently.
+/// owned by other binaries survive untouched, so `exp-ycsb --json` and
+/// `exp-scale --json` can update the scoreboard independently.
 pub fn upsert_bench_sections(path: &std::path::Path, updates: &[(&str, String)]) {
     let old = fs::read_to_string(path).unwrap_or_default();
     let mut sections = split_sections(&old);

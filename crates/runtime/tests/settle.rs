@@ -93,24 +93,32 @@ fn settle_waits_for_a_sender_in_its_retry_loop_and_errors_if_it_never_leaves() {
 }
 
 /// Once `settle` has returned nothing is in flight: the counters it
-/// reported are the counters 50 ms later, whatever the protocol and
-/// whether the links are in-process callbacks or TCP sockets.
+/// reported are the counters 50 ms later, whatever the protocol, whether
+/// the links are in-process callbacks or TCP sockets, and whether one
+/// home sequences everything or two client-driven shards split the
+/// objects with eight operations in flight per node.
 #[test]
 fn after_settle_the_counters_stay_put() {
     let sys = sys();
-    for kind in ProtocolKind::EVERY {
-        counters_stay_put(kind, InProcTransport::new(sys.n_nodes()));
-        #[cfg(target_os = "linux")] // the TCP mesh is epoll-based
-        counters_stay_put(
-            kind,
-            repmem_net::EpollTransport::loopback(sys.n_nodes()).expect("loopback mesh"),
-        );
+    for cfg in [
+        ShardConfig::default().with_window(4),
+        ShardConfig::new(2).with_window(8).exclusive(),
+    ] {
+        let nodes = cfg.total_nodes(&sys);
+        for kind in ProtocolKind::EVERY {
+            counters_stay_put(kind, cfg, InProcTransport::new(nodes));
+            #[cfg(target_os = "linux")] // the TCP mesh is epoll-based
+            counters_stay_put(
+                kind,
+                cfg,
+                repmem_net::EpollTransport::loopback(nodes).expect("loopback mesh"),
+            );
+        }
     }
 }
 
-fn counters_stay_put(kind: ProtocolKind, transport: impl Transport) {
+fn counters_stay_put(kind: ProtocolKind, cfg: ShardConfig, transport: impl Transport) {
     let sys = sys();
-    let cfg = ShardConfig::default().with_window(4);
     let cluster = Cluster::with_transport(sys, kind, cfg, transport).expect("cluster");
     // Every client writes and reads every object, pipelined: waves from
     // different initiators cross, and the last tickets resolve while
@@ -135,10 +143,10 @@ fn counters_stay_put(kind: ProtocolKind, transport: impl Transport) {
     assert_eq!(
         settled,
         (cluster.total_cost(), cluster.total_messages()),
-        "{kind:?}: a message was still in flight when settle returned"
+        "{kind:?} {cfg:?}: a message was still in flight when settle returned"
     );
     assert!(
         cluster.shutdown().expect("shutdown").is_coherent(),
-        "{kind:?}"
+        "{kind:?} {cfg:?}"
     );
 }
