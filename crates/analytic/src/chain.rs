@@ -40,33 +40,25 @@
 
 use crate::oracle::{execute, Global};
 use repmem_core::{CoherenceProtocol, NodeId, OpKind, Scenario, SystemParams, TraceSig};
-use repmem_linalg::{
-    stationary_dense, stationary_power, StationaryError, StationaryOpts, Triplets,
-};
+use repmem_linalg::{stationary_dense, stationary_power, StationaryError, Triplets};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+
+/// Chains up to this size are solved directly by Gaussian elimination;
+/// larger chains use damped power iteration.
+const DENSE_CUTOFF: usize = 256;
+/// [`build`] aborts if the reachable state space exceeds this bound.
+const MAX_STATES: usize = 2_000_000;
 
 /// Options for [`analyze`].
 #[derive(Debug, Clone, Copy)]
 pub struct AnalyzeOpts {
     /// Lump exchangeable clients (exact; keep on except for ablations).
     pub lump: bool,
-    /// Stationary-solver options (for the iterative path).
-    pub stationary: StationaryOpts,
-    /// Chains up to this size are solved directly by Gaussian
-    /// elimination; larger chains use damped power iteration.
-    pub dense_cutoff: usize,
-    /// Abort if the reachable state space exceeds this bound.
-    pub max_states: usize,
 }
 
 impl Default for AnalyzeOpts {
     fn default() -> Self {
-        AnalyzeOpts {
-            lump: true,
-            stationary: StationaryOpts::default(),
-            dense_cutoff: 256,
-            max_states: 2_000_000,
-        }
+        AnalyzeOpts { lump: true }
     }
 }
 
@@ -75,7 +67,7 @@ impl Default for AnalyzeOpts {
 pub enum AnalyzeError {
     /// An actor's node id lies outside the system.
     ActorOutOfRange(NodeId),
-    /// The reachable chain exceeded `max_states`.
+    /// The reachable chain exceeded the state bound (2 000 000).
     TooManyStates(usize),
     /// The stationary solver failed.
     Solver(StationaryError),
@@ -256,13 +248,14 @@ impl ChainModel {
     }
 
     /// Solve for the stationary distribution and assemble the result.
-    pub fn solve(&self, opts: &AnalyzeOpts) -> Result<ChainResult, AnalyzeError> {
+    pub fn solve(&self) -> Result<ChainResult, AnalyzeError> {
         let n = self.n_states();
-        let pi = if n <= opts.dense_cutoff {
-            stationary_dense(&self.matrix.to_dense()).map_err(AnalyzeError::Solver)?
+        let pi = if n <= DENSE_CUTOFF {
+            stationary_dense(&self.matrix.to_dense())
         } else {
-            stationary_power(&self.matrix, opts.stationary).map_err(AnalyzeError::Solver)?
-        };
+            stationary_power(&self.matrix)
+        }
+        .map_err(AnalyzeError::Solver)?;
         let acc = pi.iter().zip(&self.expected_cost).map(|(p, c)| p * c).sum();
         let mut trace_probs: BTreeMap<TraceSig, f64> = BTreeMap::new();
         for (si, contribs) in self.trace_contrib.iter().enumerate() {
@@ -324,8 +317,8 @@ pub fn build(
                 Some(&t) => t,
                 None => {
                     let t = reps.len();
-                    if t >= opts.max_states {
-                        return Err(AnalyzeError::TooManyStates(opts.max_states));
+                    if t >= MAX_STATES {
+                        return Err(AnalyzeError::TooManyStates(MAX_STATES));
                     }
                     index.insert(key, t);
                     reps.push(g);
@@ -387,7 +380,7 @@ pub fn analyze(
     scenario: &Scenario,
     opts: AnalyzeOpts,
 ) -> Result<ChainResult, AnalyzeError> {
-    build(protocol, sys, scenario, opts)?.solve(&opts)
+    build(protocol, sys, scenario, opts)?.solve()
 }
 
 #[cfg(test)]
@@ -454,16 +447,8 @@ mod tests {
             ] {
                 let lumped =
                     analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default()).unwrap();
-                let full = analyze(
-                    protocol(kind),
-                    &sys,
-                    &scenario,
-                    AnalyzeOpts {
-                        lump: false,
-                        ..AnalyzeOpts::default()
-                    },
-                )
-                .unwrap();
+                let full =
+                    analyze(protocol(kind), &sys, &scenario, AnalyzeOpts { lump: false }).unwrap();
                 assert!(
                     (lumped.acc - full.acc).abs() < 1e-8,
                     "{kind:?}: lumped {} vs full {}",

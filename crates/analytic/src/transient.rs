@@ -35,9 +35,8 @@ pub fn profile(
     rel_tol: f64,
     horizon: usize,
 ) -> Result<TransientProfile, AnalyzeError> {
-    let opts = AnalyzeOpts::default();
-    let model = build(protocol, sys, scenario, opts)?;
-    let acc = model.solve(&opts)?.acc;
+    let model = build(protocol, sys, scenario, AnalyzeOpts::default())?;
+    let acc = model.solve()?.acc;
     let profile = iterate(&model, horizon);
     let tol = rel_tol * acc.abs().max(1e-9);
     // Find the last index that violates the band; settled after that.

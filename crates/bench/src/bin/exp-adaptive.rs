@@ -197,5 +197,5 @@ fn main() {
         csv,
     );
     println!("written: {}", path.display());
-    timer.finish(None);
+    timer.finish();
 }

@@ -232,5 +232,5 @@ fn main() {
             &q_rows
         )
     );
-    timer.finish(None);
+    timer.finish();
 }

@@ -149,5 +149,5 @@ fn main() {
     assert!(mid(ProtocolKind::Illinois) <= mid(ProtocolKind::Synapse));
     assert_eq!(closed_rd(ProtocolKind::Dragon, &s5000, 0.0, 0.05, a), 0.0);
     println!("section 5.1 shape checks passed (Berkeley <= Illinois <= Synapse; p=0 free).");
-    timer.finish(None);
+    timer.finish();
 }

@@ -7,45 +7,31 @@
 //! form, so their surfaces come from the chain engine — which is the
 //! point of the engine: any protocol × any deviation.
 
-use repmem_analytic::chain::AnalyzeOpts;
 use repmem_analytic::closed::closed_wd;
-use repmem_analytic::SolverCache;
+use repmem_analytic::{analyze, AnalyzeOpts};
 use repmem_bench::{grid2, linspace, par_map, write_csv, SweepTimer};
 use repmem_core::{ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
 
 const STEPS: usize = 21;
 
-fn acc_wd(
-    cache: &SolverCache,
-    kind: ProtocolKind,
-    sys: &SystemParams,
-    p: f64,
-    xi: f64,
-    a: usize,
-) -> f64 {
+fn acc_wd(kind: ProtocolKind, sys: &SystemParams, p: f64, xi: f64, a: usize) -> f64 {
     if let Some(c) = closed_wd(kind, sys, p, xi, a) {
         return c;
     }
     let scenario = Scenario::write_disturbance(p, xi, a).expect("valid WD point");
-    cache
-        .analyze(protocol(kind), sys, &scenario, AnalyzeOpts::default())
+    analyze(protocol(kind), sys, &scenario, AnalyzeOpts::default())
         .expect("chain analysis")
         .acc
 }
 
-fn surface(
-    cache: &SolverCache,
-    kinds: &[ProtocolKind],
-    sys: &SystemParams,
-    a: usize,
-) -> Vec<Vec<String>> {
+fn surface(kinds: &[ProtocolKind], sys: &SystemParams, a: usize) -> Vec<Vec<String>> {
     let points = grid2(&linspace(0.0, 1.0, STEPS), &linspace(0.0, 1.0, STEPS));
     par_map(&points, |_, &(p, frac)| {
         let xi = frac * (1.0 - p) / a as f64;
         let mut row = vec![format!("{p:.4}"), format!("{xi:.6}")];
         for &k in kinds {
-            row.push(format!("{:.4}", acc_wd(cache, k, sys, p, xi, a)));
+            row.push(format!("{:.4}", acc_wd(k, sys, p, xi, a)));
         }
         row
     })
@@ -53,7 +39,6 @@ fn surface(
 
 fn main() {
     let mut timer = SweepTimer::begin("exp-fig6");
-    let cache = SolverCache::new();
     let a = 10usize;
     let s5000 = SystemParams::figure5();
     let s100 = SystemParams { s: 100, ..s5000 };
@@ -66,21 +51,21 @@ fn main() {
     ];
     let names: Vec<&str> = panel_a.iter().map(|k| k.name()).collect();
     let header: Vec<&str> = ["p", "xi"].into_iter().chain(names).collect();
-    let rows = surface(&cache, &panel_a, &s5000, a);
+    let rows = surface(&panel_a, &s5000, a);
     timer.add_points(rows.len());
     let pa = write_csv("fig6a_ownership.csv", &header, rows);
 
     let panel_b = [ProtocolKind::WriteThroughV, ProtocolKind::WriteThrough];
     let names: Vec<&str> = panel_b.iter().map(|k| k.name()).collect();
     let header: Vec<&str> = ["p", "xi"].into_iter().chain(names).collect();
-    let rows = surface(&cache, &panel_b, &s100, a);
+    let rows = surface(&panel_b, &s100, a);
     timer.add_points(rows.len());
     let pb = write_csv("fig6b_write_through_v.csv", &header, rows);
 
     let panel_c = [ProtocolKind::Dragon, ProtocolKind::Firefly];
     let names: Vec<&str> = panel_c.iter().map(|k| k.name()).collect();
     let header: Vec<&str> = ["p", "xi"].into_iter().chain(names).collect();
-    let rows = surface(&cache, &panel_c, &s5000, a);
+    let rows = surface(&panel_c, &s5000, a);
     timer.add_points(rows.len());
     let pc = write_csv("fig6c_update.csv", &header, rows);
 
@@ -89,8 +74,8 @@ fn main() {
     let points = grid2(&linspace(0.0, 1.0, STEPS), &linspace(0.0, 1.0, STEPS));
     let rows = par_map(&points, |_, &(p, frac)| {
         let xi = frac * (1.0 - p) / a as f64;
-        let d = acc_wd(&cache, ProtocolKind::Dragon, &s5000, p, xi, a);
-        let w = acc_wd(&cache, ProtocolKind::WriteThrough, &s5000, p, xi, a);
+        let d = acc_wd(ProtocolKind::Dragon, &s5000, p, xi, a);
+        let w = acc_wd(ProtocolKind::WriteThrough, &s5000, p, xi, a);
         let winner = if (d - w).abs() < 1e-12 {
             "tie"
         } else if d < w {
@@ -121,17 +106,14 @@ fn main() {
     // Shape checks: at p=0 and ξ=0 everything is free; update protocols
     // scale with the *total* write rate.
     for kind in ProtocolKind::ALL {
-        assert!(
-            acc_wd(&cache, kind, &s5000, 0.0, 0.0, a).abs() < 1e-9,
-            "{kind:?}"
-        );
+        assert!(acc_wd(kind, &s5000, 0.0, 0.0, a).abs() < 1e-9, "{kind:?}");
     }
-    let d1 = acc_wd(&cache, ProtocolKind::Dragon, &s5000, 0.1, 0.01, a);
-    let d2 = acc_wd(&cache, ProtocolKind::Dragon, &s5000, 0.2, 0.0, a);
+    let d1 = acc_wd(ProtocolKind::Dragon, &s5000, 0.1, 0.01, a);
+    let d2 = acc_wd(ProtocolKind::Dragon, &s5000, 0.2, 0.0, a);
     assert!(
         (d1 - d2).abs() < 1e-9,
         "Dragon depends only on total write prob"
     );
     println!("shape checks passed.");
-    timer.finish(Some(&cache));
+    timer.finish();
 }

@@ -4,9 +4,8 @@
 //! formula here is re-derived for our protocol definitions (DESIGN.md §4)
 //! and verified against the chain engine at every printed point.
 
-use repmem_analytic::chain::AnalyzeOpts;
 use repmem_analytic::closed::closed_rd;
-use repmem_analytic::SolverCache;
+use repmem_analytic::{analyze, AnalyzeOpts};
 use repmem_bench::{grid2, par_map, render_table, write_csv, write_text, SweepTimer};
 use repmem_core::{ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
@@ -49,9 +48,8 @@ fn main() {
     println!("{text}");
 
     // Spot-check grid, every formula vs the engine, fanned out over the
-    // sweep pool with memoized chain solves.
+    // sweep pool.
     let mut timer = SweepTimer::begin("exp-table6");
-    let cache = SolverCache::new();
     let points = [(0.1, 0.01), (0.3, 0.03), (0.5, 0.02), (0.7, 0.025)];
     let header: Vec<String> = std::iter::once("protocol".to_string())
         .chain(points.iter().map(|(p, s)| format!("p={p},σ={s}")))
@@ -60,8 +58,7 @@ fn main() {
     let solved = par_map(&cells, |_, &(kind, (p, sigma))| {
         let c = closed_rd(kind, &sys, p, sigma, a);
         let scenario = Scenario::read_disturbance(p, sigma, a).unwrap();
-        let e = cache
-            .analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
+        let e = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
             .expect("chain analysis")
             .acc;
         (kind, p, sigma, c, e)
@@ -103,5 +100,5 @@ fn main() {
     );
     println!("written: {} and {}", tpath.display(), cpath.display());
     timer.add_points(cells.len());
-    timer.finish(Some(&cache));
+    timer.finish();
 }

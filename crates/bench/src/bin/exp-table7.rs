@@ -10,24 +10,21 @@
 //! semantics; discrepancy is pure sampling noise) and `concurrent` (the
 //! paper's setup with overlapping in-flight operations).
 //!
-//! Execution is two-phase on the sweep engine: the analytic accs solve
-//! in parallel through a shared memoized cache, then each cell's
-//! simulated accs are means over `REPS` independent-seed replications
-//! fanned out by `repmem_sim::simulate_replications`.
+//! The cells fan out over the sweep pool: each cell solves its analytic
+//! acc, then runs its `REPS` independent-seed replications per issue
+//! mode serially, in seed order.
 
-use repmem_analytic::chain::AnalyzeOpts;
-use repmem_analytic::SolverCache;
+use repmem_analytic::{analyze, AnalyzeOpts};
 use repmem_bench::{par_map, render_table, write_csv, SweepTimer};
 use repmem_core::{ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
-use repmem_sim::{mean_acc, replication_seeds, simulate_replications, IssueMode, SimConfig};
+use repmem_sim::{mean_acc, replication_seeds, simulate, IssueMode, SimConfig};
 
 /// Independent-seed replications per cell and issue mode.
 const REPS: usize = 4;
 
 fn main() {
     let mut timer = SweepTimer::begin("exp-table7");
-    let cache = SolverCache::new();
     let sys = SystemParams::table7();
     let a = 2usize;
     let grid: Vec<f64> = (0..=5).map(|i| i as f64 / 5.0).collect();
@@ -54,42 +51,36 @@ fn main() {
             .filter(|&(p, sigma)| p + a as f64 * sigma <= 1.0 + 1e-9)
             .collect();
 
-        // Phase 1: analytic accs, fanned out with memoized solves.
-        let analytic = par_map(&cells, |_, &(p, sigma)| {
+        // Per cell: the analytic acc, then both issue modes as means over
+        // REPS independent-seed replications.
+        let results = par_map(&cells, |_, &(p, sigma)| {
             let scenario = Scenario::read_disturbance(p, sigma, a).expect("valid cell");
-            cache
-                .analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
+            let acc_a = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
                 .expect("chain analysis")
-                .acc
-        });
-        timer.add_points(cells.len());
-
-        // Phase 2: per cell, both issue modes as means over REPS
-        // parallel independent-seed replications.
-        let mut results = Vec::with_capacity(cells.len());
-        for (&(p, sigma), &acc_a) in cells.iter().zip(&analytic) {
-            let scenario = Scenario::read_disturbance(p, sigma, a).expect("valid cell");
+                .acc;
             let base = 0xC0FFEE ^ ((p * 100.0) as u64) << 8 ^ (sigma * 100.0) as u64;
             let run = |mode| {
-                let cfg = SimConfig {
-                    sys,
-                    protocol: kind,
-                    mode,
-                    warmup_ops: warmup,
-                    measured_ops: measured,
-                    seed: 0,
-                };
-                mean_acc(&simulate_replications(
-                    &cfg,
-                    &scenario,
-                    &replication_seeds(base, REPS),
-                ))
+                let reports: Vec<_> = replication_seeds(base, REPS)
+                    .into_iter()
+                    .map(|seed| {
+                        let cfg = SimConfig {
+                            sys,
+                            protocol: kind,
+                            mode,
+                            warmup_ops: warmup,
+                            measured_ops: measured,
+                            seed,
+                        };
+                        simulate(&cfg, &scenario)
+                    })
+                    .collect();
+                mean_acc(&reports)
             };
             let acc_ser = run(IssueMode::Serialized);
             let acc_con = run(IssueMode::Concurrent { mean_think: 64.0 });
-            results.push((p, sigma, acc_a, acc_ser, acc_con));
-        }
-        timer.add_points(2 * REPS * cells.len());
+            (acc_a, acc_ser, acc_con)
+        });
+        timer.add_points((1 + 2 * REPS) * cells.len());
 
         let header: Vec<String> = std::iter::once("p \\ σ".to_string())
             .chain(grid.iter().map(|s| format!("{s:.1}")))
@@ -105,7 +96,7 @@ fn main() {
                     row.push("—".into());
                     continue;
                 }
-                let &(_, _, acc_a, acc_ser, acc_con) =
+                let &(acc_a, acc_ser, acc_con) =
                     it.next().expect("cell list covers the valid grid");
                 let denom = acc_a.abs().max(1e-9);
                 let dser = 100.0 * (acc_a - acc_ser) / denom;
@@ -163,5 +154,5 @@ fn main() {
         );
     }
     println!("all discrepancies within the paper's ±8 % bound.");
-    timer.finish(Some(&cache));
+    timer.finish();
 }

@@ -23,7 +23,7 @@
 
 pub mod sweep;
 
-pub use sweep::{grid2, par_map, par_map_with, worker_count, SweepTimer};
+pub use sweep::{grid2, par_map, par_map_with, SweepTimer};
 
 use std::fs;
 use std::io::Write as _;

@@ -9,31 +9,20 @@
 //! not) — and returns results **in input order**, so CSV output is
 //! byte-identical to a serial run.
 //!
-//! Worker count comes from the `REPMEM_THREADS` environment variable when
-//! set (and positive), otherwise [`std::thread::available_parallelism`].
-//! `REPMEM_THREADS=1` recovers the serial execution exactly (same code
-//! path as an empty pool, no thread spawns).
-//!
-//! Chain solves inside a sweep should go through a shared
-//! [`repmem_analytic::SolverCache`]; [`SweepTimer::finish`] folds its
-//! hit rate into the one-line summary each binary prints:
+//! The pool has one worker per [`std::thread::available_parallelism`];
+//! on one CPU (e.g. under `taskset -c 0`) that is the serial path, no
+//! thread spawns. Each binary ends with a one-line summary:
 //!
 //! ```text
-//! sweep[exp-fig6]: 1764 points in 2.41 s (732 points/s, 8 threads, cache 62.5% hits)
+//! sweep[exp-fig6]: 1764 points in 1.35 s (1308 points/s, 2 threads)
 //! ```
 
-use repmem_analytic::SolverCache;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Sweep worker count (`REPMEM_THREADS` override, else available
-/// parallelism, else 1).
-pub fn worker_count() -> usize {
-    std::env::var("REPMEM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+/// Sweep worker count: available parallelism, else 1.
+fn worker_count() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Map `f` over `items` on the sweep thread pool, returning results in
@@ -51,8 +40,7 @@ where
 }
 
 /// [`par_map`] with an explicit worker count (the engine core; also the
-/// hook the determinism tests use to pin pool sizes without touching the
-/// process environment).
+/// hook the determinism tests use to pin pool sizes).
 pub fn par_map_with<T, R, F>(items: &[T], f: F, workers: usize) -> Vec<R>
 where
     T: Sync,
@@ -121,34 +109,21 @@ impl SweepTimer {
         self.points += n;
     }
 
-    /// Print the one-line timing summary. Pass the sweep's
-    /// [`SolverCache`] to include its hit rate; `None` prints `n/a`
-    /// (closed-form-only sweeps).
-    pub fn finish(self, cache: Option<&SolverCache>) {
+    /// Print the one-line timing summary.
+    pub fn finish(self) {
         let secs = self.start.elapsed().as_secs_f64();
         let rate = if secs > 0.0 {
             self.points as f64 / secs
         } else {
             f64::INFINITY
         };
-        let cache_str = match cache {
-            Some(c) if c.hits() + c.misses() > 0 => {
-                format!(
-                    "cache {:.1}% hits ({} solves)",
-                    100.0 * c.hit_rate(),
-                    c.misses()
-                )
-            }
-            _ => "cache n/a".to_string(),
-        };
         println!(
-            "sweep[{}]: {} points in {:.2} s ({:.0} points/s, {} threads, {})",
+            "sweep[{}]: {} points in {:.2} s ({:.0} points/s, {} threads)",
             self.label,
             self.points,
             secs,
             rate,
-            worker_count(),
-            cache_str
+            worker_count()
         );
     }
 }

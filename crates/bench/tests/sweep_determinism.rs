@@ -1,15 +1,10 @@
-//! The sweep engine's two load-bearing guarantees:
-//!
-//! 1. **Determinism** — a parallel sweep emits rows byte-identical to the
-//!    serial sweep, for any worker count, so `results/` CSVs never depend
-//!    on `REPMEM_THREADS` or scheduling.
-//! 2. **Cache transparency** — routing chain solves through a shared
-//!    [`SolverCache`] changes nothing about the numbers (to 1e-12),
-//!    whether the lookups run serially or race in parallel.
+//! The sweep engine's load-bearing guarantee, **determinism**: a
+//! parallel sweep emits rows byte-identical to the serial sweep, for any
+//! worker count, so `results/` CSVs never depend on how many CPUs the
+//! host has or how the workers were scheduled.
 
-use repmem_analytic::chain::{analyze, AnalyzeOpts};
 use repmem_analytic::closed::closed_rd;
-use repmem_analytic::SolverCache;
+use repmem_analytic::{analyze, AnalyzeOpts};
 use repmem_bench::{grid2, linspace, par_map_with};
 use repmem_core::{ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
@@ -48,52 +43,26 @@ fn parallel_rows_are_byte_identical_to_serial() {
 }
 
 #[test]
-fn engine_sweep_through_cache_matches_uncached_serial() {
-    // A chain-engine sweep (the expensive case the cache exists for):
-    // parallel + memoized must equal serial + fresh to 1e-12.
+fn engine_sweep_is_bit_identical_to_serial() {
+    // The chain engine, the expensive case the pool exists for: every
+    // worker count must reproduce the serial accs to the last bit.
     let sys = SystemParams::new(4, 100, 30);
     let a = 2usize;
-    let kinds = [ProtocolKind::WriteOnce, ProtocolKind::Berkeley];
-    let points: Vec<(f64, f64)> = grid2(&[0.1, 0.3, 0.5], &[0.02, 0.05])
-        .into_iter()
-        // Duplicate the grid so the cache actually gets hits under
-        // contention.
-        .cycle()
-        .take(12)
-        .collect();
-    let cache = SolverCache::new();
-    for &kind in &kinds {
-        let fresh: Vec<f64> = points
-            .iter()
-            .map(|&(p, sigma)| {
-                let sc = Scenario::read_disturbance(p, sigma, a).unwrap();
-                analyze(protocol(kind), &sys, &sc, AnalyzeOpts::default())
-                    .unwrap()
-                    .acc
-            })
-            .collect();
-        let cached = par_map_with(
-            &points,
-            |_, &(p, sigma)| {
-                let sc = Scenario::read_disturbance(p, sigma, a).unwrap();
-                cache
-                    .analyze(protocol(kind), &sys, &sc, AnalyzeOpts::default())
-                    .unwrap()
-                    .acc
-            },
-            4,
-        );
-        for (c, f) in cached.iter().zip(&fresh) {
-            assert!((c - f).abs() < 1e-12, "{kind:?}: cached {c} vs fresh {f}");
+    let points = grid2(&[0.1, 0.3, 0.5], &[0.02, 0.05]);
+    for kind in [ProtocolKind::WriteOnce, ProtocolKind::Berkeley] {
+        let acc = |_: usize, &(p, sigma): &(f64, f64)| {
+            let sc = Scenario::read_disturbance(p, sigma, a).unwrap();
+            analyze(protocol(kind), &sys, &sc, AnalyzeOpts::default())
+                .unwrap()
+                .acc
+                .to_bits()
+        };
+        let serial: Vec<u64> = points.iter().enumerate().map(|(i, t)| acc(i, t)).collect();
+        for workers in [1, 2, 4] {
+            let parallel = par_map_with(&points, acc, workers);
+            assert_eq!(parallel, serial, "{kind:?} with {workers} workers");
         }
     }
-    // 2 kinds × 6 distinct cells = 12 solves; the duplicated half of
-    // each sweep must have come from the cache.
-    assert_eq!(cache.misses(), 12);
-    assert!(
-        cache.hits() >= 12,
-        "expected hits on duplicated grid points"
-    );
 }
 
 #[test]

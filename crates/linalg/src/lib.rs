@@ -17,7 +17,7 @@ pub mod stationary;
 
 pub use csr::{Csr, Triplets};
 pub use dense::Dense;
-pub use stationary::{stationary_dense, stationary_power, StationaryError, StationaryOpts};
+pub use stationary::{stationary_dense, stationary_power, StationaryError};
 
 /// Numerical error type shared by the solvers.
 #[derive(Debug, Clone, PartialEq)]

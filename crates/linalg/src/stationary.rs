@@ -15,23 +15,10 @@
 
 use crate::{Csr, Dense, LinalgError};
 
-/// Options for the power-iteration solver.
-#[derive(Debug, Clone, Copy)]
-pub struct StationaryOpts {
-    /// L1 convergence tolerance between successive iterates.
-    pub tol: f64,
-    /// Iteration cap.
-    pub max_iter: usize,
-}
-
-impl Default for StationaryOpts {
-    fn default() -> Self {
-        StationaryOpts {
-            tol: 1e-14,
-            max_iter: 200_000,
-        }
-    }
-}
+/// L1 convergence tolerance between successive power iterates.
+const TOL: f64 = 1e-14;
+/// Power-iteration cap.
+const MAX_ITER: usize = 200_000;
 
 /// Errors from the stationary solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,8 +69,9 @@ fn check_stochastic_rows(sums: &[f64]) -> Result<(), StationaryError> {
 }
 
 /// Stationary distribution of a sparse row-stochastic chain by damped
-/// power iteration, starting from the uniform distribution.
-pub fn stationary_power(p: &Csr, opts: StationaryOpts) -> Result<Vec<f64>, StationaryError> {
+/// power iteration, starting from the uniform distribution; converged
+/// when successive iterates differ by less than `1e-14` in L1.
+pub fn stationary_power(p: &Csr) -> Result<Vec<f64>, StationaryError> {
     let n = p.n_rows();
     if p.n_cols() != n {
         return Err(StationaryError::NotSquare);
@@ -92,7 +80,7 @@ pub fn stationary_power(p: &Csr, opts: StationaryOpts) -> Result<Vec<f64>, Stati
     let mut x = vec![1.0 / n as f64; n];
     let mut y = vec![0.0; n];
     let mut residual = f64::INFINITY;
-    for _ in 0..opts.max_iter {
+    for _ in 0..MAX_ITER {
         p.left_mul_into(&x, &mut y);
         // Lazy-chain step: x' = (x + x·P)/2, renormalized to guard
         // against floating-point drift.
@@ -108,7 +96,7 @@ pub fn stationary_power(p: &Csr, opts: StationaryOpts) -> Result<Vec<f64>, Stati
             residual += (*yi - *xi).abs();
             *xi = *yi;
         }
-        if residual < opts.tol {
+        if residual < TOL {
             return Ok(x);
         }
     }
@@ -164,7 +152,7 @@ mod tests {
     fn two_state_closed_form() {
         let (alpha, beta) = (0.3, 0.7);
         let p = two_state(alpha, beta);
-        let pi = stationary_power(&p, StationaryOpts::default()).unwrap();
+        let pi = stationary_power(&p).unwrap();
         // π = (β, α)/(α+β).
         assert!((pi[0] - beta / (alpha + beta)).abs() < 1e-10);
         assert!((pi[1] - alpha / (alpha + beta)).abs() < 1e-10);
@@ -176,7 +164,7 @@ mod tests {
         // Pure alternation 0 <-> 1: period 2; undamped iteration from a
         // non-uniform start would oscillate.
         let p = two_state(1.0, 1.0);
-        let pi = stationary_power(&p, StationaryOpts::default()).unwrap();
+        let pi = stationary_power(&p).unwrap();
         assert!((pi[0] - 0.5).abs() < 1e-10);
     }
 
@@ -184,7 +172,7 @@ mod tests {
     fn dense_matches_power() {
         let p = two_state(0.2, 0.05);
         let pd = stationary_dense(&p.to_dense()).unwrap();
-        let pp = stationary_power(&p, StationaryOpts::default()).unwrap();
+        let pp = stationary_power(&p).unwrap();
         for (a, b) in pd.iter().zip(&pp) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -197,7 +185,7 @@ mod tests {
         t.add(0, 1, 1.0);
         t.add(1, 1, 1.0);
         let p = t.build();
-        let pi = stationary_power(&p, StationaryOpts::default()).unwrap();
+        let pi = stationary_power(&p).unwrap();
         assert!(pi[0] < 1e-9);
         assert!((pi[1] - 1.0).abs() < 1e-9);
     }
@@ -209,7 +197,7 @@ mod tests {
         t.add(1, 1, 1.0);
         let p = t.build();
         assert!(matches!(
-            stationary_power(&p, StationaryOpts::default()),
+            stationary_power(&p),
             Err(StationaryError::NotStochastic { row: 0, .. })
         ));
     }
@@ -221,7 +209,7 @@ mod tests {
         for i in 0..3 {
             t.add(i, i, 1.0);
         }
-        let pi = stationary_power(&t.build(), StationaryOpts::default()).unwrap();
+        let pi = stationary_power(&t.build()).unwrap();
         for v in pi {
             assert!((v - 1.0 / 3.0).abs() < 1e-12);
         }
@@ -253,7 +241,7 @@ mod randomized_tests {
         for seed in 0u64..256 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(0x57A7 ^ seed);
             let p = random_stochastic(4, &mut rng);
-            let pp = stationary_power(&p, StationaryOpts::default()).unwrap();
+            let pp = stationary_power(&p).unwrap();
             let pd = stationary_dense(&p.to_dense()).unwrap();
             let sum: f64 = pp.iter().sum();
             assert!((sum - 1.0).abs() < 1e-10, "seed {seed}: Σπ = {sum}");

@@ -36,5 +36,5 @@ pub mod replicate;
 pub mod report;
 
 pub use kernel::{replay, simulate, IssueMode, SimConfig};
-pub use replicate::{mean_acc, replication_seeds, simulate_replications};
+pub use replicate::{mean_acc, replication_seeds};
 pub use report::{CoherenceCheck, SimReport};

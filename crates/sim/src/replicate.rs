@@ -1,31 +1,14 @@
-//! Parallel independent-seed replications.
+//! Independent-seed replications.
 //!
 //! A single simulation run is one sample path; the paper's Table 7
 //! methodology (and any confidence statement about measured `acc`)
 //! wants several **independent replications** of the same configuration
-//! under different seeds. Replications share no mutable state — each
-//! run owns its kernel — so they fan out over a scoped thread pool.
-//!
-//! Worker count follows the workspace convention: the `REPMEM_THREADS`
-//! environment variable when set (and positive), otherwise
-//! [`std::thread::available_parallelism`]. Results are returned in seed
-//! order regardless of which worker finished first, so downstream
-//! aggregation is deterministic.
+//! under different seeds. [`replication_seeds`] derives them and
+//! [`mean_acc`] averages the resulting reports; callers that want the
+//! replications in parallel fan them out themselves (the experiment
+//! binaries use `repmem_bench::par_map`).
 
-use crate::kernel::{simulate, SimConfig};
 use crate::report::SimReport;
-use repmem_core::Scenario;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Worker count for replication fan-out (`REPMEM_THREADS` override,
-/// else available parallelism, else 1).
-pub fn worker_count() -> usize {
-    std::env::var("REPMEM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
 
 /// Derive `n` well-separated replication seeds from a base seed
 /// (SplitMix64 stream, so neighbouring bases do not collide).
@@ -42,52 +25,6 @@ pub fn replication_seeds(base: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Run one replication per seed, in parallel, returning reports in seed
-/// order. `cfg.seed` is ignored; each replication gets its own seed.
-pub fn simulate_replications(
-    cfg: &SimConfig,
-    scenario: &Scenario,
-    seeds: &[u64],
-) -> Vec<SimReport> {
-    let run = |&seed: &u64| {
-        simulate(
-            &SimConfig {
-                seed,
-                ..cfg.clone()
-            },
-            scenario,
-        )
-    };
-    let workers = worker_count().min(seeds.len().max(1));
-    if workers <= 1 {
-        return seeds.iter().map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, SimReport)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= seeds.len() {
-                            break;
-                        }
-                        out.push((i, run(&seeds[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("replication worker panicked"))
-            .collect()
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Mean measured `acc` over a set of replications.
 pub fn mean_acc(reports: &[SimReport]) -> f64 {
     if reports.is_empty() {
@@ -99,8 +36,8 @@ pub fn mean_acc(reports: &[SimReport]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::IssueMode;
-    use repmem_core::{ProtocolKind, SystemParams};
+    use crate::kernel::{simulate, IssueMode, SimConfig};
+    use repmem_core::{ProtocolKind, Scenario, SystemParams};
 
     fn cfg() -> SimConfig {
         SimConfig {
@@ -111,20 +48,6 @@ mod tests {
             measured_ops: 400,
             seed: 0,
         }
-    }
-
-    #[test]
-    fn replication_order_is_seed_order() {
-        let scenario = Scenario::read_disturbance(0.3, 0.05, 2).unwrap();
-        let seeds = replication_seeds(7, 6);
-        let par = simulate_replications(&cfg(), &scenario, &seeds);
-        // Serial reference: one simulate per seed, in order.
-        let serial: Vec<f64> = seeds
-            .iter()
-            .map(|&s| simulate(&SimConfig { seed: s, ..cfg() }, &scenario).acc())
-            .collect();
-        let got: Vec<f64> = par.iter().map(SimReport::acc).collect();
-        assert_eq!(got, serial);
     }
 
     #[test]
@@ -141,7 +64,10 @@ mod tests {
     #[test]
     fn mean_acc_averages() {
         let scenario = Scenario::ideal(0.4).unwrap();
-        let reports = simulate_replications(&cfg(), &scenario, &replication_seeds(3, 4));
+        let reports: Vec<SimReport> = replication_seeds(3, 4)
+            .into_iter()
+            .map(|seed| simulate(&SimConfig { seed, ..cfg() }, &scenario))
+            .collect();
         let mean = mean_acc(&reports);
         let lo = reports
             .iter()
