@@ -3,15 +3,12 @@
 //! no-external-deps stance. Linux-only (gated at the module level).
 //!
 //! Everything here is a thin RAII wrapper: [`Epoll`] owns the epoll
-//! instance, [`WakeFd`] an `eventfd` used to kick the event loop out of
-//! `epoll_wait` from other threads, and [`connect_nonblocking`] starts a
-//! TCP dial that completes via `EPOLLOUT` + [`take_socket_error`]
-//! (so reconnect backoff can live *inside* the loop instead of on
-//! per-peer threads). File descriptors travel as [`std::os::fd`] types;
-//! nothing outside this module touches a raw syscall.
+//! instance and [`WakeFd`] an `eventfd` used to kick the event loop out
+//! of `epoll_wait` from other threads. Sockets themselves are std's
+//! `TcpStream`/`TcpListener`; file descriptors travel as [`std::os::fd`]
+//! types, and nothing outside this module touches a raw syscall.
 
 use std::io;
-use std::net::SocketAddr;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::time::Duration;
 
@@ -48,15 +45,6 @@ const EPOLL_CTL_MOD: c_int = 3;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 
-const AF_INET: c_int = 2;
-const AF_INET6: c_int = 10;
-const SOCK_STREAM: c_int = 1;
-const SOCK_NONBLOCK: c_int = 0o4000;
-const SOCK_CLOEXEC: c_int = 0o2000000;
-const SOL_SOCKET: c_int = 1;
-const SO_ERROR: c_int = 4;
-const EINPROGRESS: i32 = 115;
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -64,9 +52,6 @@ extern "C" {
     fn eventfd(initval: u32, flags: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
     fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
-    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-    fn connect(fd: c_int, addr: *const u8, len: u32) -> c_int;
-    fn getsockopt(fd: c_int, level: c_int, name: c_int, val: *mut u8, len: *mut u32) -> c_int;
     fn sched_setscheduler(pid: c_int, policy: c_int, param: *const SchedParam) -> c_int;
 }
 
@@ -145,7 +130,7 @@ impl Epoll {
     pub fn wait(&self, events: &mut [EpollEvent], timeout: Option<Duration>) -> io::Result<usize> {
         let ms: c_int = match timeout {
             None => -1,
-            // Round *up* so a 0.5ms backoff deadline doesn't spin.
+            // Round *up* so a sub-millisecond deadline doesn't spin.
             Some(t) => t
                 .as_millis()
                 .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
@@ -215,71 +200,9 @@ impl AsRawFd for WakeFd {
     }
 }
 
-/// Encode a `SocketAddr` as a raw `sockaddr_in{,6}`; returns the buffer
-/// and the populated length.
-fn sockaddr_bytes(addr: &SocketAddr) -> ([u8; 28], u32) {
-    let mut buf = [0u8; 28];
-    match addr {
-        SocketAddr::V4(a) => {
-            buf[0..2].copy_from_slice(&(AF_INET as u16).to_ne_bytes());
-            buf[2..4].copy_from_slice(&a.port().to_be_bytes());
-            buf[4..8].copy_from_slice(&a.ip().octets());
-            (buf, 16)
-        }
-        SocketAddr::V6(a) => {
-            buf[0..2].copy_from_slice(&(AF_INET6 as u16).to_ne_bytes());
-            buf[2..4].copy_from_slice(&a.port().to_be_bytes());
-            buf[4..8].copy_from_slice(&a.flowinfo().to_ne_bytes());
-            buf[8..24].copy_from_slice(&a.ip().octets());
-            buf[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
-            (buf, 28)
-        }
-    }
-}
-
-/// Start a nonblocking TCP connect to `addr`. The returned socket is
-/// either already connected or still in progress; in both cases the
-/// caller registers it for `EPOLLOUT` and calls [`take_socket_error`]
-/// when writability fires to learn the outcome.
-pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<OwnedFd> {
-    let domain = match addr {
-        SocketAddr::V4(_) => AF_INET,
-        SocketAddr::V6(_) => AF_INET6,
-    };
-    let fd = cvt(unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
-    // SAFETY: socket returned a fresh fd we now own.
-    let owned = unsafe { OwnedFd::from_raw_fd(fd) };
-    let (sa, len) = sockaddr_bytes(addr);
-    let ret = unsafe { connect(owned.as_raw_fd(), sa.as_ptr(), len) };
-    if ret == 0 {
-        return Ok(owned); // connected on the spot (loopback fast path)
-    }
-    let err = io::Error::last_os_error();
-    if err.raw_os_error() == Some(EINPROGRESS) {
-        return Ok(owned);
-    }
-    Err(err)
-}
-
-/// Read-and-clear `SO_ERROR`: the deferred result of a nonblocking
-/// connect once `EPOLLOUT` reported the socket writable.
-pub fn take_socket_error(fd: RawFd) -> io::Result<()> {
-    let mut err = [0u8; 4];
-    let mut len = err.len() as u32;
-    cvt(unsafe { getsockopt(fd, SOL_SOCKET, SO_ERROR, err.as_mut_ptr(), &mut len) })?;
-    let code = i32::from_ne_bytes(err);
-    if code == 0 {
-        Ok(())
-    } else {
-        Err(io::Error::from_raw_os_error(code))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
-    use std::net::{TcpListener, TcpStream};
 
     #[test]
     fn eventfd_wakes_epoll_wait() {
@@ -297,44 +220,5 @@ mod tests {
         wake.drain();
         let n = ep.wait(&mut evs, Some(Duration::from_millis(5))).unwrap();
         assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn nonblocking_connect_completes_via_epollout() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let fd = connect_nonblocking(&addr).unwrap();
-        let ep = Epoll::new().unwrap();
-        ep.add(fd.as_raw_fd(), 1, EPOLLOUT).unwrap();
-        let mut evs = [EpollEvent::default(); 4];
-        let n = ep.wait(&mut evs, Some(Duration::from_secs(2))).unwrap();
-        assert_eq!(n, 1);
-        take_socket_error(fd.as_raw_fd()).unwrap();
-        let (mut peer, _) = listener.accept().unwrap();
-        let stream = TcpStream::from(fd);
-        peer.write_all(b"ping").unwrap();
-        stream.set_nonblocking(false).unwrap();
-        let mut got = [0u8; 4];
-        use std::io::Read as _;
-        (&stream).read_exact(&mut got).unwrap();
-        assert_eq!(&got, b"ping");
-    }
-
-    #[test]
-    fn nonblocking_connect_to_closed_port_reports_the_error() {
-        // Bind-then-drop: the port is (almost certainly) closed.
-        let addr = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let Ok(fd) = connect_nonblocking(&addr) else {
-            return; // synchronous refusal is also a pass
-        };
-        let ep = Epoll::new().unwrap();
-        ep.add(fd.as_raw_fd(), 1, EPOLLOUT).unwrap();
-        let mut evs = [EpollEvent::default(); 4];
-        let n = ep.wait(&mut evs, Some(Duration::from_secs(2))).unwrap();
-        assert_eq!(n, 1);
-        assert!(take_socket_error(fd.as_raw_fd()).is_err());
     }
 }

@@ -21,7 +21,8 @@
 //!   *is* the link FIFO order, all of an endpoint's links on one epoll
 //!   event loop with one write per link per flush, and a retrying
 //!   dial/hello handshake so a full cluster can run as separate OS
-//!   processes. Linux-only, like the [`epoll`] bindings under it.
+//!   processes. Links are fail-stop: a dead stream is never redialled.
+//!   Linux-only, like the [`epoll`] bindings under it.
 //! * [`MeteredTransport`] — per-link message/byte counters bucketed by
 //!   the paper's cost classes (`1`, `P+1`, `S+1`), so measured wire
 //!   traffic can be reconciled against the analytic cost model.
@@ -52,9 +53,7 @@ pub use codec::{CodecError, Frame, FrameBuf, MAX_FRAME_LEN, WIRE_VERSION};
 pub use fault::{FaultAction, FaultEvent, FaultHandle, FaultSchedule, FaultTransport};
 pub use inproc::InProcTransport;
 #[cfg(target_os = "linux")]
-pub use mesh::{
-    CtrlConn, CtrlHandler, EpollEndpoint, EpollTransport, MeshConfig, ReconnectPolicy, CTRL_NODE,
-};
+pub use mesh::{CtrlConn, CtrlHandler, EpollEndpoint, EpollTransport, MeshConfig, CTRL_NODE};
 pub use metered::{ClassCounters, LinkSnapshot, MeterHandle, MeterStats, MeteredTransport};
 pub use sched::{SchedHandle, SchedTransport};
 
@@ -115,17 +114,21 @@ pub struct Envelope {
 
 /// Transport-layer failures.
 ///
-/// `Closed` is *transient*: the link is down right now but may come back
-/// (a reconnecting TCP mesh, a severed-then-restored fault schedule), so
-/// callers with a recovery budget should retry. `Down` is *permanent*:
-/// the endpoint behind the link is gone for good (reconnect budget
-/// exhausted, or a scripted kill) and retrying is pointless.
+/// `Closed` is *transient* as far as the caller can tell: the link is
+/// down right now and may come back (a severed-then-restored fault
+/// schedule), so callers with a recovery budget should retry. A dead TCP
+/// mesh link also reports `Closed` and never comes back; the runtime's
+/// retry deadline is what turns it into a dead peer. `Down` is
+/// *permanent*: a scripted kill took the endpoint behind the link, and
+/// retrying is pointless.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// The link to `NodeId` (or the whole endpoint) has been closed.
     /// Transient: recovery may restore it.
     Closed(NodeId),
-    /// The node behind the link is permanently unreachable.
+    /// The node behind the link is permanently unreachable. Among the
+    /// transports only the fault layers return it, for a scripted kill
+    /// ([`FaultTransport`], [`SchedTransport`]); the TCP mesh never does.
     Down(NodeId),
     /// Socket-level failure.
     Io(String),

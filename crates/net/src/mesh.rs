@@ -23,8 +23,9 @@
 //! How the I/O is structured:
 //!
 //! * **One event loop per endpoint.** A nonblocking listener, every
-//!   peer stream, in-flight reconnect dials and an `eventfd` wakeup all
-//!   register with one [`Epoll`] instance; readiness drives everything.
+//!   peer stream, not-yet-identified inbound connections and an
+//!   `eventfd` wakeup all register with one [`Epoll`] instance;
+//!   readiness drives everything.
 //! * **One flush discipline.** [`Endpoint::send`] only appends the
 //!   encoded frame to the link's outbound buffer; [`Endpoint::flush`]
 //!   pushes each link's whole burst with one `write` syscall, so a
@@ -40,30 +41,25 @@
 //!   handed to a dedicated blocking thread, with any bytes that arrived
 //!   behind the hello chained in front of the live socket.
 //!
-//! ## Link failure and recovery
+//! ## Link failure: fail-stop
 //!
-//! When a peer stream dies (read error or failed write) the link is
-//! marked dead and sends fail fast with the *transient*
-//! [`NetError::Closed`]. With a [`ReconnectPolicy`] configured, the
-//! dialing side of the pair then redials on loop timers with
-//! nonblocking `connect` (exponential backoff and jitter, no threads
-//! spawned); a re-established stream is a fresh FIFO link — nothing
-//! sent into the dead link is replayed, retransmission is the runtime's
-//! job. Once the attempt budget is exhausted the link turns *fatal* and
-//! sends fail with the permanent [`NetError::Down`]. Without a policy a
-//! dead link stays dead and keeps failing with `Closed`, which the
-//! runtime treats as a routine shutdown-time condition.
+//! A link is installed once: a second `Hello` naming a peer whose link
+//! is up, or was up and died, is refused and its connection closed.
+//! When a stream dies (read error, failed write, a malformed frame) the
+//! link is dead for good and every later send fails with
+//! [`NetError::Closed`]. Frames the link had accepted but not yet
+//! written are lost with the stream, so resuming on a new stream would
+//! hand the peer a FIFO channel with a hole in it; the runtime's
+//! recovery (retry deadline, dead set, `NodeDown`) is the one answer to
+//! a dead link.
 
-use crate::codec::{encode_envelope_frame_into, encode_frame_into, write_frame, Frame, FrameBuf};
-use crate::epoll::{
-    connect_nonblocking, take_socket_error, Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN,
-    EPOLLOUT, EPOLLRDHUP,
-};
+use crate::codec::{encode_envelope_frame_into, write_frame, Frame, FrameBuf};
+use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::{DeliverFn, Endpoint, Envelope, NetError, Transport, WIRE_VERSION};
 use repmem_core::NodeId;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, OwnedFd};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -88,34 +84,6 @@ pub struct CtrlConn {
 /// block endpoint close) for each accepted control connection.
 pub type CtrlHandler = Box<dyn Fn(CtrlConn) + Send + Sync>;
 
-/// Bounded link-recovery policy: how the dialing side of a dead pair
-/// tries to bring the stream back.
-///
-/// Attempt `k` waits `min(base * 2^k, cap)` plus a deterministic jitter
-/// of up to half that (seeded from the node pair, so two nodes redialing
-/// the same peer don't thunder in lockstep), then dials with a connect
-/// timeout of `cap` so one stalled SYN cannot eat the whole budget.
-/// After `max_attempts` failures the link is declared permanently down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// Redial attempts before the link turns fatal ([`NetError::Down`]).
-    pub max_attempts: u32,
-    /// First backoff step (doubles each attempt).
-    pub base: Duration,
-    /// Backoff ceiling, and the per-attempt connect timeout.
-    pub cap: Duration,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            max_attempts: 8,
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(250),
-        }
-    }
-}
-
 /// Everything one node needs to join the mesh.
 pub struct MeshConfig {
     /// This node's id.
@@ -125,13 +93,12 @@ pub struct MeshConfig {
     /// Listen address of every node, indexed by node id (`peers[me]` is
     /// this node's own address).
     pub peers: Vec<SocketAddr>,
-    /// Total budget for dialing each peer (retries until then) and for
-    /// waiting on a not-yet-accepted inbound link at flush.
-    pub link_timeout: Duration,
-    /// Redial dead links with this policy; `None` keeps the historical
-    /// dead-forever behaviour (sends fail fast with `Closed`).
-    pub reconnect: Option<ReconnectPolicy>,
 }
+
+/// Total budget for dialing each peer (retries until then), for waiting
+/// on a not-yet-accepted inbound link at flush, and for `close` to wait
+/// on the runner.
+const LINK_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// SplitMix64 step: the deterministic jitter source (no RNG state to
 /// carry, no extra dependency).
@@ -142,10 +109,19 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Backoff for attempt `k`: `min(base * 2^k, cap)` plus jitter in
-/// `[0, step/2]` drawn deterministically from `seed ^ k`.
-fn backoff_delay(base: Duration, cap: Duration, attempt: u32, seed: u64) -> Duration {
-    let step = base.saturating_mul(1u32 << attempt.min(16)).min(cap);
+/// Per-attempt connect ceiling inside [`dial_with_retry`]: one stalled
+/// SYN costs at most this much of the budget before the next attempt.
+const DIAL_ATTEMPT_CAP: Duration = Duration::from_secs(1);
+const DIAL_BACKOFF_BASE: Duration = Duration::from_millis(5);
+const DIAL_BACKOFF_CAP: Duration = Duration::from_millis(200);
+
+/// Backoff before dial attempt `k + 1`: `min(DIAL_BACKOFF_BASE * 2^k,
+/// DIAL_BACKOFF_CAP)` plus jitter in `[0, step/2]` drawn
+/// deterministically from `seed ^ k`.
+fn backoff_delay(attempt: u32, seed: u64) -> Duration {
+    let step = DIAL_BACKOFF_BASE
+        .saturating_mul(1u32 << attempt.min(16))
+        .min(DIAL_BACKOFF_CAP);
     let half = (step.as_nanos() as u64) / 2;
     let jitter = if half == 0 {
         0
@@ -154,12 +130,6 @@ fn backoff_delay(base: Duration, cap: Duration, attempt: u32, seed: u64) -> Dura
     };
     step + Duration::from_nanos(jitter)
 }
-
-/// Per-attempt connect ceiling inside [`dial_with_retry`]: one stalled
-/// SYN costs at most this much of the budget before the next attempt.
-const DIAL_ATTEMPT_CAP: Duration = Duration::from_secs(1);
-const DIAL_BACKOFF_BASE: Duration = Duration::from_millis(5);
-const DIAL_BACKOFF_CAP: Duration = Duration::from_millis(200);
 
 /// Blocking dial that retries refused or stalled connects (bounded
 /// per-attempt timeout, growing jittered backoff in between) until
@@ -182,7 +152,7 @@ pub fn dial_with_retry(addr: SocketAddr, budget: Duration) -> Result<TcpStream, 
                 if left.is_zero() {
                     return Err(NetError::Io(format!("dialing {addr}: {e}")));
                 }
-                let wait = backoff_delay(DIAL_BACKOFF_BASE, DIAL_BACKOFF_CAP, attempt, seed);
+                let wait = backoff_delay(attempt, seed);
                 std::thread::sleep(wait.min(left));
                 attempt += 1;
             }
@@ -205,28 +175,21 @@ struct LinkOut {
     /// The socket buffer filled mid-flush: the loop owns the drain via
     /// `EPOLLOUT` and senders must not write until it empties.
     blocked: bool,
-    /// Install generation, bumped under this lock at every (re)install.
-    /// A failure observed under generation `g` may only tear the link
-    /// down while the generation is still `g`.
-    gen: u64,
 }
 
 struct Link {
     out: Mutex<LinkOut>,
     ready: Condvar,
-    /// Stream down right now (transient with a reconnect policy).
+    /// The stream died; the link never comes back.
     dead: AtomicBool,
-    /// Reconnect budget exhausted: permanently unreachable.
-    fatal: AtomicBool,
 }
 
 /// Loop commands pushed by sender threads (paired with a wakeup).
 enum LoopCmd {
     /// A flush hit `WouldBlock`: arm `EPOLLOUT` and drain in the loop.
     ArmWrite(NodeId),
-    /// A sender-side write failed under this generation: clean up the
-    /// loop's half of the link and kick off reconnect.
-    LinkFailed(NodeId, u64),
+    /// A sender-side write failed: clean up the loop's half of the link.
+    LinkFailed(NodeId),
 }
 
 struct MeshShared {
@@ -234,9 +197,6 @@ struct MeshShared {
     deliver: DeliverFn,
     ctrl: Option<CtrlHandler>,
     links: Vec<Link>,
-    peers: Vec<SocketAddr>,
-    reconnect: Option<ReconnectPolicy>,
-    link_timeout: Duration,
     closed: AtomicBool,
     wake: WakeFd,
     cmds: Mutex<Vec<LoopCmd>>,
@@ -262,12 +222,10 @@ impl MeshShared {
     }
 
     /// Sender-side link teardown: a write on the caller's dup failed.
-    /// Marks the link dead under the out lock (the generation cannot
-    /// move underneath us — installs take the same lock), shuts the
-    /// socket down so the loop's read half errors out too, and tells
-    /// the loop to clean up its half and start recovery.
+    /// Marks the link dead under the out lock, shuts the socket down so
+    /// the loop's read half errors out too, and tells the loop to clean
+    /// up its half.
     fn sender_link_down(&self, to: NodeId, link: &Link, out: &mut LinkOut) {
-        let gen = out.gen;
         if let Some(s) = out.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
@@ -276,7 +234,7 @@ impl MeshShared {
         out.sent = 0;
         out.blocked = false;
         link.ready.notify_all();
-        self.push_cmd(LoopCmd::LinkFailed(to, gen));
+        self.push_cmd(LoopCmd::LinkFailed(to));
     }
 }
 
@@ -289,7 +247,6 @@ const INNER_BITS: u32 = 40;
 const INNER_MASK: u64 = (1 << INNER_BITS) - 1;
 const TOK_WAKE: u64 = INNER_MASK;
 const TOK_LISTENER: u64 = INNER_MASK - 1;
-const TOK_CONNECT_BASE: u64 = 1 << 32;
 const TOK_PENDING_BASE: u64 = 1 << 33;
 /// The shared runner's own wake fd: the one slot no loop can get.
 const RUNNER_SLOT: u64 = u64::MAX >> INNER_BITS;
@@ -306,7 +263,6 @@ const READ_BURST: usize = 1 << 20;
 struct LiveLink {
     stream: TcpStream,
     rbuf: FrameBuf,
-    gen: u64,
     /// `EPOLLOUT` currently armed for this fd.
     writing: bool,
 }
@@ -316,18 +272,6 @@ struct PendingConn {
     stream: TcpStream,
     rbuf: FrameBuf,
     deadline: Instant,
-}
-
-enum ReconnState {
-    /// Backoff timer before the next dial.
-    Waiting(Instant),
-    /// Nonblocking connect in flight (fd registered for `EPOLLOUT`).
-    Connecting(OwnedFd, Instant),
-}
-
-struct Reconn {
-    attempt: u32,
-    state: ReconnState,
 }
 
 struct EventLoop {
@@ -340,40 +284,20 @@ struct EventLoop {
     listener: TcpListener,
     links: Vec<Option<LiveLink>>,
     pending: Vec<(u64, PendingConn)>,
-    reconn: Vec<Option<Reconn>>,
     next_pending_token: u64,
     scratch: Vec<u8>,
 }
 
 impl EventLoop {
-    fn reconnect_seed(&self, peer: NodeId) -> u64 {
-        (u64::from(self.shared.me.0) << 16) | u64::from(peer.0)
-    }
-
     /// Namespace an inner token into this loop's slot.
     fn tok(&self, inner: u64) -> u64 {
         (self.slot << INNER_BITS) | inner
     }
 
-    /// Earliest pending timer (reconnect backoff, connect deadline,
-    /// hello deadline). The runner folds this into its `epoll_wait`
-    /// timeout.
+    /// Earliest hello deadline. The runner folds this into its
+    /// `epoll_wait` timeout.
     fn next_deadline(&self) -> Option<Instant> {
-        let mut earliest: Option<Instant> = None;
-        let mut consider = |at: Instant| match earliest {
-            Some(e) if e <= at => {}
-            _ => earliest = Some(at),
-        };
-        for r in self.reconn.iter().flatten() {
-            match r.state {
-                ReconnState::Waiting(at) => consider(at),
-                ReconnState::Connecting(_, deadline) => consider(deadline),
-            }
-        }
-        for (_, p) in &self.pending {
-            consider(p.deadline);
-        }
-        earliest
+        self.pending.iter().map(|(_, p)| p.deadline).min()
     }
 
     /// Route one ready event by its inner (slot-stripped) token.
@@ -382,15 +306,14 @@ impl EventLoop {
             TOK_WAKE => self.shared.wake.drain(),
             TOK_LISTENER => self.accept_all(),
             t if t >= TOK_PENDING_BASE => self.pending_event(t),
-            t if t >= TOK_CONNECT_BASE => self.connect_event(NodeId((t - TOK_CONNECT_BASE) as u16)),
             t => self.link_event(NodeId(t as u16), bits),
         }
     }
 
-    /// End-of-turn upkeep: sender commands, then timers.
+    /// End-of-turn upkeep: sender commands, then hello deadlines.
     fn service(&mut self) {
         self.drain_cmds();
-        self.run_timers();
+        self.expire_pending();
     }
 
     fn accept_all(&mut self) {
@@ -500,27 +423,26 @@ impl EventLoop {
             return;
         }
         let peer = NodeId(node);
-        // Only lower-numbered peers dial us; a repeat hello is the
-        // peer's reconnect. Fatal peers stay down.
+        // Only lower-numbered peers dial us, once per link: a hello for
+        // a link that is up, or was up and died, is dropped (closing the
+        // connection), so no stranger can take a live link over and no
+        // dead one resumes.
         if peer.idx() >= self.shared.links.len() || peer >= self.shared.me {
             return;
         }
-        if self.shared.links[peer.idx()].fatal.load(Ordering::SeqCst) {
+        if self.links[peer.idx()].is_some()
+            || self.shared.links[peer.idx()].dead.load(Ordering::SeqCst)
+        {
             return;
         }
-        self.install(peer, conn.stream, conn.rbuf, false);
+        self.install(peer, conn.stream, conn.rbuf);
     }
 
     /// Install `stream` as the live link to `peer` and register it with
-    /// the loop. `hello` queues our hello frame first (dialer side).
-    fn install(&mut self, peer: NodeId, stream: TcpStream, rbuf: FrameBuf, hello: bool) {
+    /// the loop. Called once per link.
+    fn install(&mut self, peer: NodeId, stream: TcpStream, rbuf: FrameBuf) {
         if self.shared.closed.load(Ordering::SeqCst) {
             return;
-        }
-        if let Some(old) = self.links[peer.idx()].take() {
-            // A fresh stream replaces a live one (peer redialed first):
-            // retire the old fd.
-            let _ = self.ep.del(old.stream.as_raw_fd());
         }
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
@@ -530,32 +452,10 @@ impl EventLoop {
             return;
         };
         let link = &self.shared.links[peer.idx()];
-        let gen = {
-            let mut out = lock(&link.out);
-            out.gen += 1;
-            out.stream = Some(writer);
-            // Keep whatever senders queued while the stream was not up
-            // yet: those envelopes were accepted (the link was not dead),
-            // so they must reach the wire. Teardown paths already clear
-            // the buffer when a link actually dies, so nothing stale can
-            // survive into a reinstall.
-            out.sent = 0;
-            out.blocked = false;
-            if hello {
-                let mut prefixed = Vec::new();
-                encode_frame_into(
-                    &Frame::Hello {
-                        version: WIRE_VERSION,
-                        node: self.shared.me.0,
-                    },
-                    &mut prefixed,
-                );
-                prefixed.append(&mut out.wire);
-                out.wire = prefixed;
-            }
-            link.dead.store(false, Ordering::SeqCst);
-            out.gen
-        };
+        // Whatever senders queued while the stream was not up yet stays
+        // in `wire`: those envelopes were accepted, so the next flush
+        // puts them on the wire.
+        lock(&link.out).stream = Some(writer);
         link.ready.notify_all();
         if self
             .ep
@@ -573,13 +473,8 @@ impl EventLoop {
         self.links[peer.idx()] = Some(LiveLink {
             stream,
             rbuf,
-            gen,
             writing: false,
         });
-        self.reconn[peer.idx()] = None;
-        if hello {
-            self.drain_link(peer);
-        }
         // Frames may have arrived right behind the peer's hello.
         self.deliver_buffered(peer);
     }
@@ -648,9 +543,6 @@ impl EventLoop {
         };
         let link = &self.shared.links[peer.idx()];
         let mut out = lock(&link.out);
-        if out.gen != entry.gen {
-            return true; // reinstalled underneath a stale event
-        }
         loop {
             if out.sent >= out.wire.len() {
                 out.wire.clear();
@@ -691,8 +583,7 @@ impl EventLoop {
         false
     }
 
-    /// Loop-side link teardown (+ recovery kick-off when we are the
-    /// pair's dialer).
+    /// Loop-side link teardown: the link is dead for good.
     fn loop_link_down(&mut self, peer: NodeId) {
         let Some(entry) = self.links[peer.idx()].take() else {
             return;
@@ -702,113 +593,18 @@ impl EventLoop {
         let link = &self.shared.links[peer.idx()];
         {
             let mut out = lock(&link.out);
-            if out.gen == entry.gen {
-                out.stream = None;
-                out.wire.clear();
-                out.sent = 0;
-                out.blocked = false;
-                link.dead.store(true, Ordering::SeqCst);
-            }
+            out.stream = None;
+            out.wire.clear();
+            out.sent = 0;
+            out.blocked = false;
+            link.dead.store(true, Ordering::SeqCst);
         }
         link.ready.notify_all();
-        if self.shared.closed.load(Ordering::SeqCst) {
-            return;
-        }
-        // Lower id dials: we redial peers above us; a lower-numbered
-        // peer redials us (landing back in `pending_event`).
-        if peer > self.shared.me {
-            self.schedule_reconnect(peer, 0);
-        }
     }
 
-    fn schedule_reconnect(&mut self, peer: NodeId, attempt: u32) {
-        let Some(policy) = self.shared.reconnect else {
-            return;
-        };
-        let wait = backoff_delay(policy.base, policy.cap, attempt, self.reconnect_seed(peer));
-        self.reconn[peer.idx()] = Some(Reconn {
-            attempt,
-            state: ReconnState::Waiting(Instant::now() + wait),
-        });
-    }
-
-    /// A reconnect dial's socket reported writability: resolve it.
-    fn connect_event(&mut self, peer: NodeId) {
-        let Some(rec) = self.reconn[peer.idx()].take() else {
-            return;
-        };
-        let ReconnState::Connecting(fd, _) = rec.state else {
-            self.reconn[peer.idx()] = Some(rec);
-            return;
-        };
-        let _ = self.ep.del(fd.as_raw_fd());
-        match take_socket_error(fd.as_raw_fd()) {
-            Ok(()) => {
-                let stream = TcpStream::from(fd);
-                self.install(peer, stream, FrameBuf::new(), true);
-            }
-            Err(_) => self.fail_attempt(peer, rec.attempt),
-        }
-    }
-
-    /// One reconnect dial failed; back off again or declare the peer
-    /// permanently down once the budget is spent.
-    fn fail_attempt(&mut self, peer: NodeId, attempt: u32) {
-        let Some(policy) = self.shared.reconnect else {
-            return;
-        };
-        let next = attempt + 1;
-        if next >= policy.max_attempts {
-            self.reconn[peer.idx()] = None;
-            let link = &self.shared.links[peer.idx()];
-            link.fatal.store(true, Ordering::SeqCst);
-            link.ready.notify_all();
-        } else {
-            self.schedule_reconnect(peer, next);
-        }
-    }
-
-    fn run_timers(&mut self) {
+    /// Drop accepted connections whose hello is overdue.
+    fn expire_pending(&mut self) {
         let now = Instant::now();
-        for i in 0..self.reconn.len() {
-            let peer = NodeId(i as u16);
-            match self.reconn[i].as_ref().map(|r| (r.attempt, &r.state)) {
-                Some((attempt, ReconnState::Waiting(at))) if *at <= now => {
-                    let Some(policy) = self.shared.reconnect else {
-                        continue;
-                    };
-                    let connect_timeout = policy.cap.max(policy.base).max(Duration::from_millis(1));
-                    match connect_nonblocking(&self.shared.peers[i]) {
-                        Ok(fd)
-                            if self
-                                .ep
-                                .add(
-                                    fd.as_raw_fd(),
-                                    (self.slot << INNER_BITS) | (TOK_CONNECT_BASE + i as u64),
-                                    EPOLLOUT,
-                                )
-                                .is_ok() =>
-                        {
-                            self.reconn[i] = Some(Reconn {
-                                attempt,
-                                state: ReconnState::Connecting(fd, now + connect_timeout),
-                            });
-                        }
-                        _ => self.fail_attempt(peer, attempt),
-                    }
-                }
-                Some((attempt, ReconnState::Connecting(_, deadline))) if *deadline <= now => {
-                    // One stalled SYN costs at most the connect timeout.
-                    if let Some(rec) = self.reconn[i].take() {
-                        if let ReconnState::Connecting(fd, _) = rec.state {
-                            let _ = self.ep.del(fd.as_raw_fd());
-                        }
-                    }
-                    self.fail_attempt(peer, attempt);
-                }
-                _ => {}
-            }
-        }
         self.pending.retain(|(_, p)| {
             if p.deadline <= now {
                 let _ = self.ep.del(p.stream.as_raw_fd());
@@ -829,7 +625,7 @@ impl EventLoop {
                     };
                     let needs = {
                         let out = lock(&self.shared.links[peer.idx()].out);
-                        out.gen == entry.gen && out.blocked && out.stream.is_some()
+                        out.blocked && out.stream.is_some()
                     };
                     if needs && !entry.writing {
                         entry.writing = true;
@@ -840,14 +636,7 @@ impl EventLoop {
                         );
                     }
                 }
-                LoopCmd::LinkFailed(peer, gen) => {
-                    let stale = self.links[peer.idx()]
-                        .as_ref()
-                        .is_none_or(|entry| entry.gen != gen);
-                    if !stale {
-                        self.loop_link_down(peer);
-                    }
-                }
+                LoopCmd::LinkFailed(peer) => self.loop_link_down(peer),
             }
         }
     }
@@ -870,7 +659,6 @@ impl EventLoop {
         for (_, p) in self.pending.drain(..) {
             let _ = self.ep.del(p.stream.as_raw_fd());
         }
-        self.reconn.iter_mut().for_each(|r| *r = None);
     }
 }
 
@@ -1055,7 +843,7 @@ impl EpollEndpoint {
     /// retries — processes may start in any order), then hand listener,
     /// dialed streams and all future I/O to the event loop. Inbound
     /// links complete asynchronously; a flush over a link whose peer has
-    /// not connected yet blocks up to `link_timeout`.
+    /// not connected yet blocks up to `LINK_TIMEOUT` (10 s).
     pub fn establish(
         cfg: MeshConfig,
         deliver: DeliverFn,
@@ -1088,16 +876,11 @@ impl EpollEndpoint {
                         sent: 0,
                         stream: None,
                         blocked: false,
-                        gen: 0,
                     }),
                     ready: Condvar::new(),
                     dead: AtomicBool::new(false),
-                    fatal: AtomicBool::new(false),
                 })
                 .collect(),
-            peers: cfg.peers.clone(),
-            reconnect: cfg.reconnect,
-            link_timeout: cfg.link_timeout,
             closed: AtomicBool::new(false),
             wake: WakeFd::new().map_err(NetError::from)?,
             cmds: Mutex::new(Vec::new()),
@@ -1130,7 +913,6 @@ impl EpollEndpoint {
             listener: cfg.listener,
             links: (0..n).map(|_| None).collect(),
             pending: Vec::new(),
-            reconn: (0..n).map(|_| None).collect(),
             next_pending_token: 0,
             scratch: vec![0u8; 64 * 1024],
         };
@@ -1140,7 +922,7 @@ impl EpollEndpoint {
         // the not-yet-running loop.
         for j in cfg.me.idx() + 1..n {
             let peer = NodeId(j as u16);
-            let stream = dial_with_retry(cfg.peers[j], cfg.link_timeout)?;
+            let stream = dial_with_retry(cfg.peers[j], LINK_TIMEOUT)?;
             let mut w = stream.try_clone().map_err(NetError::from)?;
             write_frame(
                 &mut w,
@@ -1150,7 +932,7 @@ impl EpollEndpoint {
                 },
             )
             .map_err(NetError::from)?;
-            el.install(peer, stream, FrameBuf::new(), false);
+            el.install(peer, stream, FrameBuf::new());
             if el.links[peer.idx()].is_none() {
                 return Err(NetError::Io(format!("installing link to {peer} failed")));
             }
@@ -1165,8 +947,8 @@ impl EpollEndpoint {
 
     /// Fault hook: forcibly shut down the live stream to `peer` (both
     /// directions), as if the network dropped the link. The loop's read
-    /// half errors out, the link goes dead, and — with a
-    /// [`ReconnectPolicy`] — recovery redials. No-op when already down.
+    /// half errors out and the link is dead for good: later sends fail
+    /// with [`NetError::Closed`]. No-op when already down.
     pub fn drop_link(&self, peer: NodeId) {
         if let Some(link) = self.shared.links.get(peer.idx()) {
             if let Some(s) = lock(&link.out).stream.as_ref() {
@@ -1187,9 +969,9 @@ impl EpollEndpoint {
         if out.wire.is_empty() {
             return Ok(());
         }
-        let deadline = Instant::now() + shared.link_timeout;
+        let deadline = Instant::now() + LINK_TIMEOUT;
         while out.stream.is_none() {
-            if link.fatal.load(Ordering::SeqCst) || link.dead.load(Ordering::SeqCst) {
+            if link.dead.load(Ordering::SeqCst) {
                 // The peer hung up with envelopes still queued: they are
                 // "on the wire when the link died". Drop them.
                 out.wire.clear();
@@ -1202,8 +984,8 @@ impl EpollEndpoint {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return Err(NetError::Io(format!(
-                    "link {} → {to} not established within {:?}",
-                    shared.me, shared.link_timeout
+                    "link {} → {to} not established within {LINK_TIMEOUT:?}",
+                    shared.me
                 )));
             }
             out = link
@@ -1241,9 +1023,8 @@ impl EpollEndpoint {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    // Dead stream: tear down (loop restarts recovery)
-                    // and report nothing here — the failure surfaces on
-                    // the next send.
+                    // Dead stream: tear down and report nothing here —
+                    // the failure surfaces on the next send.
                     shared.sender_link_down(to, link, &mut out);
                     return Ok(());
                 }
@@ -1263,9 +1044,6 @@ impl Endpoint for EpollEndpoint {
             return Ok(());
         }
         let link = shared.links.get(to.idx()).ok_or(NetError::Closed(to))?;
-        if link.fatal.load(Ordering::SeqCst) {
-            return Err(NetError::Down(to));
-        }
         if link.dead.load(Ordering::SeqCst) {
             return Err(NetError::Closed(to));
         }
@@ -1294,7 +1072,7 @@ impl Endpoint for EpollEndpoint {
         }
         // Wait (bounded — a wedged runner must not wedge close) for the
         // runner to finish tearing this endpoint's loop down.
-        let deadline = Instant::now() + shared.link_timeout.max(Duration::from_secs(1));
+        let deadline = Instant::now() + LINK_TIMEOUT;
         let mut done = lock(&shared.done);
         while !*done {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -1328,8 +1106,6 @@ impl Drop for EpollEndpoint {
 pub struct EpollTransport {
     addrs: Vec<SocketAddr>,
     listeners: Vec<Option<TcpListener>>,
-    link_timeout: Duration,
-    reconnect: Option<ReconnectPolicy>,
     runner: Arc<LoopRunner>,
 }
 
@@ -1346,16 +1122,8 @@ impl EpollTransport {
         Ok(EpollTransport {
             addrs,
             listeners,
-            link_timeout: Duration::from_secs(10),
-            reconnect: None,
             runner: LoopRunner::spawn()?,
         })
-    }
-
-    /// Recover dead links with `policy` (see [`ReconnectPolicy`]).
-    pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
-        self.reconnect = Some(policy);
-        self
     }
 
     /// The listen address of every node, indexed by node id.
@@ -1380,8 +1148,6 @@ impl Transport for EpollTransport {
                 me: node,
                 listener,
                 peers: self.addrs.clone(),
-                link_timeout: self.link_timeout,
-                reconnect: self.reconnect,
             },
             deliver,
             None,

@@ -1,9 +1,8 @@
 //! The TCP mesh, exercised at the transport level: FIFO delivery under
 //! coalesced bursts and partial reads, loopback, the control-connection
 //! handoff, a protocol violation costing only the link it arrived on,
-//! and the link recovery contract
-//! (redial after a dead stream, permanent `Down` once the reconnect
-//! budget is spent, dead-forever without a policy).
+//! and fail-stop links (one install per link, a dead link stays
+//! `Closed` and never delivers what it accepted after the break).
 #![cfg(target_os = "linux")]
 
 use bytes::Bytes;
@@ -13,10 +12,10 @@ use repmem_net::codec::{
 };
 use repmem_net::{
     CtrlHandler, DeliverFn, Endpoint, Envelope, EpollEndpoint, EpollTransport, MeshConfig,
-    NetError, Payload, ReconnectPolicy, Transport, CTRL_NODE,
+    NetError, Payload, Transport, CTRL_NODE,
 };
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -185,8 +184,6 @@ fn mesh_hands_control_connections_over_with_the_bytes_behind_the_hello() {
             me: NodeId(0),
             listener,
             peers: vec![addr],
-            link_timeout: Duration::from_secs(5),
-            reconnect: None,
         },
         Box::new(|_| {}),
         Some(ctrl),
@@ -210,10 +207,20 @@ fn mesh_hands_control_connections_over_with_the_bytes_behind_the_hello() {
 }
 
 // ---------------------------------------------------------------------
-// Link failure and recovery.
+// Link failure: fail-stop.
 // ---------------------------------------------------------------------
 
-fn mesh_pair(reconnect: Option<ReconnectPolicy>) -> (EpollEndpoint, EpollEndpoint, Sink) {
+/// Nodes 0 and 1 on their own runners, each with a delivery sink, plus
+/// node 1's listen address (where a raw socket can pose as node 0).
+struct Pair {
+    ep0: EpollEndpoint,
+    ep1: EpollEndpoint,
+    got0: Sink,
+    got1: Sink,
+    addr1: SocketAddr,
+}
+
+fn mesh_pair() -> Pair {
     let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
     let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
     let peers = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
@@ -221,13 +228,18 @@ fn mesh_pair(reconnect: Option<ReconnectPolicy>) -> (EpollEndpoint, EpollEndpoin
         me: NodeId(me),
         listener,
         peers: peers.clone(),
-        link_timeout: Duration::from_secs(5),
-        reconnect,
     };
+    let (got0, d0) = sink();
     let (got1, d1) = sink();
     let ep1 = EpollEndpoint::establish(cfg(1, l1), d1, None).unwrap();
-    let ep0 = EpollEndpoint::establish(cfg(0, l0), Box::new(|_| {}), None).unwrap();
-    (ep0, ep1, got1)
+    let ep0 = EpollEndpoint::establish(cfg(0, l0), d0, None).unwrap();
+    Pair {
+        ep0,
+        ep1,
+        got0,
+        got1,
+        addr1: peers[1],
+    }
 }
 
 fn send_flush(ep: &EpollEndpoint, to: NodeId, e: &Envelope) -> Result<(), NetError> {
@@ -253,8 +265,6 @@ fn mesh_unknown_frame_tag_tears_down_only_its_own_link() {
         me: NodeId(me),
         listener,
         peers: peers.clone(),
-        link_timeout: Duration::from_secs(5),
-        reconnect: None,
     };
     let (got2, d2) = sink();
     let ep2 = EpollEndpoint::establish(cfg(2, l2), d2, None).unwrap();
@@ -291,7 +301,7 @@ fn mesh_unknown_frame_tag_tears_down_only_its_own_link() {
         matches!(raw0.read(&mut [0u8; 16]), Ok(0) | Err(_)),
         "link survived an undecodable frame"
     );
-    // ... and, with no reconnect policy, reports the link dead.
+    // ... and reports the link dead for good.
     assert!(wait_until(Duration::from_secs(5), || matches!(
         send_flush(&ep1, NodeId(0), &env(NodeId(1), 1)),
         Err(NetError::Closed(NodeId(0)))
@@ -310,109 +320,129 @@ fn mesh_unknown_frame_tag_tears_down_only_its_own_link() {
     ep2.close();
 }
 
-#[test]
-fn mesh_link_recovers_after_a_dead_stream() {
-    let policy = ReconnectPolicy {
-        max_attempts: 40,
-        base: Duration::from_millis(2),
-        cap: Duration::from_millis(20),
-    };
-    let (ep0, ep1, got1) = mesh_pair(Some(policy));
-    send_flush(&ep0, NodeId(1), &env(NodeId(0), 1)).unwrap();
-    assert!(
-        wait_until(Duration::from_secs(5), || clocks_from(&got1, NodeId(0))
-            .contains(&1)),
-        "baseline send lost"
-    );
-
-    ep0.drop_link(NodeId(1));
-    // Keep sending fresh clocks: attempts while the link is down fail
-    // fast (or die with the old stream); once recovery redials, a send
-    // is accepted onto the fresh stream and must arrive.
-    let end = Instant::now() + Duration::from_secs(10);
-    let mut clock = 1u64;
-    let mut recovered = false;
-    while Instant::now() < end && !recovered {
-        clock += 1;
-        if send_flush(&ep0, NodeId(1), &env(NodeId(0), clock)).is_ok() {
-            let c = clock;
-            recovered = wait_until(Duration::from_secs(2), || {
-                clocks_from(&got1, NodeId(0)).contains(&c)
-            });
-        } else {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-    assert!(recovered, "link never recovered after drop_link");
-    // Per-link FIFO held across the outage: clocks arrive in send order.
-    let seen = clocks_from(&got1, NodeId(0));
-    assert!(seen.windows(2).all(|w| w[0] < w[1]), "reordered: {seen:?}");
-    ep0.close();
-    ep1.close();
+/// Dial `addr` and say hello as node 0, the way node 0 opens its link
+/// to a higher-numbered peer.
+fn raw_hello_as_node0(addr: SocketAddr) -> TcpStream {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    write_frame(
+        &mut raw,
+        &Frame::Hello {
+            version: WIRE_VERSION,
+            node: 0,
+        },
+    )
+    .unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw
 }
 
-#[test]
-fn mesh_reconnect_budget_exhaustion_turns_the_peer_down() {
-    let policy = ReconnectPolicy {
-        max_attempts: 3,
-        base: Duration::from_millis(1),
-        cap: Duration::from_millis(5),
-    };
-    let (ep0, ep1, got1) = mesh_pair(Some(policy));
-    send_flush(&ep0, NodeId(1), &env(NodeId(0), 1)).unwrap();
-    assert!(
-        wait_until(Duration::from_secs(5), || clocks_from(&got1, NodeId(0))
-            .contains(&1)),
-        "baseline send lost"
-    );
-
-    // The peer goes away for good: its listener closes with it, so every
-    // redial is refused and the budget runs out.
-    ep1.close();
-    let end = Instant::now() + Duration::from_secs(10);
-    let mut down = false;
-    while Instant::now() < end && !down {
-        match send_flush(&ep0, NodeId(1), &env(NodeId(0), 99)) {
-            Err(NetError::Down(n)) => {
-                assert_eq!(n, NodeId(1));
-                down = true;
-            }
-            _ => std::thread::sleep(Duration::from_millis(5)),
-        }
+/// The mesh hung up on `raw`: EOF, or a reset. A read timeout means the
+/// connection is still open.
+fn hung_up(raw: &mut TcpStream) -> bool {
+    match raw.read(&mut [0u8; 16]) {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => matches!(
+            e.kind(),
+            ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+        ),
     }
-    assert!(down, "exhausted reconnect budget never surfaced as Down");
-    ep0.close();
 }
 
+/// One install per link: a hello naming a peer whose link is up is
+/// dropped — nobody can take a live link over — and once that link has
+/// died, a hello does not revive it.
 #[test]
-fn mesh_without_reconnect_policy_stays_dead_forever() {
-    let (ep0, ep1, got1) = mesh_pair(None);
+fn mesh_ignores_a_second_hello_for_a_linked_peer() {
+    let Pair {
+        ep0,
+        ep1,
+        got0,
+        got1,
+        addr1,
+    } = mesh_pair();
+    let both_hold = |want: &[u64]| {
+        clocks_from(&got1, NodeId(0)) == want && clocks_from(&got0, NodeId(1)) == want
+    };
     send_flush(&ep0, NodeId(1), &env(NodeId(0), 1)).unwrap();
+    send_flush(&ep1, NodeId(0), &env(NodeId(1), 1)).unwrap();
     assert!(
-        wait_until(Duration::from_secs(5), || clocks_from(&got1, NodeId(0))
-            .contains(&1)),
-        "baseline send lost"
+        wait_until(Duration::from_secs(5), || both_hold(&[1])),
+        "baseline traffic lost"
     );
+
+    // A stranger claims to be node 0 while the real link is up.
+    let mut raw = raw_hello_as_node0(addr1);
+    assert!(hung_up(&mut raw), "node 1 kept a second hello for node 0");
+    send_flush(&ep0, NodeId(1), &env(NodeId(0), 2)).unwrap();
+    send_flush(&ep1, NodeId(0), &env(NodeId(1), 2)).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(5), || both_hold(&[1, 2])),
+        "the real 0-1 link stopped carrying traffic"
+    );
+
+    // Kill the link; send (no flush, nothing reaches a wire) until both
+    // ends report it dead.
     ep0.drop_link(NodeId(1));
-    // The historical contract: no recovery, the link fails fast with the
-    // transient error and never turns Down on its own.
-    let end = Instant::now() + Duration::from_secs(3);
-    let mut saw_closed = false;
-    while Instant::now() < end {
-        match send_flush(&ep0, NodeId(1), &env(NodeId(0), 2)) {
-            Err(NetError::Closed(NodeId(1))) => {
-                saw_closed = true;
-                break;
-            }
-            Err(other) => panic!("expected Closed, got {other}"),
-            Ok(()) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-    assert!(saw_closed, "dead link never reported Closed");
-    assert!(matches!(
-        send_flush(&ep0, NodeId(1), &env(NodeId(0), 3)),
+    assert!(wait_until(Duration::from_secs(5), || {
+        matches!(
+            ep0.send(NodeId(1), &env(NodeId(0), 3)),
+            Err(NetError::Closed(NodeId(1)))
+        ) && matches!(
+            ep1.send(NodeId(0), &env(NodeId(1), 3)),
+            Err(NetError::Closed(NodeId(0)))
+        )
+    }));
+    let mut raw = raw_hello_as_node0(addr1);
+    assert!(hung_up(&mut raw), "a hello revived a dead link");
+    assert_eq!(
+        send_flush(&ep1, NodeId(0), &env(NodeId(1), 4)),
+        Err(NetError::Closed(NodeId(0)))
+    );
+    assert_eq!(
+        send_flush(&ep0, NodeId(1), &env(NodeId(0), 4)),
         Err(NetError::Closed(NodeId(1)))
-    ));
+    );
+    assert!(both_hold(&[1, 2]));
+    ep0.close();
+    ep1.close();
+}
+
+/// A dead link stays `Closed` and has no hole: what node 0 accepted
+/// right after the break (sends plus a flush) is lost with the stream,
+/// later attempts fail, and node 1 holds exactly the pre-break prefix.
+#[test]
+fn mesh_dead_link_stays_closed() {
+    let Pair { ep0, ep1, got1, .. } = mesh_pair();
+    send_flush(&ep0, NodeId(1), &env(NodeId(0), 1)).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(5), || clocks_from(&got1, NodeId(0))
+            == [1]),
+        "baseline send lost"
+    );
+    ep0.drop_link(NodeId(1));
+    // Until the loop notices, the link may still accept sends.
+    for clock in 2..=5 {
+        let _ = ep0.send(NodeId(1), &env(NodeId(0), clock));
+    }
+    let _ = ep0.flush();
+    assert!(
+        wait_until(Duration::from_secs(5), || matches!(
+            send_flush(&ep0, NodeId(1), &env(NodeId(0), 100)),
+            Err(NetError::Closed(NodeId(1)))
+        )),
+        "dead link never reported Closed"
+    );
+    assert_eq!(
+        send_flush(&ep0, NodeId(1), &env(NodeId(0), 101)),
+        Err(NetError::Closed(NodeId(1)))
+    );
+    // Node 1 has torn its end down too, so nothing more can arrive.
+    assert!(wait_until(Duration::from_secs(5), || matches!(
+        ep1.send(NodeId(0), &env(NodeId(1), 1)),
+        Err(NetError::Closed(NodeId(0)))
+    )));
+    assert_eq!(clocks_from(&got1, NodeId(0)), [1]);
     ep0.close();
     ep1.close();
 }

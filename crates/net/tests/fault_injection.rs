@@ -1,7 +1,7 @@
 //! Fault-layer semantics, exercised at the transport level: scripted
 //! sever/restore windows keyed to send counts, permanent kills,
 //! delivery stalls and imperative fault handles. (The TCP mesh's own
-//! link recovery is pinned in `epoll_mesh.rs`.)
+//! fail-stop links are pinned in `epoll_mesh.rs`.)
 
 use repmem_core::{Msg, MsgKind, NodeId, ObjectId, OpTag, PayloadKind, QueueKind};
 use repmem_net::{Envelope, FaultSchedule, FaultTransport, InProcTransport, NetError, Transport};

@@ -17,7 +17,6 @@
 #![cfg(target_os = "linux")]
 
 use repmem_core::{NodeId, ProtocolKind, SystemParams};
-use repmem_net::ReconnectPolicy;
 use repmem_runtime::remote::{serve, ServeConfig};
 use repmem_runtime::{RecoveryPolicy, ShardConfig};
 use std::io::{BufRead, Write};
@@ -37,8 +36,6 @@ struct Args {
     kind: ProtocolKind,
     listen: String,
     peers: Option<String>,
-    link_timeout: Duration,
-    reconnect_attempts: u32,
     retry_deadline: Duration,
     shard: ShardConfig,
 }
@@ -52,8 +49,6 @@ fn parse_args() -> Result<Args, String> {
     let mut kind: Option<ProtocolKind> = None;
     let mut listen = String::from("127.0.0.1:0");
     let mut peers: Option<String> = None;
-    let mut link_timeout = Duration::from_secs(10);
-    let mut reconnect_attempts = 0u32;
     let mut retry_deadline = Duration::ZERO;
     let mut shard = ShardConfig::default();
 
@@ -69,15 +64,6 @@ fn parse_args() -> Result<Args, String> {
             "--protocol" => kind = Some(parse_protocol(&value("--protocol")?)?),
             "--listen" => listen = value("--listen")?,
             "--peers" => peers = Some(value("--peers")?),
-            "--link-timeout-secs" => {
-                link_timeout = Duration::from_secs(parse(
-                    &value("--link-timeout-secs")?,
-                    "--link-timeout-secs",
-                )?)
-            }
-            "--reconnect-attempts" => {
-                reconnect_attempts = parse(&value("--reconnect-attempts")?, "--reconnect-attempts")?
-            }
             "--retry-deadline-ms" => {
                 retry_deadline = Duration::from_millis(parse(
                     &value("--retry-deadline-ms")?,
@@ -111,8 +97,6 @@ fn parse_args() -> Result<Args, String> {
         kind: kind.ok_or("--protocol is required")?,
         listen,
         peers,
-        link_timeout,
-        reconnect_attempts,
         retry_deadline,
         shard,
     })
@@ -123,21 +107,19 @@ repmem-node: one DSM node as an OS process
 
 USAGE:
     repmem-node --node I --n-clients N --s S --p P --m M --protocol NAME
-                [--listen ADDR] [--peers A0,A1,...] [--link-timeout-secs T]
-                [--reconnect-attempts K] [--retry-deadline-ms D]
+                [--listen ADDR] [--peers A0,A1,...] [--retry-deadline-ms D]
                 [--shards K] [--window W]
 
 With no --peers, prints `LISTEN <addr>` and reads `PEERS <a0> <a1> ...`
 from stdin. Protocol names are the paper's (case-insensitive), e.g.
 Write-Through, Write-Once, Synapse, Illinois, Berkeley, Dragon, Firefly.
 Nodes talk over one TCP stream per node pair, all of a node's links on
-one epoll event loop (Linux only).
+one epoll event loop (Linux only). A link whose stream dies stays dead.
 
---reconnect-attempts K > 0 redials dead mesh links (exponential backoff
-with jitter, K attempts) before declaring the peer permanently down;
 --retry-deadline-ms D > 0 retries sends that hit transient link errors
-for up to D ms before degrading that one operation. Both default to 0:
-the paper's fault-free channel assumption.
+for up to D ms before degrading that one operation and treating the
+peer as down. The default, 0, is the paper's fault-free channel
+assumption.
 
 --shards K runs K sequencer shard nodes (the cluster then has
 N-clients + K nodes; every process must agree); --window W allows W
@@ -218,11 +200,6 @@ fn run() -> Result<(), String> {
         me: NodeId(args.node),
         listener,
         peers,
-        link_timeout: args.link_timeout,
-        reconnect: (args.reconnect_attempts > 0).then(|| ReconnectPolicy {
-            max_attempts: args.reconnect_attempts,
-            ..ReconnectPolicy::default()
-        }),
         recovery: if args.retry_deadline.is_zero() {
             RecoveryPolicy::default()
         } else {

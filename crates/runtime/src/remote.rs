@@ -30,8 +30,7 @@ use repmem_core::{NodeId, ObjectId, OpKind, ProtocolKind, SystemParams};
 use repmem_net::codec::{read_frame, write_frame, Frame};
 use repmem_net::mesh::dial_with_retry;
 use repmem_net::{
-    CtrlConn, CtrlHandler, Endpoint, EpollEndpoint, MeshConfig, ReconnectPolicy, CTRL_NODE,
-    WIRE_VERSION,
+    CtrlConn, CtrlHandler, Endpoint, EpollEndpoint, MeshConfig, CTRL_NODE, WIRE_VERSION,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -54,11 +53,6 @@ pub struct ServeConfig {
     pub listener: TcpListener,
     /// Listen address of every node, indexed by node id.
     pub peers: Vec<SocketAddr>,
-    /// Budget for dialing peers / waiting on inbound links.
-    pub link_timeout: Duration,
-    /// Redial dead mesh links with this policy (`None`: a dead link
-    /// stays dead, the historical behaviour).
-    pub reconnect: Option<ReconnectPolicy>,
     /// Node-loop reaction to transient send failures (default: none —
     /// the paper's fault-free assumption).
     pub recovery: RecoveryPolicy,
@@ -119,8 +113,6 @@ pub fn serve(cfg: ServeConfig) -> Result<(), ClusterError> {
                 me: cfg.me,
                 listener: cfg.listener,
                 peers: cfg.peers,
-                link_timeout: cfg.link_timeout,
-                reconnect: cfg.reconnect,
             },
             deliver,
             Some(ctrl),
