@@ -46,8 +46,9 @@ impl From<WireError> for KvError {
 
 /// One request/response KV connection.
 pub struct KvClient {
+    /// Also the write side: requests go out through `get_ref()`
+    /// (`&TcpStream: Write`), one socket for both directions.
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
 }
 
 impl KvClient {
@@ -57,10 +58,8 @@ impl KvClient {
         // Request/response pattern: without NODELAY every op eats a
         // Nagle + delayed-ACK round (~40 ms) on loopback.
         stream.set_nodelay(true).map_err(WireError::Io)?;
-        let writer = stream.try_clone().map_err(WireError::Io)?;
         let mut client = KvClient {
             reader: BufReader::new(stream),
-            writer,
         };
         match client.request(&KvFrame::Hello {
             version: KV_WIRE_VERSION,
@@ -73,7 +72,7 @@ impl KvClient {
     /// One request, one reply; server-side `Error` frames become
     /// [`KvError::Remote`].
     fn request(&mut self, req: &KvFrame) -> Result<KvFrame, KvError> {
-        write_kv_frame(&mut self.writer, req)?;
+        write_kv_frame(&mut self.reader.get_ref(), req)?;
         match read_kv_frame(&mut self.reader)? {
             KvFrame::Error { reason } => Err(KvError::Remote(reason)),
             reply => Ok(reply),

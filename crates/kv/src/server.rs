@@ -80,8 +80,11 @@ impl KvServer {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    // Request/response traffic: leave Nagle on and every
-                    // reply waits out a delayed ACK.
+                    // Request/response traffic: with Nagle on, a reply
+                    // written behind an unacknowledged segment waits out
+                    // the client's delayed ACK. With NODELAY every
+                    // `write` leaves as its own segment, which is why
+                    // `write_kv_frame` writes a frame in one call.
                     let _ = stream.set_nodelay(true);
                     let ctx = ConnCtx {
                         store: stores[next % stores.len()].clone(),
@@ -148,17 +151,14 @@ impl KvServer {
 
 /// Serve one connection until EOF, a wire error, or `Shutdown`.
 fn serve_conn(stream: TcpStream, ctx: ConnCtx) {
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut writer = writer;
+    // One socket for both directions: replies go out through the
+    // buffered reader's stream (`&TcpStream: Write`).
     let mut reader = BufReader::new(stream);
     // Handshake first: anything else is a protocol violation.
     match read_kv_frame(&mut reader) {
         Ok(KvFrame::Hello { version }) if version == KV_WIRE_VERSION => {
             if write_kv_frame(
-                &mut writer,
+                &mut reader.get_ref(),
                 &KvFrame::Hello {
                     version: KV_WIRE_VERSION,
                 },
@@ -170,7 +170,7 @@ fn serve_conn(stream: TcpStream, ctx: ConnCtx) {
         }
         Ok(KvFrame::Hello { version }) => {
             let _ = write_kv_frame(
-                &mut writer,
+                &mut reader.get_ref(),
                 &KvFrame::Error {
                     reason: format!("kv wire version {version} != {KV_WIRE_VERSION}"),
                 },
@@ -184,7 +184,7 @@ fn serve_conn(stream: TcpStream, ctx: ConnCtx) {
             Ok(f) => f,
             Err(WireError::Eof) => return,
             Err(WireError::Malformed(m)) => {
-                let _ = write_kv_frame(&mut writer, &KvFrame::Error { reason: m });
+                let _ = write_kv_frame(&mut reader.get_ref(), &KvFrame::Error { reason: m });
                 return;
             }
             Err(WireError::Io(_)) => return,
@@ -230,7 +230,7 @@ fn serve_conn(stream: TcpStream, ctx: ConnCtx) {
                 }
             }
             KvFrame::Shutdown => {
-                let _ = write_kv_frame(&mut writer, &KvFrame::Done);
+                let _ = write_kv_frame(&mut reader.get_ref(), &KvFrame::Done);
                 ctx.stop.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so the main thread can join it.
                 let _ = TcpStream::connect(ctx.addr);
@@ -240,7 +240,15 @@ fn serve_conn(stream: TcpStream, ctx: ConnCtx) {
                 reason: format!("unexpected request {other:?}"),
             },
         };
-        if write_kv_frame(&mut writer, &reply).is_err() {
+        let sent = match write_kv_frame(&mut reader.get_ref(), &reply) {
+            // The reply is over the frame cap (a big `Scan`) and nothing
+            // was written: say so and keep the connection.
+            Err(WireError::Malformed(reason)) => {
+                write_kv_frame(&mut reader.get_ref(), &KvFrame::Error { reason })
+            }
+            sent => sent,
+        };
+        if sent.is_err() {
             return;
         }
     }

@@ -10,6 +10,16 @@
 //! `Values`/`StatsReport` — or `Error` if the cluster failed the
 //! operation. `Shutdown` asks the server process to stop (answered
 //! with `Done` before the socket closes).
+//!
+//! A frame is one write: [`write_kv_frame`] builds the length prefix
+//! and the body in one buffer and hands it to the stream in a single
+//! `write_all`. Both ends set `TCP_NODELAY`, so every `write` leaves as
+//! its own segment; writing the prefix apart from the body would cost
+//! each request and reply a second syscall and a second segment, and
+//! wake the reader for four bytes. A frame over [`MAX_FRAME_LEN`] is
+//! refused before any byte is written, so the stream stays in step.
+//! The reader assumes nothing about segments: [`read_kv_frame`] decodes
+//! a frame that arrives a byte at a time.
 
 use bytes::Bytes;
 use repmem_net::MAX_FRAME_LEN;
@@ -103,9 +113,10 @@ fn put_opt_bytes(buf: &mut Vec<u8>, v: &Option<Bytes>) {
     }
 }
 
-/// Encode `frame` into a body (no length prefix).
-pub fn encode_kv_frame(frame: &KvFrame) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16);
+/// Append `frame`'s body (no length prefix) to `buf`. A field longer
+/// than `u32::MAX` would wrap its length, but such a body is far over
+/// [`MAX_FRAME_LEN`] and [`write_kv_frame`] never sends it.
+fn encode_into(frame: &KvFrame, buf: &mut Vec<u8>) {
     match frame {
         KvFrame::Hello { version } => {
             buf.push(TAG_HELLO);
@@ -113,11 +124,11 @@ pub fn encode_kv_frame(frame: &KvFrame) -> Vec<u8> {
         }
         KvFrame::Get { key } => {
             buf.push(TAG_GET);
-            put_str(&mut buf, key);
+            put_str(buf, key);
         }
         KvFrame::Put { key, value } => {
             buf.push(TAG_PUT);
-            put_str(&mut buf, key);
+            put_str(buf, key);
             buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
             buf.extend_from_slice(value);
         }
@@ -125,24 +136,24 @@ pub fn encode_kv_frame(frame: &KvFrame) -> Vec<u8> {
             buf.push(TAG_SCAN);
             buf.extend_from_slice(&(keys.len() as u32).to_le_bytes());
             for k in keys {
-                put_str(&mut buf, k);
+                put_str(buf, k);
             }
         }
         KvFrame::Value { value } => {
             buf.push(TAG_VALUE);
-            put_opt_bytes(&mut buf, value);
+            put_opt_bytes(buf, value);
         }
         KvFrame::Done => buf.push(TAG_DONE),
         KvFrame::Values { values } => {
             buf.push(TAG_VALUES);
             buf.extend_from_slice(&(values.len() as u32).to_le_bytes());
             for v in values {
-                put_opt_bytes(&mut buf, v);
+                put_opt_bytes(buf, v);
             }
         }
         KvFrame::Error { reason } => {
             buf.push(TAG_ERROR);
-            put_str(&mut buf, reason);
+            put_str(buf, reason);
         }
         KvFrame::Stats => buf.push(TAG_STATS),
         KvFrame::StatsReport {
@@ -157,6 +168,12 @@ pub fn encode_kv_frame(frame: &KvFrame) -> Vec<u8> {
         }
         KvFrame::Shutdown => buf.push(TAG_SHUTDOWN),
     }
+}
+
+/// Encode `frame` into a body (no length prefix).
+pub fn encode_kv_frame(frame: &KvFrame) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(16);
+    encode_into(frame, &mut buf);
     buf
 }
 
@@ -274,12 +291,21 @@ pub fn decode_kv_frame(body: &[u8]) -> Result<KvFrame, WireError> {
     Ok(frame)
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame with a single `write_all`. A body
+/// over [`MAX_FRAME_LEN`], which every reader would reject, is
+/// [`WireError::Malformed`] and nothing is written.
 pub fn write_kv_frame(w: &mut impl Write, frame: &KvFrame) -> Result<(), WireError> {
-    let body = encode_kv_frame(frame);
-    debug_assert!(body.len() <= MAX_FRAME_LEN);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
+    let mut buf = Vec::with_capacity(128);
+    buf.extend_from_slice(&[0u8; 4]);
+    encode_into(frame, &mut buf);
+    let len = buf.len() - 4;
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::Malformed(format!(
+            "frame length {len} exceeds cap {MAX_FRAME_LEN}"
+        )));
+    }
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
@@ -396,5 +422,23 @@ mod tests {
         ));
         // Empty body.
         assert!(matches!(decode_kv_frame(&[]), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn a_frame_over_the_cap_is_refused_before_any_byte_is_written() {
+        // A `Value` body is tag + option code + u32 length + the bytes.
+        let value = |body_len: usize| KvFrame::Value {
+            value: Some(Bytes::from(vec![0u8; body_len - 6])),
+        };
+        let mut wire = Vec::new();
+        assert!(matches!(
+            write_kv_frame(&mut wire, &value(MAX_FRAME_LEN + 1)),
+            Err(WireError::Malformed(_))
+        ));
+        assert!(wire.is_empty(), "{} bytes written", wire.len());
+        // Exactly at the cap is a frame every reader accepts.
+        write_kv_frame(&mut wire, &value(MAX_FRAME_LEN)).unwrap();
+        assert_eq!(wire[..4], (MAX_FRAME_LEN as u32).to_le_bytes());
+        assert_eq!(wire.len(), 4 + MAX_FRAME_LEN);
     }
 }

@@ -10,7 +10,8 @@
 
 use bytes::Bytes;
 use repmem_core::{NodeId, ProtocolKind, SystemParams};
-use repmem_kv::{driver, KeySpace, KvClient, KvServer, KvServerConfig, KvStore};
+use repmem_kv::{driver, KeySpace, KvClient, KvError, KvServer, KvServerConfig, KvStore};
+use repmem_net::MAX_FRAME_LEN;
 use repmem_runtime::{Cluster, ShardConfig};
 use repmem_workload::ycsb::{YcsbSpec, YcsbWorkload};
 
@@ -95,6 +96,29 @@ fn second_connection_lands_on_another_client_node() {
         Some(Bytes::from_static(b"from-b"))
     );
     drop((a, b));
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn an_over_cap_reply_is_an_error_and_the_connection_stays_open() {
+    let server = KvServer::start(config(ProtocolKind::Berkeley), "127.0.0.1:0").expect("server");
+    let mut client = KvClient::connect(server.addr()).expect("connect");
+    // One value fits a frame; a `Values` reply carrying it twice does not.
+    client
+        .put("big", &vec![7u8; MAX_FRAME_LEN / 2])
+        .expect("put");
+    match client.scan(&["big".into(), "big".into()]) {
+        Err(KvError::Remote(reason)) => assert!(reason.contains("exceeds cap"), "{reason}"),
+        other => panic!("over-cap scan gave {:?}", other.map(|v| v.len())),
+    }
+    client
+        .put("small", b"s")
+        .expect("put after the refused reply");
+    assert_eq!(
+        client.get("small").expect("get after the refused reply"),
+        Some(Bytes::from_static(b"s"))
+    );
+    drop(client);
     server.shutdown().expect("shutdown");
 }
 

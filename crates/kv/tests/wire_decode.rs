@@ -2,11 +2,13 @@
 //! codec's suite: every strict prefix of every frame must be rejected,
 //! and seeded garbage — random bodies and mutated valid frames — must
 //! never panic the decoder. (Round trips are `wire.rs`'s unit tests.)
+//! Also the framing contract on both sides of a stream: a frame goes
+//! out in exactly one `write`, and comes in however the bytes arrive.
 
 use bytes::Bytes;
-use repmem_kv::wire::{decode_kv_frame, read_kv_frame, write_kv_frame};
+use repmem_kv::wire::{decode_kv_frame, encode_kv_frame, read_kv_frame, write_kv_frame};
 use repmem_kv::{KvFrame, WireError, KV_WIRE_VERSION};
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read, Write};
 
 /// SplitMix64: a seeded byte source with no dependency.
 struct Rng(u64);
@@ -98,6 +100,67 @@ fn every_frame_rejects_every_truncated_prefix() {
             );
         }
     }
+}
+
+/// A sink that counts `write` calls.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn every_frame_is_one_write() {
+    for frame in every_frame() {
+        let mut w = CountingWriter::default();
+        write_kv_frame(&mut w, &frame).expect("write");
+        // On a NODELAY socket each `write` is a segment: two would split
+        // the length prefix from the body.
+        assert_eq!(w.writes, 1, "{frame:?}");
+        let body = encode_kv_frame(&frame);
+        let mut expected = (body.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&body);
+        assert_eq!(w.bytes, expected, "{frame:?}");
+    }
+}
+
+/// A stream that hands out one byte per `read`.
+struct Trickle<'a>(&'a [u8]);
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match (self.0.split_first(), buf.first_mut()) {
+            (Some((&b, rest)), Some(slot)) => {
+                *slot = b;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+#[test]
+fn every_frame_decodes_a_byte_at_a_time() {
+    let frames = every_frame();
+    let stream: Vec<u8> = frames.iter().flat_map(wire).collect();
+    let mut r = Trickle(&stream);
+    for frame in &frames {
+        assert_eq!(&read_kv_frame(&mut r).expect("decode"), frame);
+    }
+    assert!(matches!(read_kv_frame(&mut r), Err(WireError::Eof)));
 }
 
 #[test]
