@@ -64,15 +64,16 @@ const SCHED_BATCH: c_int = 3;
 
 /// Put the calling thread under `SCHED_BATCH`.
 ///
-/// An I/O-multiplexing thread sleeps in `epoll_wait` most of the time,
-/// so the scheduler treats it as interactive and lets it wakeup-preempt
-/// whichever thread just made a socket readable — usually the very
-/// sender that is mid-way through writing a burst of replies, which
-/// fragments the burst into many tiny runner rounds. `SCHED_BATCH`
-/// exists for exactly this: the thread stays at normal priority but no
-/// longer preempts on wakeup, so senders finish their batch and the
-/// runner then drains all of it in one `epoll_wait` round. Failure is
-/// ignored (the policy is an optimization, not a correctness need).
+/// A thread that sleeps on an event source most of the time — a mesh
+/// runner in `epoll_wait`, a node loop on its inbox — looks interactive
+/// to the scheduler, which lets it wakeup-preempt whichever thread just
+/// woke it. That is usually a sender mid-way through a burst of
+/// messages, so the burst fragments into one context switch per
+/// message. `SCHED_BATCH` exists for exactly this: the thread stays at
+/// normal priority but no longer preempts on wakeup, so senders finish
+/// their burst and the woken thread then drains all of it in one round.
+/// Failure is ignored (the policy is an optimization, not a
+/// correctness need).
 pub fn set_batch_scheduling() {
     let param = SchedParam { sched_priority: 0 };
     // pid 0 targets only the calling thread.

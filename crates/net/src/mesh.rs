@@ -36,6 +36,11 @@
 //!   buffer parks the remainder and hands the link to the loop, which
 //!   arms `EPOLLOUT` and drains as the kernel frees space. Senders never
 //!   block on a slow peer.
+//! * **One read per readiness event.** A link's read loop stops at the
+//!   first `read` that returns less than the scratch buffer holds: the
+//!   socket was drained as it stood, so another `read` would only return
+//!   `EAGAIN`. The epoll is level-triggered, so bytes that arrive later,
+//!   or a pending EOF, are reported on the next `epoll_wait`.
 //! * **Control handoff.** Incoming partial frames are reassembled by
 //!   [`FrameBuf`]; a connection whose hello names [`CTRL_NODE`] is
 //!   handed to a dedicated blocking thread, with any bytes that arrived
@@ -256,7 +261,8 @@ const RUNNER_SLOT: u64 = u64::MAX >> INNER_BITS;
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Per-event read ceiling: level-triggered epoll re-reports leftover
-/// bytes, so capping one link's drain keeps the loop fair under load.
+/// bytes, so capping one link's drain of full `scratch` reads keeps the
+/// loop fair under load.
 const READ_BURST: usize = 1 << 20;
 
 /// The loop's live half of an installed link.
@@ -523,8 +529,10 @@ impl EventLoop {
                     if !self.deliver_buffered(peer) {
                         return;
                     }
-                    if total >= READ_BURST {
-                        return; // level-triggered: the rest re-fires
+                    // A short read drained the socket; whatever lands
+                    // after it, EOF included, re-fires (level-triggered).
+                    if n < self.scratch.len() || total >= READ_BURST {
+                        return;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,

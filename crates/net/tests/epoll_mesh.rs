@@ -2,7 +2,8 @@
 //! coalesced bursts and partial reads, loopback, the control-connection
 //! handoff, a protocol violation costing only the link it arrived on,
 //! and fail-stop links (one install per link, a dead link stays
-//! `Closed` and never delivers what it accepted after the break).
+//! `Closed` and never delivers what it accepted after the break, an
+//! EOF right behind a burst is still seen).
 #![cfg(target_os = "linux")]
 
 use bytes::Bytes;
@@ -444,5 +445,50 @@ fn mesh_dead_link_stays_closed() {
     )));
     assert_eq!(clocks_from(&got1, NodeId(0)), [1]);
     ep0.close();
+    ep1.close();
+}
+
+/// The loop stops reading a link at the first short `read`, leaving the
+/// rest to the next readiness event. A peer that writes a burst and
+/// hangs up at once puts frames and EOF behind one readiness edge:
+/// every frame must still be delivered, in order, and the EOF must
+/// still kill the link.
+#[test]
+fn mesh_delivers_a_burst_then_sees_the_eof_behind_it() {
+    const FRAMES: u64 = 300;
+    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peers = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
+    let (got1, d1) = sink();
+    let ep1 = EpollEndpoint::establish(
+        MeshConfig {
+            me: NodeId(1),
+            listener: l1,
+            peers: peers.clone(),
+        },
+        d1,
+        None,
+    )
+    .unwrap();
+    let mut raw0 = raw_hello_as_node0(peers[1]);
+    let burst: Vec<u8> = (1..=FRAMES)
+        .flat_map(|clock| encode_envelope_frame(&env(NodeId(0), clock)))
+        .collect();
+    raw0.write_all(&burst).unwrap();
+    raw0.shutdown(std::net::Shutdown::Write).unwrap();
+    let want: Vec<u64> = (1..=FRAMES).collect();
+    assert!(
+        wait_until(Duration::from_secs(5), || clocks_from(&got1, NodeId(0))
+            == want),
+        "burst incomplete or out of order: {} of {FRAMES} frames",
+        clocks_from(&got1, NodeId(0)).len()
+    );
+    assert!(
+        wait_until(Duration::from_secs(5), || matches!(
+            send_flush(&ep1, NodeId(0), &env(NodeId(1), 1)),
+            Err(NetError::Closed(NodeId(0)))
+        )),
+        "the EOF behind the burst never killed the link"
+    );
     ep1.close();
 }

@@ -331,11 +331,15 @@ impl Cluster {
             );
             tables.push(Arc::clone(&ctx.table));
             let done_tx = done_tx.clone();
-            threads.push(std::thread::spawn(move || {
-                let endpoint = node_loop(ctx, rx);
-                let _ = done_tx.send(me);
-                endpoint.close();
-            }));
+            let thread = std::thread::Builder::new()
+                .name(format!("repmem-node-{i}"))
+                .spawn(move || {
+                    let endpoint = node_loop(ctx, rx);
+                    let _ = done_tx.send(me);
+                    endpoint.close();
+                })
+                .map_err(|e| ClusterError::Transport(format!("spawning {me}: {e}")))?;
+            threads.push(thread);
         }
         Ok(Cluster {
             sys,

@@ -1020,11 +1020,19 @@ impl NodeCtx {
 /// and final; on error, the pending and backlogged callers are failed
 /// with the poison reason instead of being left to hang.
 ///
+/// On Linux the calling thread first puts itself under `SCHED_BATCH`
+/// ([`repmem_net::epoll::set_batch_scheduling`]): a node whose send
+/// wakes a peer's loop then finishes its burst before that loop runs,
+/// instead of being preempted once per message, and the woken loop
+/// drains its inbox in a batch.
+///
 /// The endpoint is handed back (not closed) so the caller can publish
 /// the final replicas *before* tearing the transport down — endpoint
 /// close may join service threads that are themselves waiting on them
 /// (the multi-process control plane does exactly that).
 pub(crate) fn node_loop(mut ctx: NodeCtx, rx: Receiver<Wire>) -> Box<dyn Endpoint> {
+    #[cfg(target_os = "linux")]
+    repmem_net::epoll::set_batch_scheduling();
     let mut backlog: VecDeque<(AppReq, OpTag)> = VecDeque::new();
     let stopped = run_loop(&mut ctx, &rx, &mut backlog);
     // Nobody retires operations or applies invalidations from here on:
