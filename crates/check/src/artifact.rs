@@ -28,7 +28,7 @@
 use crate::checks;
 use crate::exec::{CheckConfig, Ev, Exec, Mutation, ProgOp};
 use repmem_core::{MsgKind, NodeId, ProtocolKind};
-use repmem_net::FaultAction;
+use repmem_net::SchedAction;
 
 /// The verdict a committed artifact locks in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,14 +77,11 @@ impl Artifact {
         }
         for fault in &self.cfg.faults {
             match fault {
-                FaultAction::Sever(a, b) => out.push_str(&format!("fault sever {} {}\n", a.0, b.0)),
-                FaultAction::Restore(a, b) => {
+                SchedAction::Sever(a, b) => out.push_str(&format!("fault sever {} {}\n", a.0, b.0)),
+                SchedAction::Restore(a, b) => {
                     out.push_str(&format!("fault restore {} {}\n", a.0, b.0));
                 }
-                FaultAction::Kill(n) => out.push_str(&format!("fault kill {}\n", n.0)),
-                // A delay is a no-op under the scheduler (time does not
-                // pass); it has no artifact form.
-                FaultAction::DelayBurst { .. } => {}
+                SchedAction::Kill(n) => out.push_str(&format!("fault kill {}\n", n.0)),
             }
         }
         match self.cfg.mutation {
@@ -160,16 +157,16 @@ impl Artifact {
                     programs.push((client, ops));
                 }
                 "fault" => match fields[..] {
-                    ["sever", a, b] => faults.push(FaultAction::Sever(
+                    ["sever", a, b] => faults.push(SchedAction::Sever(
                         NodeId(parse_num(a).map_err(|e| at(&e))?),
                         NodeId(parse_num(b).map_err(|e| at(&e))?),
                     )),
-                    ["restore", a, b] => faults.push(FaultAction::Restore(
+                    ["restore", a, b] => faults.push(SchedAction::Restore(
                         NodeId(parse_num(a).map_err(|e| at(&e))?),
                         NodeId(parse_num(b).map_err(|e| at(&e))?),
                     )),
                     ["kill", n] => {
-                        faults.push(FaultAction::Kill(NodeId(parse_num(n).map_err(|e| at(&e))?)));
+                        faults.push(SchedAction::Kill(NodeId(parse_num(n).map_err(|e| at(&e))?)));
                     }
                     _ => return Err(at("unknown fault")),
                 },
@@ -215,12 +212,16 @@ impl Artifact {
         let kind = protocol.ok_or("missing `protocol`")?;
         let n_clients = clients.ok_or("missing `clients`")?;
         let m_objects = objects.ok_or("missing `objects`")?;
+        // One row per client, plus one for the home (node `n_clients`).
         let mut program = vec![Vec::new(); n_clients];
-        for (client, ops) in programs {
-            let slot = program
-                .get_mut(client)
-                .ok_or(format!("program for client {client} out of range"))?;
-            *slot = ops;
+        for (node, ops) in programs {
+            if node > n_clients {
+                return Err(format!("program for node {node} out of range"));
+            }
+            if node >= program.len() {
+                program.resize(node + 1, Vec::new());
+            }
+            program[node] = ops;
         }
         Ok(Artifact {
             cfg: CheckConfig {
@@ -289,8 +290,8 @@ mod tests {
     fn sample_artifact() -> Artifact {
         let mut cfg = CheckConfig::new(ProtocolKind::Synapse, 2, 2, 2);
         cfg.faults = vec![
-            FaultAction::Sever(NodeId(0), NodeId(2)),
-            FaultAction::Restore(NodeId(0), NodeId(2)),
+            SchedAction::Sever(NodeId(0), NodeId(2)),
+            SchedAction::Restore(NodeId(0), NodeId(2)),
         ];
         cfg.mutation = Mutation::DropKind {
             kind: MsgKind::WInv,
@@ -326,6 +327,13 @@ mod tests {
         assert!(Artifact::parse(missing_expect).is_err());
         let bad_ev = "protocol Synapse\nclients 2\nobjects 1\nexpect pass\nev warp 1";
         assert!(Artifact::parse(bad_ev).is_err());
+        // Rows 0 and 1 are the clients', row 2 the home's; 3 is nobody's.
+        let no_node = "protocol Synapse\nclients 2\nobjects 1\nexpect pass\nprogram 3 w0";
+        assert!(Artifact::parse(no_node).is_err());
+        let home =
+            Artifact::parse("protocol Synapse\nclients 2\nobjects 1\nexpect pass\nprogram 2 w0")
+                .expect("a home row");
+        assert_eq!(home.cfg.program.len(), 3);
     }
 
     #[test]

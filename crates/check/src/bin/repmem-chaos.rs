@@ -3,10 +3,10 @@
 //!
 //! Where `repmem-check` *enumerates* interleavings on a deterministic
 //! single-threaded executor, this binary hammers the real
-//! [`Cluster`] — node threads, channels, retry timers — with randomized
-//! [`FaultSchedule`]s (sever/restore pairs, delay bursts, permanent
-//! kills) across every protocol kind, including the sequencer-free
-//! quorum protocol, for a fixed wall-clock budget.
+//! [`Cluster`] — node threads, channels, stalled senders — with
+//! randomized [`FaultSchedule`]s (delay bursts, permanent kills) across
+//! every protocol kind, including the sequencer-free quorum protocol,
+//! for a fixed wall-clock budget.
 //!
 //! Kills are drawn from each family's availability contract: any
 //! replica, at any send, for the sequencer-free quorum protocol; the
@@ -36,6 +36,9 @@
 //! soak merely starved by a loaded machine keeps ticking and is not
 //! reported.)
 //!
+//! A seed names a scenario only within one build of this binary:
+//! reproduce a failure with the build that printed it.
+//!
 //! ```text
 //! repmem-chaos --seed 7 --budget-secs 600 --artifact-dir chaos-artifacts
 //! ```
@@ -43,7 +46,7 @@
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, ProtocolKind, SystemParams};
 use repmem_net::{FaultSchedule, FaultTransport, InProcTransport};
-use repmem_runtime::{Cluster, ClusterError, RecoveryPolicy, ShardConfig, DEFAULT_STOP_DEADLINE};
+use repmem_runtime::{Cluster, ClusterError, ShardConfig, DEFAULT_STOP_DEADLINE};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -76,7 +79,7 @@ struct Scenario {
     iter: u64,
     kind: ProtocolKind,
     sys: SystemParams,
-    /// Rendered schedule lines, e.g. `sever 0-2 @send 41`.
+    /// Rendered schedule lines, e.g. `kill n3 @send 41`.
     faults: Vec<String>,
     /// The node the schedule kills, if any.
     killed: Option<NodeId>,
@@ -100,14 +103,6 @@ impl Scenario {
         let mut faults = Vec::new();
         let mut killed = None;
 
-        for _ in 0..rng.below(3) {
-            let a = NodeId(rng.below(nodes) as u16);
-            let b = NodeId(((a.0 as u64 + 1 + rng.below(nodes - 1)) % nodes) as u16);
-            let at = 1 + rng.below(200);
-            let back = at + 2 + rng.below(10);
-            schedule = schedule.sever_at(at, a, b).restore_at(back, a, b);
-            faults.push(format!("sever {a}-{b} @send {at}, restore @send {back}"));
-        }
         if rng.chance(3) {
             let at = 1 + rng.below(150);
             let ms = 1 + rng.below(3);
@@ -168,27 +163,14 @@ impl Scenario {
     }
 }
 
-/// Severed links self-heal via the send-counter-advancing retries
-/// (restores trigger on send counts), and a link that stays dark
-/// degrades the operation within 500ms instead of stalling the soak.
-fn retry_policy() -> RecoveryPolicy {
-    RecoveryPolicy::with_deadline(Duration::from_millis(500))
-}
-
 /// Run one scenario to completion, bumping `tick` as operations finish
 /// so the watchdog can tell a starved-but-progressing scenario from a
 /// wedged wait. `Err` carries the failure report.
 fn run(sc: &Scenario, rng: &mut Rng, trace: bool, tick: &AtomicU64) -> Result<(), String> {
     let transport =
         FaultTransport::new(InProcTransport::new(sc.sys.n_nodes()), sc.schedule.clone());
-    let cluster = Cluster::with_recovery(
-        sc.sys,
-        sc.kind,
-        ShardConfig::default(),
-        transport,
-        retry_policy(),
-    )
-    .map_err(|e| format!("cluster start: {e}"))?;
+    let cluster = Cluster::with_transport(sc.sys, sc.kind, ShardConfig::default(), transport)
+        .map_err(|e| format!("cluster start: {e}"))?;
 
     let nodes = sc.sys.n_nodes() as u64;
     let objects = sc.sys.m_objects as u64;
@@ -294,8 +276,8 @@ fn run(sc: &Scenario, rng: &mut Rng, trace: bool, tick: &AtomicU64) -> Result<()
     let dump = cluster
         .shutdown_within(DEFAULT_STOP_DEADLINE)
         .map_err(|e| format!("hung shutdown: {e}"))?;
-    // Kills legitimately strand a dead node's replicas; every other
-    // schedule is transient and must converge.
+    // Kills legitimately strand a dead node's replicas; a delay loses
+    // nothing, so every other schedule must converge.
     if sc.killed.is_none() && !dump.is_coherent() {
         return Err(format!(
             "replicas incoherent at shutdown under a kill-free schedule: {:?}",

@@ -17,7 +17,7 @@ use repmem_check::{
     exhaustive, minimize, sample, Artifact, CheckConfig, Expect, ExploreLimits, Mutation,
 };
 use repmem_core::{MsgKind, NodeId, ProtocolKind};
-use repmem_net::FaultAction;
+use repmem_net::SchedAction;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -161,16 +161,16 @@ const PALETTES: [(&str, &str); 5] = [
     ("kill-minority", "kill a strict minority of the replicas"),
 ];
 
-fn palette_actions(name: &str, clients: usize) -> Vec<FaultAction> {
+fn palette_actions(name: &str, clients: usize) -> Vec<SchedAction> {
     let home = NodeId(clients as u16);
     match name {
         "none" => Vec::new(),
         "blackout" => vec![
-            FaultAction::Sever(NodeId(0), home),
-            FaultAction::Restore(NodeId(0), home),
+            SchedAction::Sever(NodeId(0), home),
+            SchedAction::Restore(NodeId(0), home),
         ],
-        "kill-client" => vec![FaultAction::Kill(NodeId(clients.saturating_sub(1) as u16))],
-        "kill-seq" => vec![FaultAction::Kill(home)],
+        "kill-client" => vec![SchedAction::Kill(NodeId(clients.saturating_sub(1) as u16))],
+        "kill-seq" => vec![SchedAction::Kill(home)],
         // A strict minority of the n_clients+1 replicas, sequencer
         // first: the largest kill set the quorum family must survive
         // with every operation still completing.
@@ -180,9 +180,9 @@ fn palette_actions(name: &str, clients: usize) -> Vec<FaultAction> {
             (0..minority)
                 .map(|i| {
                     if i == 0 {
-                        FaultAction::Kill(home)
+                        SchedAction::Kill(home)
                     } else {
-                        FaultAction::Kill(NodeId((clients - i) as u16))
+                        SchedAction::Kill(NodeId((clients - i) as u16))
                     }
                 })
                 .collect()
@@ -214,13 +214,16 @@ fn run_explorations(sampling: bool, opts: &Options) -> ExitCode {
             let mut cfg = CheckConfig::reread(kind, opts.clients);
             cfg.max_depth = opts.depth;
             runs.push(("reread", cfg));
-            // Nor does it write a copy twice. Quorum has no silent
-            // local write to race, and its rounds put this program
-            // past the execution cap.
+            // Nor does it write a copy twice, or issue at the home.
+            // Quorum has no silent local write to race and no home, and
+            // its rounds put these programs past the execution cap.
             if !kind.polls_all_replicas() {
                 let mut cfg = CheckConfig::rewrite(kind, opts.clients);
                 cfg.max_depth = opts.depth;
                 runs.push(("rewrite", cfg));
+                let mut cfg = CheckConfig::home_writes(kind, opts.clients);
+                cfg.max_depth = opts.depth;
+                runs.push(("home-writes", cfg));
             }
         }
         let mut fast_path_reads = 0;

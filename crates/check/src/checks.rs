@@ -70,7 +70,7 @@ pub fn check(exec: &Exec) -> Option<Violation> {
     None
 }
 
-/// Per-client observed sequences of one object's operations, for the
+/// Per-node observed sequences of one object's operations, for the
 /// witness search.
 ///
 /// * Completed writes are mandatory; their effect must be placeable.
@@ -78,8 +78,8 @@ pub fn check(exec: &Exec) -> Option<Violation> {
 ///   (successful) outcome, so the witness may include or exclude them.
 /// * Only completed reads carry an observation; incomplete or failed
 ///   reads are excluded entirely.
-fn observed_sequences(records: &[OpRec], n_clients: usize, object: u32) -> Vec<Vec<ScOp>> {
-    let mut seqs = vec![Vec::new(); n_clients];
+fn observed_sequences(records: &[OpRec], nodes: usize, object: u32) -> Vec<Vec<ScOp>> {
+    let mut seqs = vec![Vec::new(); nodes];
     for rec in records.iter().filter(|rec| rec.object == object) {
         let Some(seq) = seqs.get_mut(usize::from(rec.client)) else {
             continue;
@@ -123,7 +123,8 @@ fn observed_sequences(records: &[OpRec], n_clients: usize, object: u32) -> Vec<V
 fn check_sc(exec: &Exec) -> Option<Violation> {
     let cfg = exec.config();
     for object in 0..cfg.m_objects as u32 {
-        let seqs = observed_sequences(exec.records(), cfg.n_clients, object);
+        // One sequence per program row: the home's, when it has one, too.
+        let seqs = observed_sequences(exec.records(), cfg.program.len(), object);
         if sc::find_witness(&seqs, 1).is_some() {
             continue;
         }

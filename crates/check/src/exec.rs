@@ -10,7 +10,7 @@
 use crate::Fnv;
 use bytes::Bytes;
 use repmem_core::{MsgKind, NodeId, ObjectId, OpKind, ProtocolKind, SystemParams};
-use repmem_net::{Envelope, FaultAction};
+use repmem_net::{Envelope, SchedAction};
 use repmem_runtime::{ClusterError, StepCluster};
 use std::collections::HashMap;
 
@@ -77,10 +77,11 @@ pub struct CheckConfig {
     pub s: u64,
     /// `P` — parameter-shipping cost parameter (cost metering only).
     pub p: u64,
-    /// `program[c]` — the scripted operation sequence of client `c`.
+    /// `program[c]` — the scripted operation sequence of node `c`: one
+    /// row per client, plus optionally row `N`, the home's.
     pub program: Vec<Vec<ProgOp>>,
     /// Fault actions, fired in order by `Ev::Fault` steps.
-    pub faults: Vec<FaultAction>,
+    pub faults: Vec<SchedAction>,
     /// Seeded transport-axiom violation, if any.
     pub mutation: Mutation,
     /// Maximum schedule length the explorer follows.
@@ -158,6 +159,16 @@ impl CheckConfig {
                 _ => vec![Read(0), Write(0), Read(0)],
             })
             .collect();
+        cfg
+    }
+
+    /// The home-writes workload: every node, the home included, writes
+    /// object 0 once. The home's program row (node `n_clients`) is the
+    /// shape the client-only programs never issue: its own write, raced
+    /// by client writes through the sequencer it runs.
+    pub fn home_writes(kind: ProtocolKind, n_clients: usize) -> CheckConfig {
+        let mut cfg = CheckConfig::new(kind, n_clients, 1, 0);
+        cfg.program = vec![vec![ProgOp::Write(0)]; n_clients + 1];
         cfg
     }
 

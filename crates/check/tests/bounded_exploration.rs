@@ -11,7 +11,7 @@ use repmem_check::{
     ViolationKind,
 };
 use repmem_core::{MsgKind, NodeId, ProtocolKind};
-use repmem_net::FaultAction;
+use repmem_net::SchedAction;
 
 #[test]
 fn exhaustive_fault_free_is_clean_for_every_protocol() {
@@ -35,8 +35,8 @@ fn exhaustive_blackout_is_clean_for_invalidation_and_update_families() {
     for kind in [ProtocolKind::WriteThrough, ProtocolKind::Dragon] {
         let mut cfg = CheckConfig::new(kind, 2, 2, 2);
         cfg.faults = vec![
-            FaultAction::Sever(NodeId(0), NodeId(2)),
-            FaultAction::Restore(NodeId(0), NodeId(2)),
+            SchedAction::Sever(NodeId(0), NodeId(2)),
+            SchedAction::Restore(NodeId(0), NodeId(2)),
         ];
         let report = exhaustive(&cfg, ExploreLimits::default());
         assert!(!report.capped, "{kind:?}: exploration hit a cap");
@@ -52,7 +52,7 @@ fn exhaustive_blackout_is_clean_for_invalidation_and_update_families() {
 fn sampling_with_kill_is_clean() {
     for kind in [ProtocolKind::Berkeley, ProtocolKind::Firefly] {
         let mut cfg = CheckConfig::new(kind, 2, 2, 2);
-        cfg.faults = vec![FaultAction::Kill(NodeId(1))];
+        cfg.faults = vec![SchedAction::Kill(NodeId(1))];
         let report = sample(&cfg, 7, 200);
         assert!(
             report.violation.is_none(),
@@ -129,7 +129,7 @@ fn quorum_completes_under_minority_kill_while_sequencers_degrade() {
     use repmem_check::{Ev, Exec, OpStatus};
     for kind in ProtocolKind::EVERY {
         let mut cfg = CheckConfig::new(kind, 2, 2, 2);
-        cfg.faults = vec![FaultAction::Kill(NodeId(2))];
+        cfg.faults = vec![SchedAction::Kill(NodeId(2))];
         let mut exec = Exec::new(&cfg);
         exec.apply(Ev::Fault(0)).expect("fire the kill");
         let mut steps = 0;
@@ -242,4 +242,22 @@ fn dropped_invalidation_surfaces_as_a_stale_fast_path_read() {
         "{}",
         violation.detail
     );
+}
+
+/// Every node, the home included, writes one object. The home's own
+/// write, deferred while a client's is being sequenced, must still
+/// complete: this shape is how the explorer found Write-Through-V
+/// leaving it blocked for good. Quorum has no home.
+#[test]
+fn home_writes_exploration_is_clean_for_the_sequencer_protocols() {
+    for kind in ProtocolKind::ALL {
+        let cfg = CheckConfig::home_writes(kind, 2);
+        let report = exhaustive(&cfg, ExploreLimits::default());
+        assert!(!report.capped, "{}", report.summary());
+        assert!(
+            report.violation.is_none(),
+            "{kind:?}: {}",
+            report.violation.unwrap().detail
+        );
+    }
 }

@@ -13,10 +13,8 @@
 //! tickets are drained in issue order — on a cluster with `W > 1` the
 //! reads overlap across shards, and per-object program order still
 //! holds because the node loop serializes operations per object. A
-//! scan touching a shard already in the cluster's dead set fails with
-//! [`ClusterError::NodeDown`] on its first affected key instead of
-//! paying the retry deadline once per key (the runtime gives a send to
-//! a buried node one attempt and no retry budget).
+//! scan touching a dead shard fails with [`ClusterError::NodeDown`] on
+//! its first affected key: a send to a dead node fails at once.
 
 use crate::keyspace::KeySpace;
 use bytes::Bytes;

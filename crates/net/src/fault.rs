@@ -1,37 +1,30 @@
-//! Deterministic fault injection: scripted link severs, endpoint kills
-//! and delivery stalls over any inner transport.
+//! Deterministic fault injection: endpoint kills and delivery stalls
+//! over any inner transport.
 //!
 //! [`FaultTransport`] wraps a transport and consults a shared
-//! [`FaultSchedule`] on every send. The schedule is a list of
-//! [`FaultEvent`]s keyed by the cluster-wide *send-attempt counter*:
-//! every `Endpoint::send` call (including one that will fail) advances
-//! the counter by exactly one and fires every event whose trigger it
+//! [`FaultSchedule`] on every send. The schedule is a list of scripted
+//! faults keyed by the cluster-wide *send-attempt counter*: every
+//! `Endpoint::send` call (including one that will fail) advances the
+//! counter by exactly one and fires every fault whose trigger it
 //! crosses, so a given workload always experiences the faults at the
 //! same points in its communication pattern — no wall clocks, no
 //! randomness in the trigger.
 //!
 //! Fault semantics:
 //!
-//! * **Sever** — the unordered node pair's link drops. Sends in either
-//!   direction fail with the *transient* [`NetError::Closed`] and
-//!   nothing is delivered; a later **Restore** brings the link back.
-//!   Messages that failed while severed were never on the wire, so FIFO
-//!   order on the surviving segments (and on the restored link, for
-//!   everything accepted after the restore) is untouched — exactly the
-//!   paper's fault-free FIFO channel, interrupted and resumed.
 //! * **Kill** — the endpoint is gone for good. Sends to it (and from
-//!   it) fail with the *permanent* [`NetError::Down`]; there is no
-//!   restore.
+//!   it) fail with [`NetError::Down`] naming the dead endpoint.
 //! * **DelayBurst** — the next `sends` send calls each stall for `dur`
 //!   before forwarding. The stall happens on the sending node's thread,
 //!   so per-link FIFO order is preserved; only time stretches.
 //!
+//! No fault here heals and none loses an accepted envelope: links are
+//! reliable and nodes crash-stop, the model the TCP mesh implements.
 //! Self-sends (`to == me`) model the node's local loopback, not a
 //! network link, and are never faulted.
 //!
-//! A [`FaultHandle`] offers the same sever/restore/kill controls
-//! imperatively, for tests that want to script faults around their own
-//! workload phases instead of send counts.
+//! A [`FaultHandle`] kills imperatively, for tests that script a death
+//! around their own workload phases instead of send counts.
 
 use crate::{DeliverFn, Endpoint, Envelope, NetError, Transport};
 use repmem_core::NodeId;
@@ -41,30 +34,21 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// What a scheduled fault does when its trigger fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Drop the link between the unordered pair `(a, b)`: sends in
-    /// either direction fail with [`NetError::Closed`] until restored.
-    Sever(NodeId, NodeId),
-    /// Bring the severed pair `(a, b)` back up.
-    Restore(NodeId, NodeId),
-    /// Permanently kill the endpoint: sends to and from it fail with
-    /// [`NetError::Down`] forever.
+#[derive(Debug, Clone, Copy)]
+enum FaultAction {
+    /// Permanently kill the endpoint.
     Kill(NodeId),
-    /// Stall each of the next `sends` send calls for `dur` on the
-    /// sender's thread before forwarding (FIFO preserved).
+    /// Stall each of the next `sends` send calls for `dur`.
     DelayBurst { dur: Duration, sends: u64 },
 }
 
 /// One scheduled fault: `action` fires when the cluster-wide send
 /// counter reaches `at_send` (1-based: `at_send: 1` fires on the very
 /// first send).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Send-attempt count that triggers the action.
-    pub at_send: u64,
-    /// The fault to inject.
-    pub action: FaultAction,
+#[derive(Debug, Clone, Copy)]
+struct FaultEvent {
+    at_send: u64,
+    action: FaultAction,
 }
 
 /// A deterministic fault script, built fluently and consumed by
@@ -76,27 +60,9 @@ pub struct FaultSchedule {
 
 impl FaultSchedule {
     /// An empty schedule (no scripted faults; the [`FaultHandle`] can
-    /// still inject them manually).
+    /// still kill manually).
     pub fn new() -> Self {
         FaultSchedule::default()
-    }
-
-    /// Sever the link pair `(a, b)` at send count `at`.
-    pub fn sever_at(mut self, at: u64, a: NodeId, b: NodeId) -> Self {
-        self.events.push(FaultEvent {
-            at_send: at,
-            action: FaultAction::Sever(a, b),
-        });
-        self
-    }
-
-    /// Restore the link pair `(a, b)` at send count `at`.
-    pub fn restore_at(mut self, at: u64, a: NodeId, b: NodeId) -> Self {
-        self.events.push(FaultEvent {
-            at_send: at,
-            action: FaultAction::Restore(a, b),
-        });
-        self
     }
 
     /// Permanently kill `node` at send count `at`.
@@ -117,35 +83,11 @@ impl FaultSchedule {
         });
         self
     }
-
-    /// The scheduled events in insertion order, as built.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// The schedule as an ordered *event stream*: the fault actions
-    /// sorted by trigger count, trigger dropped. This is the hook the
-    /// schedule explorer consumes — it keeps the stream's order but
-    /// chooses the firing points itself, so one `FaultSchedule` value
-    /// scripts both a wall-clock run ([`FaultTransport`]) and an
-    /// exhaustive interleaving search (`repmem-check`).
-    pub fn action_stream(&self) -> Vec<FaultAction> {
-        let mut events = self.events.clone();
-        events.sort_by_key(|e| e.at_send);
-        events.into_iter().map(|e| e.action).collect()
-    }
-}
-
-/// Normalized unordered pair key for the severed-link set.
-fn pair(a: NodeId, b: NodeId) -> (u16, u16) {
-    (a.0.min(b.0), a.0.max(b.0))
 }
 
 struct FaultMap {
     /// Events not yet fired, sorted by trigger count.
     pending: VecDeque<FaultEvent>,
-    /// Currently severed unordered pairs.
-    severed: HashSet<(u16, u16)>,
     /// Permanently killed endpoints.
     killed: HashSet<u16>,
     /// Active delay burst: `(stall, sends left)`.
@@ -164,12 +106,6 @@ fn lock(m: &Mutex<FaultMap>) -> MutexGuard<'_, FaultMap> {
 impl FaultState {
     fn apply(map: &mut FaultMap, action: FaultAction) {
         match action {
-            FaultAction::Sever(a, b) => {
-                map.severed.insert(pair(a, b));
-            }
-            FaultAction::Restore(a, b) => {
-                map.severed.remove(&pair(a, b));
-            }
             FaultAction::Kill(n) => {
                 map.killed.insert(n.0);
             }
@@ -199,9 +135,6 @@ impl FaultState {
         if map.killed.contains(&me.0) {
             return Err(NetError::Down(me));
         }
-        if map.severed.contains(&pair(me, to)) {
-            return Err(NetError::Closed(to));
-        }
         let stall = match &mut map.burst {
             Some((dur, left)) => {
                 let dur = *dur;
@@ -225,24 +158,9 @@ pub struct FaultHandle {
 }
 
 impl FaultHandle {
-    /// Sever the link pair `(a, b)` now.
-    pub fn sever(&self, a: NodeId, b: NodeId) {
-        FaultState::apply(&mut lock(&self.state.map), FaultAction::Sever(a, b));
-    }
-
-    /// Restore the link pair `(a, b)` now.
-    pub fn restore(&self, a: NodeId, b: NodeId) {
-        FaultState::apply(&mut lock(&self.state.map), FaultAction::Restore(a, b));
-    }
-
     /// Permanently kill `node` now.
     pub fn kill(&self, node: NodeId) {
         FaultState::apply(&mut lock(&self.state.map), FaultAction::Kill(node));
-    }
-
-    /// Send attempts observed so far across the whole cluster.
-    pub fn sends(&self) -> u64 {
-        self.state.sends.load(Ordering::SeqCst)
     }
 }
 
@@ -264,7 +182,6 @@ impl<T: Transport> FaultTransport<T> {
                 sends: AtomicU64::new(0),
                 map: Mutex::new(FaultMap {
                     pending: events.into(),
-                    severed: HashSet::new(),
                     killed: HashSet::new(),
                     burst: None,
                 }),
@@ -327,20 +244,17 @@ impl Endpoint for FaultEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InProcTransport;
 
     #[test]
     fn schedule_fires_in_trigger_order_regardless_of_insertion() {
-        let s = FaultSchedule::new()
-            .restore_at(5, NodeId(0), NodeId(1))
-            .sever_at(2, NodeId(0), NodeId(1));
-        let mut events = s.events.clone();
-        events.sort_by_key(|e| e.at_send);
-        assert_eq!(events[0].action, FaultAction::Sever(NodeId(0), NodeId(1)));
-        assert_eq!(events[1].action, FaultAction::Restore(NodeId(0), NodeId(1)));
-    }
-
-    #[test]
-    fn pair_key_is_unordered() {
-        assert_eq!(pair(NodeId(3), NodeId(1)), pair(NodeId(1), NodeId(3)));
+        let schedule =
+            FaultSchedule::new()
+                .kill_at(5, NodeId(1))
+                .delay_burst_at(2, Duration::ZERO, 1);
+        let t = FaultTransport::new(InProcTransport::new(2), schedule);
+        let map = lock(&t.state.map);
+        let triggers: Vec<u64> = map.pending.iter().map(|e| e.at_send).collect();
+        assert_eq!(triggers, [2, 5]);
     }
 }

@@ -49,7 +49,7 @@ impl Transport for InProcTransport {
 
     fn bind(&mut self, node: NodeId, deliver: DeliverFn) -> Result<Box<dyn Endpoint>, NetError> {
         if node.idx() >= self.mesh.sinks.len() {
-            return Err(NetError::Closed(node));
+            return Err(NetError::Io(format!("no node {node}")));
         }
         if self.mesh.sinks[node.idx()].set(deliver).is_err() {
             return Err(NetError::Io(format!("{node} bound twice")));
@@ -76,7 +76,7 @@ impl Endpoint for InProcEndpoint {
             .sinks
             .get(to.idx())
             .and_then(OnceLock::get)
-            .ok_or(NetError::Closed(to))?;
+            .ok_or_else(|| NetError::Io(format!("{to} is not bound")))?;
         sink(env.clone());
         Ok(())
     }

@@ -26,14 +26,13 @@
 //! * [`MeteredTransport`] — per-link message/byte counters bucketed by
 //!   the paper's cost classes (`1`, `P+1`, `S+1`), so measured wire
 //!   traffic can be reconciled against the analytic cost model.
-//! * [`FaultTransport`] — scripted fault injection: sever/restore links,
-//!   kill endpoints and stretch delivery at exact send counts, with FIFO
-//!   order preserved on every surviving segment — the harness behind the
-//!   runtime's recovery guarantees.
+//! * [`FaultTransport`] — scripted fault injection: kill endpoints and
+//!   stretch delivery at exact send counts, with FIFO order preserved on
+//!   every link — the harness behind the runtime's dead-peer guarantees.
 //! * [`SchedTransport`] — the scheduler hook on the in-proc mesh: sends
 //!   park in per-link FIFO queues and a [`SchedHandle`] decides which
 //!   link delivers next, so a checker can enumerate every interleaving
-//!   the FIFO-channel axioms admit (plus inject [`FaultAction`]s at
+//!   the FIFO-channel axioms admit (plus inject [`SchedAction`]s at
 //!   chosen points). The substrate of the `repmem-check` explorer.
 //!
 //! Wrappers compose: `MeteredTransport::new(FaultTransport::new(...))`
@@ -50,12 +49,12 @@ pub mod metered;
 pub mod sched;
 
 pub use codec::{CodecError, Frame, FrameBuf, MAX_FRAME_LEN, WIRE_VERSION};
-pub use fault::{FaultAction, FaultEvent, FaultHandle, FaultSchedule, FaultTransport};
+pub use fault::{FaultHandle, FaultSchedule, FaultTransport};
 pub use inproc::InProcTransport;
 #[cfg(target_os = "linux")]
 pub use mesh::{CtrlConn, CtrlHandler, EpollEndpoint, EpollTransport, MeshConfig, CTRL_NODE};
 pub use metered::{ClassCounters, LinkSnapshot, MeterHandle, MeterStats, MeteredTransport};
-pub use sched::{SchedHandle, SchedTransport};
+pub use sched::{SchedAction, SchedHandle, SchedTransport};
 
 use bytes::Bytes;
 use repmem_core::{Msg, NodeId};
@@ -114,21 +113,19 @@ pub struct Envelope {
 
 /// Transport-layer failures.
 ///
-/// `Closed` is *transient* as far as the caller can tell: the link is
-/// down right now and may come back (a severed-then-restored fault
-/// schedule), so callers with a recovery budget should retry. A dead TCP
-/// mesh link also reports `Closed` and never comes back; the runtime's
-/// retry deadline is what turns it into a dead peer. `Down` is
-/// *permanent*: a scripted kill took the endpoint behind the link, and
-/// retrying is pointless.
+/// Short of an I/O or codec error, a failed send means one of two
+/// things, and neither heals. `Closed`: this endpoint itself has shut
+/// down, so the node is on its way out and the envelope is not needed.
+/// `Down(n)`: node `n` is gone for good — the TCP mesh says so when the
+/// stream to `n` died, the fault layers when a script killed `n` (a
+/// killed sender is told `Down` of itself). Links are fail-stop and
+/// nodes crash-stop, so nobody retries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// The link to `NodeId` (or the whole endpoint) has been closed.
-    /// Transient: recovery may restore it.
+    /// This endpoint has been closed; the send to `NodeId` was refused.
     Closed(NodeId),
-    /// The node behind the link is permanently unreachable. Among the
-    /// transports only the fault layers return it, for a scripted kill
-    /// ([`FaultTransport`], [`SchedTransport`]); the TCP mesh never does.
+    /// The node is permanently unreachable: its link died, or a fault
+    /// layer killed it.
     Down(NodeId),
     /// Socket-level failure.
     Io(String),
@@ -139,7 +136,7 @@ pub enum NetError {
 impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NetError::Closed(n) => write!(f, "link to {n} is closed"),
+            NetError::Closed(n) => write!(f, "endpoint closed, send to {n} refused"),
             NetError::Down(n) => write!(f, "{n} is permanently unreachable"),
             NetError::Io(e) => write!(f, "transport i/o error: {e}"),
             NetError::Codec(e) => write!(f, "wire codec error: {e}"),

@@ -51,12 +51,13 @@
 //! A link is installed once: a second `Hello` naming a peer whose link
 //! is up, or was up and died, is refused and its connection closed.
 //! When a stream dies (read error, failed write, a malformed frame) the
-//! link is dead for good and every later send fails with
-//! [`NetError::Closed`]. Frames the link had accepted but not yet
-//! written are lost with the stream, so resuming on a new stream would
-//! hand the peer a FIFO channel with a hole in it; the runtime's
-//! recovery (retry deadline, dead set, `NodeDown`) is the one answer to
-//! a dead link.
+//! link is dead for good and every later send to the peer fails with
+//! [`NetError::Down`]: to this endpoint, a peer it cannot reach is a
+//! dead peer. Frames the link had accepted but not yet written are lost
+//! with the stream, so resuming on a new stream would hand the peer a
+//! FIFO channel with a hole in it; the runtime buries the peer instead
+//! (dead set, `NodeDown`). [`NetError::Closed`] means only that this
+//! endpoint itself has been closed.
 
 use crate::codec::{encode_envelope_frame_into, write_frame, Frame, FrameBuf};
 use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -871,7 +872,7 @@ impl EpollEndpoint {
     ) -> Result<EpollEndpoint, NetError> {
         let n = cfg.peers.len();
         if cfg.me.idx() >= n {
-            return Err(NetError::Closed(cfg.me));
+            return Err(NetError::Io(format!("{} has no address in peers", cfg.me)));
         }
         let shared = Arc::new(MeshShared {
             me: cfg.me,
@@ -953,14 +954,16 @@ impl EpollEndpoint {
         })
     }
 
-    /// Fault hook: forcibly shut down the live stream to `peer` (both
-    /// directions), as if the network dropped the link. The loop's read
-    /// half errors out and the link is dead for good: later sends fail
-    /// with [`NetError::Closed`]. No-op when already down.
+    /// Fault hook: drop the link to `peer` as if the network cut it. The
+    /// link is dead when this returns: frames it accepted but did not
+    /// write are lost, and every later send fails with
+    /// [`NetError::Down`]. The peer's end dies once its loop reads the
+    /// EOF. No-op when already down.
     pub fn drop_link(&self, peer: NodeId) {
         if let Some(link) = self.shared.links.get(peer.idx()) {
-            if let Some(s) = lock(&link.out).stream.as_ref() {
-                let _ = s.shutdown(Shutdown::Both);
+            if !link.dead.load(Ordering::SeqCst) {
+                self.shared
+                    .sender_link_down(peer, link, &mut lock(&link.out));
             }
         }
     }
@@ -1051,9 +1054,12 @@ impl Endpoint for EpollEndpoint {
             (shared.deliver)(env.clone());
             return Ok(());
         }
-        let link = shared.links.get(to.idx()).ok_or(NetError::Closed(to))?;
+        let link = shared
+            .links
+            .get(to.idx())
+            .ok_or_else(|| NetError::Io(format!("no link to {to}")))?;
         if link.dead.load(Ordering::SeqCst) {
-            return Err(NetError::Closed(to));
+            return Err(NetError::Down(to));
         }
         // Coalesce: append the encoded frame to the link's outbound
         // burst; the socket is not touched until the next flush.
@@ -1138,20 +1144,20 @@ impl EpollTransport {
     pub fn addrs(&self) -> &[SocketAddr] {
         &self.addrs
     }
-}
 
-impl Transport for EpollTransport {
-    fn n_nodes(&self) -> usize {
-        self.addrs.len()
-    }
-
-    fn bind(&mut self, node: NodeId, deliver: DeliverFn) -> Result<Box<dyn Endpoint>, NetError> {
+    /// [`Transport::bind`], returning the endpoint as its own type, so a
+    /// caller can reach its fault hook ([`EpollEndpoint::drop_link`]).
+    pub fn bind_endpoint(
+        &mut self,
+        node: NodeId,
+        deliver: DeliverFn,
+    ) -> Result<EpollEndpoint, NetError> {
         let listener = self
             .listeners
             .get_mut(node.idx())
             .and_then(Option::take)
             .ok_or_else(|| NetError::Io(format!("{node} already bound or out of range")))?;
-        let ep = EpollEndpoint::establish_on(
+        EpollEndpoint::establish_on(
             MeshConfig {
                 me: node,
                 listener,
@@ -1160,7 +1166,16 @@ impl Transport for EpollTransport {
             deliver,
             None,
             Arc::clone(&self.runner),
-        )?;
-        Ok(Box::new(ep))
+        )
+    }
+}
+
+impl Transport for EpollTransport {
+    fn n_nodes(&self) -> usize {
+        self.addrs.len()
+    }
+
+    fn bind(&mut self, node: NodeId, deliver: DeliverFn) -> Result<Box<dyn Endpoint>, NetError> {
+        Ok(Box::new(self.bind_endpoint(node, deliver)?))
     }
 }

@@ -36,11 +36,10 @@ pub struct ClassCounters {
     pub msgs: u64,
     /// Framed wire bytes sent in this class.
     pub bytes: u64,
-    /// Messages the backend refused because the destination endpoint is
-    /// permanently dead (`NetError::Down`) — broadcast legs silently
-    /// skipped under a `RecoveryPolicy`. These were charged by the cost
-    /// model before the send, so `msgs + dropped` reconciles with the
-    /// cluster's message counter even under kills.
+    /// Messages the backend refused with `NetError::Down`: a dead peer
+    /// (a killed node, a dead mesh link) or a killed sender. The cost
+    /// model charged them before the send, so `msgs + dropped`
+    /// reconciles with the cluster's message counter even under kills.
     pub dropped: u64,
 }
 
@@ -221,10 +220,9 @@ struct MeteredEndpoint {
 impl Endpoint for MeteredEndpoint {
     fn send(&self, to: NodeId, env: &Envelope) -> Result<(), NetError> {
         if let Err(e) = self.inner.send(to, env) {
-            // A dead destination is counted as a dropped message (the
-            // cost model charged it before the send); transient refusals
-            // (severed link mid-retry) are not, so retried attempts
-            // never double-count.
+            // A `Down` is counted as a dropped message (the cost model
+            // charged it before the send). A send refused because this
+            // endpoint closed is shutdown, not a message.
             if to != self.me && matches!(e, NetError::Down(_)) {
                 self.stats.record_dropped(self.me, to, env.msg.payload);
             }

@@ -11,22 +11,24 @@
 //! FIFO-channel axioms admit: per-link order is fixed, cross-link order
 //! is arbitrary.
 //!
-//! Fault actions reuse the [`FaultAction`] vocabulary of the scripted
-//! [`crate::FaultTransport`], with deterministic, time-free semantics:
+//! Faults are [`SchedAction`]s the driver applies at steps it chooses,
+//! with deterministic, time-free semantics:
 //!
 //! * **Sever** — new sends on the pair *park* in a holding buffer and
 //!   are appended to the live queue on **Restore**, preserving send
-//!   order. This is the zero-wall-clock equivalent of the runtime's
-//!   retry-until-restore recovery loop: the message is accepted, waits
-//!   out the blackout, and arrives after everything sent before the
-//!   sever. Envelopes already queued before the sever were on the wire
-//!   and stay deliverable.
-//! * **Kill** — the endpoint is gone: sends to or from it fail with the
-//!   permanent [`NetError::Down`], queued and parked envelopes *to* it
+//!   order. A sever is a delay that never loses: the message is
+//!   accepted, waits out the blackout, and arrives after everything
+//!   sent before the sever. Envelopes already queued before the sever
+//!   were on the wire and stay deliverable. No send fails, so a sever
+//!   is a blackout the explorer can schedule, not a failure model.
+//! * **Kill** — the endpoint is gone: sends to or from it fail with
+//!   [`NetError::Down`] naming it, queued and parked envelopes *to* it
 //!   are dropped, and parked envelopes *from* it will never be re-sent.
 //!   Envelopes it put on the wire before dying stay deliverable.
-//! * **DelayBurst** — a no-op: time does not pass here, the scheduler
-//!   already owns all reordering a delay could cause.
+//!
+//! Time does not pass here, so [`crate::FaultTransport`]'s delay bursts
+//! have no counterpart: the scheduler already owns every reordering a
+//! delay could cause.
 //!
 //! Self-sends queue on the node's own loopback link `(n, n)` and are
 //! scheduled like any other delivery (a node that has not yet processed
@@ -39,7 +41,7 @@
 //! *would* catch a protocol whose correctness argument silently leaned
 //! on a property the transport no longer provides.
 
-use crate::{DeliverFn, Endpoint, Envelope, FaultAction, NetError, Transport};
+use crate::{DeliverFn, Endpoint, Envelope, NetError, Transport};
 use repmem_core::NodeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,6 +49,18 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Directed link key `(from, to)`.
 type Link = (u16, u16);
+
+/// A fault [`SchedHandle::apply`] injects (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedAction {
+    /// Park new sends between the unordered pair `(a, b)` until the
+    /// matching restore.
+    Sever(NodeId, NodeId),
+    /// Release the pair's parked envelopes behind its wire traffic.
+    Restore(NodeId, NodeId),
+    /// Kill the endpoint for good.
+    Kill(NodeId),
+}
 
 #[derive(Default)]
 struct LinkMap {
@@ -106,7 +120,7 @@ impl Transport for SchedTransport {
 
     fn bind(&mut self, node: NodeId, deliver: DeliverFn) -> Result<Box<dyn Endpoint>, NetError> {
         if node.idx() >= self.state.sinks.len() {
-            return Err(NetError::Closed(node));
+            return Err(NetError::Io(format!("no node {node}")));
         }
         if self.state.sinks[node.idx()].set(deliver).is_err() {
             return Err(NetError::Io(format!("{node} bound twice")));
@@ -131,7 +145,7 @@ impl Endpoint for SchedEndpoint {
             return Err(NetError::Closed(to));
         }
         if to.idx() >= self.state.sinks.len() {
-            return Err(NetError::Closed(to));
+            return Err(NetError::Io(format!("no node {to}")));
         }
         let mut map = lock(&self.state);
         if to != self.me {
@@ -142,8 +156,7 @@ impl Endpoint for SchedEndpoint {
                 return Err(NetError::Down(self.me));
             }
             if map.severed.contains(&pair(self.me, to)) {
-                // Parked, not lost: released in order on Restore — the
-                // deterministic stand-in for a retry-until-restore loop.
+                // Parked, not lost: released in order on Restore.
                 map.parked
                     .entry((self.me.0, to.0))
                     .or_default()
@@ -238,13 +251,13 @@ impl SchedHandle {
 
     /// Apply one fault action now (see the module docs for the
     /// scheduler-mode semantics of each action).
-    pub fn apply(&self, action: FaultAction) {
+    pub fn apply(&self, action: SchedAction) {
         let mut map = lock(&self.state);
         match action {
-            FaultAction::Sever(a, b) => {
+            SchedAction::Sever(a, b) => {
                 map.severed.insert(pair(a, b));
             }
-            FaultAction::Restore(a, b) => {
+            SchedAction::Restore(a, b) => {
                 map.severed.remove(&pair(a, b));
                 // Release parked envelopes behind whatever was already on
                 // the wire: everything parked was sent later.
@@ -254,14 +267,11 @@ impl SchedHandle {
                     }
                 }
             }
-            FaultAction::Kill(n) => {
+            SchedAction::Kill(n) => {
                 map.killed.insert(n.0);
                 map.queues.retain(|&(_, to), _| to != n.0);
                 map.parked.retain(|&(from, to), _| from != n.0 && to != n.0);
             }
-            // Time does not pass under a scheduler; a delay is just a
-            // reordering the driver can already produce.
-            FaultAction::DelayBurst { .. } => {}
         }
     }
 
@@ -402,11 +412,11 @@ mod tests {
     fn sever_parks_until_restore_behind_wire_traffic() {
         let (eps, rxs, h) = mesh(2);
         eps[0].send(NodeId(1), &env(0, 1)).unwrap(); // on the wire
-        h.apply(FaultAction::Sever(NodeId(0), NodeId(1)));
+        h.apply(SchedAction::Sever(NodeId(0), NodeId(1)));
         eps[0].send(NodeId(1), &env(0, 2)).unwrap(); // parked
         assert_eq!(h.total_parked(), 1);
         assert_eq!(h.total_queued(), 1); // pre-sever envelope still deliverable
-        h.apply(FaultAction::Restore(NodeId(0), NodeId(1)));
+        h.apply(SchedAction::Restore(NodeId(0), NodeId(1)));
         assert_eq!(h.total_parked(), 0);
         for tag in 1..=2 {
             assert!(h.deliver(NodeId(0), NodeId(1)));
@@ -419,7 +429,7 @@ mod tests {
         let (eps, rxs, h) = mesh(3);
         eps[0].send(NodeId(1), &env(0, 1)).unwrap();
         eps[1].send(NodeId(2), &env(1, 2)).unwrap(); // node 1 already sent
-        h.apply(FaultAction::Kill(NodeId(1)));
+        h.apply(SchedAction::Kill(NodeId(1)));
         assert_eq!(
             eps[0].send(NodeId(1), &env(0, 3)),
             Err(NetError::Down(NodeId(1)))
@@ -441,7 +451,7 @@ mod tests {
     #[test]
     fn self_sends_queue_on_the_loopback_link_and_are_never_faulted() {
         let (eps, rxs, h) = mesh(2);
-        h.apply(FaultAction::Sever(NodeId(0), NodeId(1)));
+        h.apply(SchedAction::Sever(NodeId(0), NodeId(1)));
         eps[0].send(NodeId(0), &env(0, 9)).unwrap();
         assert_eq!(h.total_parked(), 0);
         assert!(h.deliver(NodeId(0), NodeId(0)));

@@ -1,8 +1,8 @@
 //! The TCP mesh, exercised at the transport level: FIFO delivery under
 //! coalesced bursts and partial reads, loopback, the control-connection
 //! handoff, a protocol violation costing only the link it arrived on,
-//! and fail-stop links (one install per link, a dead link stays
-//! `Closed` and never delivers what it accepted after the break, an
+//! and fail-stop links (one install per link, a dead link reports its
+//! peer `Down` and never delivers what it accepted after the break, an
 //! EOF right behind a burst is still seen).
 #![cfg(target_os = "linux")]
 
@@ -302,10 +302,10 @@ fn mesh_unknown_frame_tag_tears_down_only_its_own_link() {
         matches!(raw0.read(&mut [0u8; 16]), Ok(0) | Err(_)),
         "link survived an undecodable frame"
     );
-    // ... and reports the link dead for good.
+    // ... and reports the peer dead for good.
     assert!(wait_until(Duration::from_secs(5), || matches!(
         send_flush(&ep1, NodeId(0), &env(NodeId(1), 1)),
-        Err(NetError::Closed(NodeId(0)))
+        Err(NetError::Down(NodeId(0)))
     )));
     // The 1 <-> 2 link is untouched, in both directions.
     send_flush(&ep1, NodeId(2), &env(NodeId(1), 7)).unwrap();
@@ -388,33 +388,40 @@ fn mesh_ignores_a_second_hello_for_a_linked_peer() {
     assert!(wait_until(Duration::from_secs(5), || {
         matches!(
             ep0.send(NodeId(1), &env(NodeId(0), 3)),
-            Err(NetError::Closed(NodeId(1)))
+            Err(NetError::Down(NodeId(1)))
         ) && matches!(
             ep1.send(NodeId(0), &env(NodeId(1), 3)),
-            Err(NetError::Closed(NodeId(0)))
+            Err(NetError::Down(NodeId(0)))
         )
     }));
     let mut raw = raw_hello_as_node0(addr1);
     assert!(hung_up(&mut raw), "a hello revived a dead link");
     assert_eq!(
         send_flush(&ep1, NodeId(0), &env(NodeId(1), 4)),
-        Err(NetError::Closed(NodeId(0)))
+        Err(NetError::Down(NodeId(0)))
     );
     assert_eq!(
         send_flush(&ep0, NodeId(1), &env(NodeId(0), 4)),
-        Err(NetError::Closed(NodeId(1)))
+        Err(NetError::Down(NodeId(1)))
     );
     assert!(both_hold(&[1, 2]));
     ep0.close();
     ep1.close();
 }
 
-/// A dead link stays `Closed` and has no hole: what node 0 accepted
-/// right after the break (sends plus a flush) is lost with the stream,
-/// later attempts fail, and node 1 holds exactly the pre-break prefix.
+/// A dropped link is dead when `drop_link` returns, and has no hole:
+/// node 0's sends fail with its peer `Down` at once, node 1's end dies
+/// when its loop reads the EOF (what it accepted until then is lost
+/// with the stream), and neither side ever delivers past the break.
 #[test]
-fn mesh_dead_link_stays_closed() {
-    let Pair { ep0, ep1, got1, .. } = mesh_pair();
+fn mesh_dropped_link_reports_its_peer_down() {
+    let Pair {
+        ep0,
+        ep1,
+        got0,
+        got1,
+        ..
+    } = mesh_pair();
     send_flush(&ep0, NodeId(1), &env(NodeId(0), 1)).unwrap();
     assert!(
         wait_until(Duration::from_secs(5), || clocks_from(&got1, NodeId(0))
@@ -422,30 +429,29 @@ fn mesh_dead_link_stays_closed() {
         "baseline send lost"
     );
     ep0.drop_link(NodeId(1));
-    // Until the loop notices, the link may still accept sends.
     for clock in 2..=5 {
-        let _ = ep0.send(NodeId(1), &env(NodeId(0), clock));
+        assert_eq!(
+            send_flush(&ep0, NodeId(1), &env(NodeId(0), clock)),
+            Err(NetError::Down(NodeId(1)))
+        );
     }
-    let _ = ep0.flush();
+    // Until its loop notices, node 1's end may still accept sends.
     assert!(
         wait_until(Duration::from_secs(5), || matches!(
-            send_flush(&ep0, NodeId(1), &env(NodeId(0), 100)),
-            Err(NetError::Closed(NodeId(1)))
+            send_flush(&ep1, NodeId(0), &env(NodeId(1), 100)),
+            Err(NetError::Down(NodeId(0)))
         )),
-        "dead link never reported Closed"
+        "node 1 never saw its link to node 0 die"
     );
-    assert_eq!(
-        send_flush(&ep0, NodeId(1), &env(NodeId(0), 101)),
-        Err(NetError::Closed(NodeId(1)))
-    );
-    // Node 1 has torn its end down too, so nothing more can arrive.
-    assert!(wait_until(Duration::from_secs(5), || matches!(
-        ep1.send(NodeId(0), &env(NodeId(1), 1)),
-        Err(NetError::Closed(NodeId(0)))
-    )));
-    assert_eq!(clocks_from(&got1, NodeId(0)), [1]);
-    ep0.close();
+    // Closing is this endpoint's own shutdown, not a dead peer.
     ep1.close();
+    assert_eq!(
+        ep1.send(NodeId(0), &env(NodeId(1), 101)),
+        Err(NetError::Closed(NodeId(0)))
+    );
+    assert_eq!(clocks_from(&got1, NodeId(0)), [1]);
+    assert!(clocks_from(&got0, NodeId(1)).is_empty());
+    ep0.close();
 }
 
 /// The loop stops reading a link at the first short `read`, leaving the
@@ -486,7 +492,7 @@ fn mesh_delivers_a_burst_then_sees_the_eof_behind_it() {
     assert!(
         wait_until(Duration::from_secs(5), || matches!(
             send_flush(&ep1, NodeId(0), &env(NodeId(1), 1)),
-            Err(NetError::Closed(NodeId(0)))
+            Err(NetError::Down(NodeId(0)))
         )),
         "the EOF behind the burst never killed the link"
     );

@@ -91,6 +91,9 @@ impl WriteThroughV {
                 env.ret();
                 state
             }
+            // Also the resurfacing of a write the RECALLING arm deferred
+            // and disabled: re-enable the local queue, or it never
+            // completes.
             (MsgKind::WReq, Valid) => {
                 env.change();
                 env.push(
@@ -98,6 +101,7 @@ impl WriteThroughV {
                     MsgKind::WInv,
                     PayloadKind::Token,
                 );
+                env.enable_local();
                 Valid
             }
             // The sequencer's own write while a granted client write is

@@ -18,10 +18,9 @@
 
 use repmem_core::{NodeId, ProtocolKind, SystemParams};
 use repmem_runtime::remote::{serve, ServeConfig};
-use repmem_runtime::{RecoveryPolicy, ShardConfig};
+use repmem_runtime::ShardConfig;
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::time::Duration;
 
 fn main() {
     if let Err(e) = run() {
@@ -36,7 +35,6 @@ struct Args {
     kind: ProtocolKind,
     listen: String,
     peers: Option<String>,
-    retry_deadline: Duration,
     shard: ShardConfig,
 }
 
@@ -49,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
     let mut kind: Option<ProtocolKind> = None;
     let mut listen = String::from("127.0.0.1:0");
     let mut peers: Option<String> = None;
-    let mut retry_deadline = Duration::ZERO;
     let mut shard = ShardConfig::default();
 
     let mut args = std::env::args().skip(1);
@@ -64,12 +61,6 @@ fn parse_args() -> Result<Args, String> {
             "--protocol" => kind = Some(parse_protocol(&value("--protocol")?)?),
             "--listen" => listen = value("--listen")?,
             "--peers" => peers = Some(value("--peers")?),
-            "--retry-deadline-ms" => {
-                retry_deadline = Duration::from_millis(parse(
-                    &value("--retry-deadline-ms")?,
-                    "--retry-deadline-ms",
-                )?)
-            }
             "--shards" => shard.shards = parse(&value("--shards")?, "--shards")?,
             "--window" => shard.window = parse(&value("--window")?, "--window")?,
             "--help" | "-h" => {
@@ -97,7 +88,6 @@ fn parse_args() -> Result<Args, String> {
         kind: kind.ok_or("--protocol is required")?,
         listen,
         peers,
-        retry_deadline,
         shard,
     })
 }
@@ -107,19 +97,15 @@ repmem-node: one DSM node as an OS process
 
 USAGE:
     repmem-node --node I --n-clients N --s S --p P --m M --protocol NAME
-                [--listen ADDR] [--peers A0,A1,...] [--retry-deadline-ms D]
-                [--shards K] [--window W]
+                [--listen ADDR] [--peers A0,A1,...] [--shards K] [--window W]
 
 With no --peers, prints `LISTEN <addr>` and reads `PEERS <a0> <a1> ...`
 from stdin. Protocol names are the paper's (case-insensitive), e.g.
 Write-Through, Write-Once, Synapse, Illinois, Berkeley, Dragon, Firefly.
 Nodes talk over one TCP stream per node pair, all of a node's links on
-one epoll event loop (Linux only). A link whose stream dies stays dead.
-
---retry-deadline-ms D > 0 retries sends that hit transient link errors
-for up to D ms before degrading that one operation and treating the
-peer as down. The default, 0, is the paper's fault-free channel
-assumption.
+one epoll event loop (Linux only). A link whose stream dies stays dead,
+and the node treats its peer as dead: an operation that needs that
+peer fails with NodeDown, and updates to it are dropped.
 
 --shards K runs K sequencer shard nodes (the cluster then has
 N-clients + K nodes; every process must agree); --window W allows W
@@ -200,11 +186,6 @@ fn run() -> Result<(), String> {
         me: NodeId(args.node),
         listener,
         peers,
-        recovery: if args.retry_deadline.is_zero() {
-            RecoveryPolicy::default()
-        } else {
-            RecoveryPolicy::with_deadline(args.retry_deadline)
-        },
         shard: args.shard,
     })
     .map_err(|e| e.to_string())

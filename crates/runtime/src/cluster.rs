@@ -2,8 +2,7 @@
 //! (blocking and pipelined).
 
 use crate::node::{
-    node_loop, AppReq, ClusterError, NodeCtx, Poison, RecoveryPolicy, ReplicaSnap, VersionClock,
-    Wire,
+    node_loop, AppReq, ClusterError, NodeCtx, Poison, ReplicaSnap, VersionClock, Wire,
 };
 use crate::shard::ShardConfig;
 use crate::table::ReplicaTable;
@@ -255,27 +254,16 @@ impl Cluster {
     /// process and stamp writes from one shared counter; only
     /// [`crate::remote`]'s one-node-per-process clusters run a Lamport
     /// clock (see `VersionClock` in the node module).
+    ///
+    /// A send the transport refuses with `Down(peer)` buries the peer:
+    /// the one operation that needed it fails with
+    /// [`ClusterError::NodeDown`], a broadcast leg to it is dropped, and
+    /// the cluster is not poisoned.
     pub fn with_transport(
         sys: SystemParams,
         kind: ProtocolKind,
         cfg: ShardConfig,
-        transport: impl Transport,
-    ) -> Result<Cluster, ClusterError> {
-        Cluster::with_recovery(sys, kind, cfg, transport, RecoveryPolicy::default())
-    }
-
-    /// [`Cluster::with_transport`] plus a [`RecoveryPolicy`]: how node
-    /// loops react when a send fails — retry transient errors up to the
-    /// policy's deadline, then degrade (fail the one affected operation
-    /// with [`ClusterError::NodeDown`]) instead of poisoning. The
-    /// default policy never retries, restoring the paper's fault-free
-    /// channel assumption exactly.
-    pub fn with_recovery(
-        sys: SystemParams,
-        kind: ProtocolKind,
-        cfg: ShardConfig,
         mut transport: impl Transport,
-        recovery: RecoveryPolicy,
     ) -> Result<Cluster, ClusterError> {
         if cfg.shards == 0 || cfg.window == 0 {
             return Err(ClusterError::Transport(format!(
@@ -326,7 +314,6 @@ impl Cluster {
                 Arc::clone(&messages),
                 VersionClock::Shared(Arc::clone(&versions)),
                 Arc::clone(&poison),
-                recovery,
                 Arc::clone(&dead),
             );
             tables.push(Arc::clone(&ctx.table));
@@ -430,7 +417,7 @@ impl Cluster {
     /// rounds no node sent or handled anything and nothing was in
     /// flight (Mattern's four-counter termination test; DESIGN,
     /// "Quiescence"). An operation blocked on a reply that can never
-    /// come does not hold it up; a sender still retrying does.
+    /// come does not hold it up; a sender stalled inside a send does.
     ///
     /// Fails with the poison, or [`ClusterError::NodeDown`] naming a
     /// node that never reached an idle point, once
@@ -495,8 +482,8 @@ impl Cluster {
         // has yet to handle is *ahead* of the invalidations that
         // request will fan out, and would leave their receivers stale.
         // Half the budget goes to the drain; a cluster that will not
-        // quiesce (callers still issuing, a sender stuck in its retry
-        // loop) is stopped regardless and reports its stragglers below.
+        // quiesce (callers still issuing, a sender stalled inside a
+        // send) is stopped regardless and reports its stragglers below.
         let _ = self.quiesce(Instant::now() + deadline / 2);
         for tx in &self.txs {
             let _ = tx.send(Wire::Stop);

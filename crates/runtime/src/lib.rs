@@ -44,7 +44,7 @@ pub mod step;
 mod table;
 
 pub use cluster::{Cluster, ClusterDump, Handle, Ticket, DEFAULT_STOP_DEADLINE};
-pub use node::{ClusterError, RecoveryPolicy, ReplicaSnap};
+pub use node::{ClusterError, ReplicaSnap};
 pub use shard::ShardConfig;
 pub use step::StepCluster;
 pub use table::ENTRY_BYTES;

@@ -15,13 +15,12 @@ use repmem_core::{
     Actions, CopyState, Dest, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag, PayloadKind,
     ProtocolKind, QueueKind, SystemParams,
 };
-use repmem_net::{Endpoint, Envelope, Payload};
+use repmem_net::{Endpoint, Envelope, NetError, Payload};
 use repmem_protocols::protocol;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Errors surfaced by the cluster API instead of panics or hangs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,47 +84,16 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// How a node reacts to transient transport failures on its send paths.
-///
-/// The default is the paper's fault-free assumption: no retries, a
-/// closed link is treated as a routine shutdown-time condition and the
-/// message is dropped. With a non-zero `retry_deadline` the node
-/// retries a failed send with exponential backoff until the deadline; a
-/// send that stays failed — or fails with the permanent
-/// [`repmem_net::NetError::Down`] — *degrades* instead of poisoning: a
-/// request whose sequencer shard is unreachable fails that one
-/// operation with [`ClusterError::NodeDown`] (protocol state rolled
-/// back), and a fire-and-forget update to a dead client is dropped.
-/// Poison stays reserved for genuine protocol-state corruption.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Total retry budget per send; `Duration::ZERO` disables retries.
-    pub retry_deadline: Duration,
-}
-
-impl RecoveryPolicy {
-    /// Retry transient send failures for up to `deadline`.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        RecoveryPolicy {
-            retry_deadline: deadline,
-        }
-    }
-}
-
 /// The cluster's dead set: one monotonic flag per node, shared by every
 /// node loop of a cluster (one node per process under
 /// [`crate::remote`], where it is that node's own view).
 ///
-/// A node marks a peer here when a send to it outlives the whole
-/// recovery budget or fails with the permanent
-/// [`repmem_net::NetError::Down`]. Every node reads it in two places:
-/// on a *transient* send failure, where a peer somebody already buried
-/// gets no second retry budget (the first operation each of N handles
-/// aims at a dead shard fails fast instead of each paying the deadline
-/// as detection), and in the sweep that fails operations blocked on a
-/// dead service node. Kills are permanent in this system, so flags only
-/// ever go up and a reader needs no lock — a relaxed load is a valid
-/// hint.
+/// A node marks the node a failed send names
+/// ([`repmem_net::NetError::Down`]). Every node reads it in the sweep
+/// that fails operations blocked on a dead service node, and in a
+/// Quorum round's count of the voters still alive. Nodes crash-stop
+/// and dead links stay dead, so flags only ever go up and a reader
+/// needs no lock — a relaxed load is a valid hint.
 pub(crate) struct DeadSet {
     peers: Vec<AtomicBool>,
 }
@@ -309,9 +277,6 @@ pub(crate) struct NodeCtx {
     pub clock: VersionClock,
     pub poison: Arc<Poison>,
     shards: ShardMap,
-    /// Reaction to transient send failures (default: none, the paper's
-    /// fault-free assumption).
-    recovery: RecoveryPolicy,
     /// Max in-flight application operations (`ShardConfig::window`).
     window: usize,
     /// In-flight operations by object, at most `window` of them.
@@ -323,8 +288,8 @@ pub(crate) struct NodeCtx {
     /// death.
     abandoned: HashSet<OpTag>,
     /// The cluster's dead set (see [`DeadSet`]): written when a send of
-    /// this node finds a peer dead, read to fast-fail sends to — and
-    /// operations blocked on — peers anybody already buried.
+    /// this node finds a peer dead, read to fail operations blocked on
+    /// peers anybody already buried.
     dead: Arc<DeadSet>,
     /// Envelopes a link accepted from this node, self-sends included.
     sent: u64,
@@ -347,7 +312,6 @@ impl NodeCtx {
         messages: Arc<AtomicU64>,
         clock: VersionClock,
         poison: Arc<Poison>,
-        recovery: RecoveryPolicy,
         dead: Arc<DeadSet>,
     ) -> NodeCtx {
         let window = cfg.window.max(1);
@@ -362,7 +326,6 @@ impl NodeCtx {
             clock,
             poison,
             shards: cfg.map(&sys),
-            recovery,
             window,
             // Bounded by the window, not by the object count.
             pending: HashMap::with_capacity(window.min(1024)),
@@ -412,18 +375,16 @@ struct NodeHost<'a> {
     cost: &'a AtomicU64,
     messages: &'a AtomicU64,
     clock: &'a VersionClock,
-    recovery: RecoveryPolicy,
-    /// The cluster's dead set (see [`DeadSet`]): a send to a peer in it
-    /// gets one attempt and no retry budget, and a send that finds its
+    /// The cluster's dead set (see [`DeadSet`]): a send that finds its
     /// peer dead marks it.
     dead: &'a DeadSet,
     /// The node's count of envelopes a link accepted (`NodeCtx::sent`).
     sent: &'a mut u64,
     /// First unrecoverable condition hit during this step, if any.
     error: Option<String>,
-    /// A peer this step could not reach even after its recovery budget:
-    /// the step must degrade (fail the pending operation, keep the
-    /// protocol state) instead of poisoning the cluster.
+    /// The one peer this step's own operation needed, found dead: the
+    /// step must degrade (fail the pending operation, keep the protocol
+    /// state) instead of poisoning the cluster.
     dead_dest: Option<NodeId>,
     /// Whether a send of this step (broadcast legs included) found its
     /// peer dead: the node then sweeps its blocked operations, whoever
@@ -484,61 +445,11 @@ impl NodeHost<'_> {
         Payload::initial()
     }
 
-    /// One send with the node's recovery policy applied: retry transient
-    /// failures (`Closed`, `Io`) with exponential backoff until the
-    /// retry deadline; a permanent `Down` fails immediately. Each retry
-    /// is a genuine `Endpoint::send` attempt, so scripted fault
-    /// schedules keyed on send counts keep advancing while a severed
-    /// link waits for its restore.
-    ///
-    /// A destination already in the cluster's dead set gets one attempt
-    /// but no retry budget: some earlier send to it already outlived a
-    /// whole deadline (or failed permanently), and kills are permanent,
-    /// so a second deadline cannot change the outcome. The transient
-    /// failure is promoted to `Down` so the caller degrades immediately
-    /// — this is what makes a multi-object `scan` touching a dead shard
-    /// fail fast instead of paying the deadline per key. With a zero
-    /// retry deadline (the fault-free default, and the step-driven
-    /// checker) the path is unchanged.
-    fn send_with_recovery(&self, to: NodeId, env: &Envelope) -> Result<(), repmem_net::NetError> {
-        use repmem_net::NetError;
-        /// First backoff step between retries (doubles each attempt).
-        const BACKOFF_BASE: Duration = Duration::from_micros(200);
-        /// Backoff ceiling.
-        const BACKOFF_CAP: Duration = Duration::from_millis(20);
-        let mut last = match self.endpoint.send(to, env) {
-            Ok(()) => return Ok(()),
-            Err(e @ NetError::Down(_)) => return Err(e),
-            Err(e) => e,
-        };
-        if self.recovery.retry_deadline.is_zero() {
-            return Err(last);
-        }
-        if self.dead.is_down(to) {
-            return Err(NetError::Down(to));
-        }
-        let deadline = Instant::now() + self.recovery.retry_deadline;
-        let mut wait = BACKOFF_BASE;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(last);
-            }
-            std::thread::sleep(wait.min(left));
-            match self.endpoint.send(to, env) {
-                Ok(()) => return Ok(()),
-                Err(e @ NetError::Down(_)) => return Err(e),
-                Err(e) => last = e,
-            }
-            wait = (wait * 2).min(BACKOFF_CAP);
-        }
-    }
-
     /// One receiver's leg of [`Actions::push`]: meter the message, build
-    /// the envelope, send with recovery, and fold any failure into the
-    /// step's degradation state. `single` marks a `Dest::To` send — only
-    /// those can take the initiator's own pending operation down with
-    /// them; a lost broadcast leg is degraded service, not a failure.
+    /// the envelope, send it, and fold a failure into the step's
+    /// degradation state. `single` marks a `Dest::To` send — only those
+    /// can take the initiator's own pending operation down with them; a
+    /// lost broadcast leg is degraded service, not a failure.
     fn push_to(
         &mut self,
         r: NodeId,
@@ -569,41 +480,27 @@ impl NodeHost<'_> {
             copy: copy.clone(),
             clock: self.clock.now(),
         };
-        use repmem_net::NetError;
-        let e = match self.send_with_recovery(r, &env) {
-            Ok(()) => {
-                *self.sent += 1;
-                return;
+        match self.endpoint.send(r, &env) {
+            Ok(()) => *self.sent += 1,
+            Err(NetError::Down(gone)) => {
+                // The peer is gone or — `Down(me)` from a fault layer —
+                // this node is. Bury whichever the transport named. If
+                // this step is my own operation talking to the one peer
+                // it needs, that operation must fail; a broadcast or
+                // relayed message to a dead peer is simply dropped.
+                self.dead.mark(gone);
+                self.buried = true;
+                if single
+                    && self.env.msg.initiator == self.me
+                    && self.pending.is_some()
+                    && self.dead_dest.is_none()
+                {
+                    self.dead_dest = Some(gone);
+                }
             }
-            Err(e) => e,
-        };
-        let retrying = !self.recovery.retry_deadline.is_zero();
-        let degrade = matches!(e, NetError::Down(_))
-            || (retrying && matches!(e, NetError::Closed(_) | NetError::Io(_)));
-        if degrade {
-            // The peer is gone (or outlived the whole retry budget), or
-            // — `Down(me)` from a fault layer — this node is. Bury
-            // whichever the transport named. If this step is my own
-            // operation talking to the one peer it needs, that
-            // operation must fail; a broadcast or relayed message to a
-            // dead peer is simply dropped (degraded service).
-            let gone = match e {
-                NetError::Down(gone) => gone,
-                _ => r,
-            };
-            self.dead.mark(gone);
-            self.buried = true;
-            if single
-                && self.env.msg.initiator == self.me
-                && self.pending.is_some()
-                && self.dead_dest.is_none()
-            {
-                self.dead_dest = Some(gone);
-            }
-        } else if !matches!(e, NetError::Closed(_)) {
-            // Fault-free default: a closed peer during shutdown is
-            // routine; anything else poisons the cluster.
-            self.fail(format!("send {:?} to {r} failed: {e}", kind));
+            // This endpoint has closed: the node is shutting down.
+            Err(NetError::Closed(_)) => {}
+            Err(e) => self.fail(format!("send {kind:?} to {r} failed: {e}")),
         }
     }
 }
@@ -756,7 +653,6 @@ impl NodeCtx {
                 cost: &self.cost,
                 messages: &self.messages,
                 clock: &self.clock,
-                recovery: self.recovery,
                 dead: &self.dead,
                 sent: &mut self.sent,
                 error: None,
@@ -999,7 +895,7 @@ impl NodeCtx {
     /// routine; anything else poisons the cluster.
     fn flush_outbound(&mut self) -> Result<(), String> {
         match self.endpoint.flush() {
-            Ok(()) | Err(repmem_net::NetError::Closed(_)) => Ok(()),
+            Ok(()) | Err(NetError::Closed(_)) => Ok(()),
             Err(e) => Err(format!("outbound flush failed: {e}")),
         }
     }
@@ -1097,7 +993,7 @@ fn run_loop(
                 ctx.flush_outbound()?;
                 // The idle point: inbox drained, nothing startable, all
                 // sends made and counted. Only here is a probe answered
-                // — a node parked inside a step (a send's retry loop, a
+                // — a node parked inside a step (a send stalled by a
                 // delay burst) stays silent until the step is over.
                 for probe in probes.drain(..) {
                     let _ = probe.send((ctx.me, ctx.sent, ctx.handled));
@@ -1111,6 +1007,13 @@ fn run_loop(
         match wire {
             Wire::Net(env) => {
                 ctx.handled += 1;
+                // A node re-queuing its own request (a sequencer's RETRY
+                // to itself) keeps its inbox non-empty and never reaches
+                // the idle flush below, so the peer whose answer it
+                // waits for would never see what it sent that peer.
+                if env.msg.sender == ctx.me {
+                    ctx.flush_outbound()?;
+                }
                 ctx.handle_env(env)?;
             }
             Wire::Local(req, tag) => backlog.push_back((req, tag)),

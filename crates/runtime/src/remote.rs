@@ -20,9 +20,7 @@
 //! (see the node module docs).
 
 use crate::cluster::{ClusterDump, Handle};
-use crate::node::{
-    node_loop, ClusterError, NodeCtx, Poison, RecoveryPolicy, ReplicaSnap, VersionClock, Wire,
-};
+use crate::node::{node_loop, ClusterError, NodeCtx, Poison, ReplicaSnap, VersionClock, Wire};
 use crate::shard::ShardConfig;
 use crate::table::ReplicaTable;
 use bytes::Bytes;
@@ -53,9 +51,6 @@ pub struct ServeConfig {
     pub listener: TcpListener,
     /// Listen address of every node, indexed by node id.
     pub peers: Vec<SocketAddr>,
-    /// Node-loop reaction to transient send failures (default: none —
-    /// the paper's fault-free assumption).
-    pub recovery: RecoveryPolicy,
     /// Sequencer sharding / pipelining (identical at every node; the
     /// default is the paper's exact topology: one sequencer, blocking
     /// operations). `peers` must cover `shard.total_nodes(&sys)` nodes.
@@ -129,7 +124,6 @@ pub fn serve(cfg: ServeConfig) -> Result<(), ClusterError> {
         messages,
         VersionClock::Lamport(AtomicU64::new(0)),
         Arc::clone(&poison),
-        cfg.recovery,
         // One node per process: the "cluster-wide" dead set degenerates
         // to this node's own view (no shared memory to share it over).
         Arc::new(crate::node::DeadSet::new(n_nodes)),
@@ -343,6 +337,20 @@ impl RemoteCluster {
         })
     }
 
+    /// Fault hook: kill `node`'s process, as a crash would, and reap it.
+    /// Its peers' links to it die with it.
+    pub fn kill(&mut self, node: NodeId) -> Result<(), ClusterError> {
+        let child = self
+            .children
+            .get_mut(node.idx())
+            .ok_or(ClusterError::NodeDown(node))?;
+        child
+            .kill()
+            .and_then(|()| child.wait())
+            .map(drop)
+            .map_err(|e| ClusterError::Transport(format!("killing {node}: {e}")))
+    }
+
     fn link(&mut self, node: NodeId) -> Result<&mut RemoteHandle, ClusterError> {
         self.links
             .get_mut(node.idx())
@@ -458,9 +466,7 @@ impl RemoteHandle {
     ) -> Result<Bytes, ClusterError> {
         let node = self.node;
         match self.call(&Frame::Op { op, object, data })? {
-            Frame::OpDone { result } => {
-                result.map_err(|reason| ClusterError::Poisoned { node, reason })
-            }
+            Frame::OpDone { result } => result.map_err(|reason| op_error(node, reason)),
             other => Err(self.unexpected(&other)),
         }
     }
@@ -482,6 +488,20 @@ impl RemoteHandle {
     }
 }
 
+/// The error behind an `OpDone` failure. The frame carries only the
+/// error's text, so a [`ClusterError::NodeDown`] is recognised by its
+/// `Display` form; anything else is the node's poison.
+fn op_error(node: NodeId, reason: String) -> ClusterError {
+    let down = reason
+        .strip_suffix(" is not running")
+        .and_then(|peer| peer.strip_prefix('n'))
+        .and_then(|id| id.parse().ok());
+    match down {
+        Some(id) => ClusterError::NodeDown(NodeId(id)),
+        None => ClusterError::Poisoned { node, reason },
+    }
+}
+
 impl Drop for RemoteCluster {
     fn drop(&mut self) {
         // Reap anything still running (e.g. a test failed mid-drive);
@@ -490,5 +510,24 @@ impl Drop for RemoteCluster {
             let _ = child.kill();
             let _ = child.wait();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_remote_node_down_keeps_its_type_and_anything_else_is_poison() {
+        let down = ClusterError::NodeDown(NodeId(12));
+        assert_eq!(op_error(NodeId(0), down.to_string()), down);
+        let poison = op_error(NodeId(0), "bad object".into());
+        assert_eq!(
+            poison,
+            ClusterError::Poisoned {
+                node: NodeId(0),
+                reason: "bad object".into()
+            }
+        );
     }
 }

@@ -25,23 +25,21 @@
 //!
 //! * Version stamps come from the shared cluster-wide counter, exactly
 //!   as in the threaded in-process cluster.
-//! * The recovery policy is the paper's fault-free default (no
-//!   time-based retries); blackout tolerance is modeled by the sched
-//!   transport parking sends on severed links until restore, the
-//!   zero-wall-clock equivalent of the runtime's retry loop.
+//! * A send fails only when a kill took its peer (or its sender), with
+//!   the same `Down` the threaded runtime buries a peer on. A sever
+//!   fails nothing: the sched transport parks the link's sends until
+//!   the restore, a delay that never loses.
 //! * A node's self-sends queue on its loopback link and are delivered
 //!   when scheduled; delaying them is indistinguishable from the node
 //!   being slow, so the explored set is a superset of what one merged
 //!   thread inbox can exhibit.
 
-use crate::node::{
-    AppReq, ClusterError, NodeCtx, Poison, RecoveryPolicy, ReplicaSnap, VersionClock,
-};
+use crate::node::{AppReq, ClusterError, NodeCtx, Poison, ReplicaSnap, VersionClock};
 use crate::shard::ShardConfig;
 use crate::table::ReplicaTable;
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, OpKind, OpTag, ProtocolKind, SystemParams};
-use repmem_net::{Envelope, FaultAction, SchedHandle, SchedTransport, Transport};
+use repmem_net::{Envelope, SchedAction, SchedHandle, SchedTransport, Transport};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -105,7 +103,6 @@ impl StepCluster {
                 Arc::clone(&messages),
                 VersionClock::Shared(Arc::clone(&versions)),
                 Arc::clone(&poison),
-                RecoveryPolicy::default(),
                 Arc::clone(&dead),
             ));
             inboxes.push(inbox);
@@ -227,7 +224,7 @@ impl StepCluster {
 
     /// Step: apply a fault action to the mesh (see
     /// [`repmem_net::sched`] for scheduler-mode fault semantics).
-    pub fn fault(&mut self, action: FaultAction) {
+    pub fn fault(&mut self, action: SchedAction) {
         self.sched.apply(action);
     }
 
@@ -417,7 +414,7 @@ mod tests {
     fn kill_degrades_the_dependent_operation() {
         let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough).unwrap();
         let home = sys().home();
-        c.fault(FaultAction::Kill(home));
+        c.fault(SchedAction::Kill(home));
         assert!(!c.alive(home));
         // A write needs the (dead) sequencer: it must fail with
         // NodeDown via the runtime's degrade path, not hang or poison.
@@ -442,7 +439,7 @@ mod tests {
     fn sever_parks_and_restore_releases_deterministically() {
         let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough).unwrap();
         let home = sys().home();
-        c.fault(FaultAction::Sever(NodeId(0), home));
+        c.fault(SchedAction::Sever(NodeId(0), home));
         c.issue(
             NodeId(0),
             OpKind::Write,
@@ -455,7 +452,7 @@ mod tests {
         // deliverable, but the network is not quiet either.
         assert!(c.links_ready().is_empty());
         assert!(!c.is_quiescent());
-        c.fault(FaultAction::Restore(NodeId(0), home));
+        c.fault(SchedAction::Restore(NodeId(0), home));
         drain(&mut c);
         assert!(c.poll().iter().any(|(id, r)| *id == 1 && r.is_ok()));
         assert!(c.is_quiescent());

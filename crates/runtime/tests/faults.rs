@@ -1,26 +1,18 @@
 //! Deterministic fault-schedule harness: the cluster must ride out
-//! scripted link failures without observable damage.
+//! scripted node deaths without observable damage.
 //!
-//! * A sever-then-restore blackout of every client↔sequencer link
-//!   (every link, for Quorum, which has no sequencer), triggered at
-//!   fixed send counts, must leave a serialized workload's
-//!   per-operation costs, message totals and final replica state
-//!   **byte-identical** to the fault-free run — for all nine
-//!   protocols. Retried sends advance the same send counter that
-//!   triggers the restore, so the schedule is self-healing and needs no
-//!   wall clock.
 //! * Permanently killing one passive client degrades (its updates are
 //!   dropped) but never poisons the cluster or wedges shutdown.
 //! * Permanently killing the sequencer fails the affected operations
 //!   with [`ClusterError::NodeDown`] — per-operation degradation, not
 //!   cluster-wide poison — and shutdown still completes in time.
+//! * A failed send buries the node the transport names, never a live
+//!   peer that merely was the send's destination.
 
 use bytes::Bytes;
-use repmem_core::{CopyState, NodeId, ObjectId, OpKind, ProtocolKind, Scenario, SystemParams};
+use repmem_core::{NodeId, ObjectId, ProtocolKind, SystemParams};
 use repmem_net::{FaultHandle, FaultSchedule, FaultTransport, InProcTransport};
-use repmem_runtime::{Cluster, ClusterError, RecoveryPolicy, ShardConfig, DEFAULT_STOP_DEADLINE};
-use repmem_workload::{OpEvent, ScenarioSampler};
-use std::time::Duration;
+use repmem_runtime::{Cluster, ClusterError, ShardConfig, DEFAULT_STOP_DEADLINE};
 
 fn sys() -> SystemParams {
     SystemParams {
@@ -31,140 +23,14 @@ fn sys() -> SystemParams {
     }
 }
 
-fn workload(sys: &SystemParams, ops: usize) -> Vec<OpEvent> {
-    let sc = Scenario::read_disturbance(0.3, 0.1, 2).expect("valid scenario");
-    ScenarioSampler::new(&sc, sys.m_objects, 42)
-        .take(ops)
-        .collect()
-}
-
-/// Retry policy for the fault runs: a generous deadline (faults here
-/// heal in a few attempts).
-fn retry_policy() -> RecoveryPolicy {
-    RecoveryPolicy::with_deadline(Duration::from_secs(5))
-}
-
 /// A cluster of `sys()` over a fault-injected in-process mesh, with
 /// `window` operations in flight per node, and its fault controls.
 fn start(kind: ProtocolKind, window: usize, schedule: FaultSchedule) -> (Cluster, FaultHandle) {
     let transport = FaultTransport::new(InProcTransport::new(sys().n_nodes()), schedule);
     let faults = transport.handle();
     let cfg = ShardConfig::default().with_window(window);
-    let cluster =
-        Cluster::with_recovery(sys(), kind, cfg, transport, retry_policy()).expect("cluster");
+    let cluster = Cluster::with_transport(sys(), kind, cfg, transport).expect("cluster");
     (cluster, faults)
-}
-
-type Replica = (CopyState, Bytes, u64, NodeId);
-
-struct RunTrace {
-    per_op_cost: Vec<u64>,
-    total_cost: u64,
-    total_messages: u64,
-    /// Send *attempts* observed by the fault layer (retries included).
-    sends: u64,
-    /// `finals[node][object]`: the complete replica snapshot.
-    finals: Vec<Vec<Replica>>,
-}
-
-/// Serialized run of the seeded workload over a fault-injected
-/// in-process mesh, settling after every operation.
-fn run(kind: ProtocolKind, schedule: FaultSchedule, ops: &[OpEvent]) -> RunTrace {
-    let (cluster, faults) = start(kind, 1, schedule);
-    let mut per_op_cost = Vec::with_capacity(ops.len());
-    let mut before = 0u64;
-    for (i, ev) in ops.iter().enumerate() {
-        let h = cluster.handle(ev.node);
-        match ev.op {
-            OpKind::Read => {
-                let _ = h.read(ev.object).expect("read");
-            }
-            OpKind::Write => h
-                .write(ev.object, Bytes::from(format!("op{i}@{}", ev.node)))
-                .expect("write"),
-        }
-        let (after, _) = cluster.settle().expect("settle");
-        per_op_cost.push(after - before);
-        before = after;
-    }
-    let total_cost = cluster.total_cost();
-    let total_messages = cluster.total_messages();
-    let sends = faults.sends();
-    let dump = cluster.shutdown().expect("shutdown");
-    assert!(dump.is_coherent(), "{kind:?}: replicas diverged");
-    let finals = dump
-        .copies
-        .iter()
-        .map(|node| {
-            node.iter()
-                .map(|r| (r.state, r.data.clone(), r.version, r.writer))
-                .collect()
-        })
-        .collect();
-    RunTrace {
-        per_op_cost,
-        total_cost,
-        total_messages,
-        sends,
-        finals,
-    }
-}
-
-/// Sever every link some operation must cross at send count `at` and
-/// restore them all four attempts later: every client↔sequencer pair
-/// for the sequencer protocols, every pair for those that poll all
-/// replicas (Quorum's peer-to-peer votes would otherwise carry the
-/// counter across the window without touching a severed link).
-/// Whichever send crosses the trigger next fails, and its retries
-/// advance the counter across the restore — the blackout always bites
-/// and always heals, with no reference to time.
-fn blackout(
-    schedule: FaultSchedule,
-    at: u64,
-    sys: &SystemParams,
-    kind: ProtocolKind,
-) -> FaultSchedule {
-    let n = sys.n_nodes() as u16;
-    (0..n)
-        .flat_map(|a| (a + 1..n).map(move |b| (NodeId(a), NodeId(b))))
-        .filter(|&(_, b)| kind.polls_all_replicas() || b == sys.home())
-        .fold(schedule, |s, (a, b)| {
-            s.sever_at(at, a, b).restore_at(at + 4, a, b)
-        })
-}
-
-#[test]
-fn sever_then_restore_is_invisible_in_the_final_state() {
-    let sys = sys();
-    let ops = workload(&sys, 20);
-    for kind in ProtocolKind::EVERY {
-        let base = run(kind, FaultSchedule::new(), &ops);
-        // Two blackout windows, placed by fractions of the fault-free
-        // run's send count so they land mid-workload for any protocol.
-        let early = (base.sends / 4).max(1);
-        let mid = (base.sends / 2).max(early + 8);
-        let schedule = blackout(
-            blackout(FaultSchedule::new(), early, &sys, kind),
-            mid,
-            &sys,
-            kind,
-        );
-        let faulted = run(kind, schedule, &ops);
-        assert!(
-            faulted.sends > base.sends,
-            "{kind:?}: no send was ever severed and retried"
-        );
-        assert_eq!(
-            base.per_op_cost, faulted.per_op_cost,
-            "{kind:?}: per-operation costs diverged under sever+restore"
-        );
-        assert_eq!(base.total_cost, faulted.total_cost, "{kind:?}");
-        assert_eq!(base.total_messages, faulted.total_messages, "{kind:?}");
-        assert_eq!(
-            base.finals, faulted.finals,
-            "{kind:?}: replica state diverged after sever+restore"
-        );
-    }
 }
 
 #[test]
@@ -256,8 +122,7 @@ fn dropped_broadcasts_surface_in_the_meter() {
         let transport = repmem_net::MeteredTransport::new(fault);
         let meter = transport.stats();
         let cluster =
-            Cluster::with_recovery(sys, kind, ShardConfig::default(), transport, retry_policy())
-                .expect("cluster");
+            Cluster::with_transport(sys, kind, ShardConfig::default(), transport).expect("cluster");
         faults.kill(NodeId(1));
         let h0 = cluster.handle(NodeId(0));
         for round in 0..6u64 {
@@ -334,35 +199,32 @@ fn an_operation_blocked_on_a_peer_somebody_else_buried_fails_at_the_nodes_own_di
 
 #[test]
 fn a_killed_nodes_failed_sends_bury_the_killed_node_not_its_live_peers() {
-    let sys = sys();
-    let home = sys.home();
     let zombie = NodeId(2);
-    // Send 1 is the killed node's own request: the fault layer refuses
-    // it with `Down(zombie)`. Sends 2-4 are node 0's request, refused
-    // while its link is severed; send 5 is the retry that gets through.
-    let schedule = FaultSchedule::new()
-        .kill_at(1, zombie)
-        .sever_at(2, NodeId(0), home)
-        .restore_at(5, NodeId(0), home);
-    let (cluster, _) = start(ProtocolKind::WriteThrough, 1, schedule);
-    let err = cluster
+    // Send 1 is the first leg of the killed node's own Quorum probe: the
+    // fault layer refuses it, and every other leg, with `Down(zombie)`.
+    let schedule = FaultSchedule::new().kill_at(1, zombie);
+    let (cluster, _) = start(ProtocolKind::Quorum, 1, schedule);
+    let orphan = cluster
         .handle(zombie)
-        .write(ObjectId(0), Bytes::from_static(b"from the grave"))
-        .expect_err("write from a killed node");
+        .write_async(ObjectId(0), Bytes::from_static(b"from the grave"));
+    cluster.settle().expect("settle");
+    // Had those failures buried their destinations, nodes 0, 1 and 3
+    // would be in the dead set: node 0's round would count no live
+    // voter beside itself and fail at its first failed leg, the one to
+    // the zombie. Only the zombie is dead, and two of three peers vote.
+    cluster
+        .handle(NodeId(0))
+        .write(ObjectId(1), Bytes::from_static(b"x"))
+        .expect("a round with a strict minority dead completes");
+    assert!(cluster.poisoned().is_none());
+    cluster
+        .shutdown_within(DEFAULT_STOP_DEADLINE)
+        .expect("shutdown with a dead replica");
+    // The zombie's round waited on votes nobody could send it; it fails
+    // at shutdown, in the zombie's own name.
+    let err = orphan.wait().expect_err("a round from a killed node");
     assert!(
         matches!(err, ClusterError::NodeDown(n) if n == zombie),
         "{err}"
     );
-    // Had that failure buried its destination, this transient refusal
-    // would be promoted to `Down` on its first attempt and the write
-    // lost to a sequencer that is alive and one retry away.
-    cluster
-        .handle(NodeId(0))
-        .write(ObjectId(1), Bytes::from_static(b"x"))
-        .expect("a severed link to a live sequencer is retried until it heals");
-    cluster.settle().expect("settle");
-    assert!(cluster.poisoned().is_none());
-    cluster
-        .shutdown_within(DEFAULT_STOP_DEADLINE)
-        .expect("shutdown with a dead client");
 }

@@ -14,8 +14,7 @@
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, ProtocolKind, SystemParams};
 use repmem_net::{FaultSchedule, FaultTransport, InProcTransport};
-use repmem_runtime::{Cluster, ClusterError, RecoveryPolicy, ShardConfig, DEFAULT_STOP_DEADLINE};
-use std::time::Duration;
+use repmem_runtime::{Cluster, ClusterError, ShardConfig, DEFAULT_STOP_DEADLINE};
 
 fn sys() -> SystemParams {
     SystemParams {
@@ -26,10 +25,6 @@ fn sys() -> SystemParams {
     }
 }
 
-fn retry_policy() -> RecoveryPolicy {
-    RecoveryPolicy::with_deadline(Duration::from_secs(5))
-}
-
 /// Kill the paper's fixed sequencer node at the very first send
 /// attempt, before any message of the run is delivered.
 fn kill_home(sys: &SystemParams) -> FaultSchedule {
@@ -38,14 +33,7 @@ fn kill_home(sys: &SystemParams) -> FaultSchedule {
 
 fn cluster_with(kind: ProtocolKind, schedule: FaultSchedule) -> Cluster {
     let transport = FaultTransport::new(InProcTransport::new(sys().n_nodes()), schedule);
-    Cluster::with_recovery(
-        sys(),
-        kind,
-        ShardConfig::default(),
-        transport,
-        retry_policy(),
-    )
-    .expect("cluster")
+    Cluster::with_transport(sys(), kind, ShardConfig::default(), transport).expect("cluster")
 }
 
 #[test]
