@@ -381,9 +381,15 @@ mod tests {
         let sys = SystemParams::figure5();
         let (p, sigma, a) = (0.3, 0.02, 10);
         // Against Berkeley (the paper's overall winner) the quorum
-        // premium is positive: availability is not free.
+        // premium is positive: availability is not free. Every read is
+        // the one-round read, N(S+2): about half the N(2S+4) of a read
+        // that writes back.
         let premium = quorum_premium(ProtocolKind::Berkeley, &sys, p, sigma, a);
         assert!(premium > 0.0);
+        let (n, s, pp) = (sys.n_clients as f64, sys.s as f64, sys.p as f64);
+        let quorum = n * (p * (s + pp + 4.0) + (1.0 - p) * (s + 2.0));
+        let berkeley = closed_rd(ProtocolKind::Berkeley, &sys, p, sigma, a);
+        assert!((premium - (quorum - berkeley)).abs() < 1e-6);
         // The break-even kill rate scales inversely with the penalty a
         // sequencer loss costs, and at that rate the effective costs
         // really do cross.

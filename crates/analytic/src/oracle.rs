@@ -143,6 +143,13 @@ impl Actions for OracleHost<'_> {
         *self.votes += 1;
         *self.votes == *self.need
     }
+    /// Always unanimous: serialized delivery runs every write's commit
+    /// wave to every replica before the next operation starts, so all
+    /// replicas hold the last committed write and every vote agrees —
+    /// the same argument as the zero owner epochs.
+    fn quorum_unanimous(&self) -> bool {
+        true
+    }
 }
 
 /// Execute one operation atomically, mutating `g` to the successor global
@@ -393,11 +400,13 @@ mod tests {
         let (n, s, pp) = (sys.n_clients as u64, sys.s, sys.p);
         let mut g = Global::initial(p, &sys);
 
-        // Every read pays a full round — N(2S+4) — hit or not.
+        // Every read pays one round — N(S+2) — hit or not: the replicas
+        // agree at quiescence, so no read writes back.
         for node in [NodeId(0), NodeId(0), NodeId(2), sys.home()] {
             let o = execute(p, &sys, &mut g, node, OpKind::Read);
-            assert_eq!(o.cost, n * (2 * s + 4));
+            assert_eq!(o.cost, n * (s + 2));
             assert_eq!(o.rets, 1);
+            assert!(!o.kinds.contains(&MsgKind::QCommit));
         }
         // Every write pays N(S+P+4) and lands on every replica (the
         // initiator's change plus N commit applications).
@@ -406,6 +415,10 @@ mod tests {
             assert_eq!(o.cost, n * (s + pp + 4));
             assert_eq!(o.changes, 1 + n as u32);
         }
+        // A write leaves every replica on its value: the next read is
+        // still one round.
+        let o = execute(p, &sys, &mut g, NodeId(0), OpKind::Read);
+        assert_eq!(o.cost, n * (s + 2));
         // No state ever leaves VALID at quiescence: the chain engine
         // sees a single global state.
         assert_eq!(g, Global::initial(p, &sys));

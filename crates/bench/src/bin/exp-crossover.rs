@@ -194,8 +194,9 @@ fn main() {
     // (re-election plus re-fetching the S-sized copy, priced at S+N+2)
     // while a minority loss costs Quorum nothing; the effective costs
     // cross at kappa* = premium/penalty kills per operation. At the
-    // Figure-5 scale the premium is dominated by the 2S-per-peer copy
-    // traffic of every read's write-back phase, so kappa* lands far
+    // Figure-5 scale the premium is dominated by the S-sized copy every
+    // peer's vote carries (one round per read, both rounds per write),
+    // so kappa* lands far
     // above any physical kill rate — the last column inverts the
     // question and reports the recovery cost a kill would have to
     // carry, at one kill per 10^4 operations, for the quorum rounds to

@@ -97,7 +97,7 @@ fn seeded_lost_invalidation_is_caught_shrunk_and_replayable() {
 }
 
 /// Two concurrent quorum writers on one object: the full interleaving
-/// space of two overlapping two-phase majority rounds, including
+/// space of two overlapping two-phase majority write rounds, including
 /// straggler votes and acks from superseded rounds, must stay coherent
 /// and converge.
 #[test]
@@ -181,7 +181,7 @@ fn quorum_completes_under_minority_kill_while_sequencers_degrade() {
 fn reread_exploration_is_clean_and_exercises_the_fast_path() {
     for kind in ProtocolKind::EVERY {
         let cfg = CheckConfig::reread(kind, 2);
-        // Quorum's rounds enumerate ~300 k schedules here: the CI
+        // Quorum's rounds enumerate ~56 k schedules here: the CI
         // `check` job does that in release; debug mode samples.
         let report = if kind == ProtocolKind::Quorum {
             sample(&cfg, 7, 500)

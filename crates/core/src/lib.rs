@@ -38,6 +38,7 @@ pub mod trace;
 pub use ids::{NodeId, ObjectId, OpTag};
 pub use mealy::{
     all_except, protocol_error, Actions, CoherenceProtocol, CopyState, Dest, ProtocolKind, Role,
+    VoteAgreement,
 };
 pub use message::{Msg, MsgKind, PayloadKind, QueueKind};
 pub use params::SystemParams;

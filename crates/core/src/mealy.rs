@@ -194,6 +194,52 @@ pub trait Actions {
     /// stragglers return `false`. Hosts that track per-operation tags
     /// discard votes for superseded rounds before counting.
     fn quorum_vote(&mut self) -> bool;
+
+    /// Whether the phase-1 round just completed was unanimous: every
+    /// vote [`Actions::quorum_vote`] counted since the last
+    /// [`Actions::quorum_arm`] carried the same stamp, and that stamp is
+    /// the local copy's after installing them. The initiator plus its
+    /// counted voters are then a strict majority that already stores
+    /// the value a read returns, so the read needs no write-back round
+    /// (the Quorum one-round read). No default: a host that answered
+    /// `true` without tracking stamps would break atomicity.
+    fn quorum_unanimous(&self) -> bool;
+}
+
+/// A host's half of [`Actions::quorum_unanimous`]: the stamp the first
+/// counted vote of a phase carried, and whether a later counted vote
+/// carried another. Each vote is held against the first, not against
+/// the merged local copy — an old vote followed by a newer one would
+/// otherwise pass. Reset it (`Default`) when the round is armed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VoteAgreement<T> {
+    first: Option<T>,
+    split: bool,
+}
+
+impl<T> Default for VoteAgreement<T> {
+    fn default() -> Self {
+        VoteAgreement {
+            first: None,
+            split: false,
+        }
+    }
+}
+
+impl<T: PartialEq> VoteAgreement<T> {
+    /// Record the stamp a counted vote carried.
+    pub fn count(&mut self, stamp: T) {
+        match &self.first {
+            None => self.first = Some(stamp),
+            Some(first) => self.split |= *first != stamp,
+        }
+    }
+
+    /// Whether every counted vote carried `local`, the stamp the local
+    /// copy holds after installing them.
+    pub fn unanimous_at(&self, local: &T) -> bool {
+        !self.split && self.first.as_ref() == Some(local)
+    }
 }
 
 impl dyn Actions + '_ {
@@ -235,9 +281,10 @@ pub enum ProtocolKind {
     Dragon,
     /// Firefly: update-based through the fixed sequencer.
     Firefly,
-    /// Sequencer-free majority-quorum protocol (SC-ABD): every read and
-    /// write runs a two-phase majority round (probe for versions, then
-    /// commit the winner), so there is no sequencer node and a minority
+    /// Sequencer-free majority-quorum protocol (SC-ABD): every write
+    /// runs a two-phase majority round (probe for versions, then commit
+    /// the winner), a read one round when the majority it polled agrees
+    /// and two otherwise, so there is no sequencer node and a minority
     /// of dead replicas is survivable.
     Quorum,
 }

@@ -134,7 +134,8 @@ pub enum MsgKind {
     /// to the initiator.
     QVote,
     /// Quorum phase-2 commit wave: the initiator broadcasts the winning
-    /// write parameters (writes) or the freshest copy (read write-back).
+    /// write parameters (writes) or the freshest copy (the write-back of
+    /// a read whose votes disagreed).
     QCommit,
     /// Quorum phase-2 acknowledgement of a commit.
     QAck,

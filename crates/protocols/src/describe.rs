@@ -280,6 +280,11 @@ impl Actions for RecordingActions {
         self.log.push("vote".into());
         self.inner.quorum_vote()
     }
+    fn quorum_unanimous(&self) -> bool {
+        // Every mock replica holds stamp 0, so the decisive vote agrees:
+        // the rendered read entry is the one-round read.
+        self.inner.quorum_unanimous()
+    }
 }
 
 /// Probe one `(state, input)` pair of a machine; `None` = error entry.

@@ -26,7 +26,7 @@
 //! | Berkeley | 0 | S+2 | S+2 (owner serves) | N+1 upgrade / S+N+1 acquire, then 0 or N |
 //! | Dragon | 0 | — (never misses) | — | N(P+1) |
 //! | Firefly | 0 | — (never misses) | — | N(P+1)+1 |
-//! | Quorum | N(2S+4) (every read quorums) | — | — | N(S+P+4) |
+//! | Quorum | N(S+2) (every read polls a majority; N(2S+4) when the votes disagree) | — | — | N(S+P+4) |
 //!
 //! [`Quorum`] sits outside the paper's eight: a sequencer-free SC-ABD
 //! majority protocol whose rounds survive a minority of dead replicas.

@@ -1,12 +1,12 @@
 //! The sequencer-free **Quorum** protocol — an SC-ABD-style majority
-//! protocol (Attiya–Bar-Noy–Dolev read/write quorums with the
-//! two-phase read write-back that makes the register atomic, following
-//! Ekström & Haridi's sequentially consistent DSM formulation).
+//! protocol (Attiya–Bar-Noy–Dolev read/write quorums with the read
+//! write-back that makes the register atomic, run only when a read's
+//! votes disagree, following Ekström & Haridi's sequentially
+//! consistent DSM formulation).
 //!
 //! Unlike the paper's eight protocols there is **no sequencer**: every
 //! node holds an ordinary replica (starting state `VALID` everywhere)
-//! and every operation runs a two-phase majority round driven by the
-//! initiator:
+//! and every operation runs a majority round driven by the initiator:
 //!
 //! 1. **Query** — broadcast `Q-PROBE`; each peer answers `Q-VOTE`
 //!    carrying its copy. The initiator installs the freshest copy as
@@ -20,14 +20,24 @@
 //!    about to return. Peers apply and answer `Q-ACK`; at the ack
 //!    threshold the operation completes.
 //!
+//! A read skips phase 2 when phase 1 was unanimous
+//! ([`Actions::quorum_unanimous`]): every counted vote carried the
+//! stamp the initiator now holds, so the initiator and its voters — a
+//! strict majority — already store the value it returns, and the
+//! write-back would change nothing any later round can see. This is the
+//! **one-round read**; a read whose votes disagree (or whose own copy is
+//! newer than every vote) still writes back, which keeps the register
+//! atomic. Writes always run both phases.
+//!
 //! Both phases only ever need `⌊n/2⌋` peer replies, so a **minority**
 //! of dead replicas leaves every operation still completing — the
 //! availability contrast with the sequencer family that
 //! `crates/runtime/tests/quorum_faults.rs` pins down.
 //!
-//! Serialized cost of a client round (all `n−1` peers answering):
-//! read `(n−1)(2S+4)`, write `(n−1)(S+P+4)` — see
-//! `repmem-analytic`'s `closed::quorum`.
+//! Serialized cost of a client round (all `n−1` peers answering, every
+//! replica on the last committed write, so every read is one round):
+//! read `(n−1)(S+2)`, write `(n−1)(S+P+4)` — see `repmem-analytic`'s
+//! `closed::quorum`. A read that writes back costs `(n−1)(2S+4)`.
 
 use repmem_core::{
     protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
@@ -81,11 +91,17 @@ impl CoherenceProtocol for Quorum {
                 s
             }
             // Phase-1 vote: merge the carried copy (install is
-            // version-monotone), and at the threshold open phase 2.
+            // version-monotone), and at the threshold either finish a
+            // unanimous read (the one-round read) or open phase 2.
             (MsgKind::QVote, Querying) => {
                 env.install();
                 if !env.quorum_vote() {
                     return Querying;
+                }
+                if env.pending_op() != Some(OpKind::Write) && env.quorum_unanimous() {
+                    env.ret();
+                    env.enable_local();
+                    return Valid;
                 }
                 env.quorum_arm(Quorum::peer_majority(env));
                 let me = env.me();
@@ -163,56 +179,70 @@ mod tests {
         assert_eq!(Quorum.initial_state(Role::Sequencer), CopyState::Valid);
     }
 
-    #[test]
-    fn read_round_runs_two_majority_phases() {
-        // n = 5 nodes, so the peer majority is 2.
-        let mut env = MockActions::client(0, N);
+    /// Start a read at node 0 (n = 5 nodes, so the peer majority is 2)
+    /// whose local copy holds stamp `own`, then deliver two votes
+    /// carrying `votes`; returns the state after the second.
+    fn read_with_votes(env: &mut MockActions, own: u64, votes: [u64; 2]) -> CopyState {
         env.pending = Some(OpKind::Read);
-        let s = {
-            let m = app_req(&env, OpKind::Read);
-            Quorum.step(&mut env, CopyState::Valid, &m)
-        };
+        env.copy = own;
+        let m = app_req(env, OpKind::Read);
+        let mut s = Quorum.step(env, CopyState::Valid, &m);
         assert_eq!(s, CopyState::Querying);
         assert_eq!(env.disables, 1);
         assert_eq!(env.armed, Some(2));
         // Phase 1 wire cost: the probe broadcast, n-1 tokens.
-        assert_eq!(env.cost(S, P), (N) as u64);
-
-        // First vote: installed, no commit yet.
-        let s = Quorum.step(
-            &mut env,
-            s,
-            &net_msg(MsgKind::QVote, 0, 1, PayloadKind::Copy),
-        );
-        assert_eq!(s, CopyState::Querying);
-        assert_eq!(env.installs, 1);
-
-        // Second vote crosses the threshold: commit wave with the copy.
-        let s = Quorum.step(
-            &mut env,
-            s,
-            &net_msg(MsgKind::QVote, 0, 2, PayloadKind::Copy),
-        );
-        assert_eq!(s, CopyState::Committing);
+        assert_eq!(env.cost(S, P), N as u64);
+        for (peer, stamp) in [1u16, 2].into_iter().zip(votes) {
+            env.carried = stamp;
+            s = Quorum.step(env, s, &net_msg(MsgKind::QVote, 0, peer, PayloadKind::Copy));
+        }
         assert_eq!(env.installs, 2);
+        s
+    }
+
+    #[test]
+    fn unanimous_read_finishes_in_one_round() {
+        let mut env = MockActions::client(0, N);
+        let s = read_with_votes(&mut env, 3, [3, 3]);
+        assert_eq!(s, CopyState::Valid);
+        assert_eq!((env.returns, env.enables), (1, 1));
+        assert!(env.pushes.iter().all(|p| p.kind != MsgKind::QCommit));
+        assert_eq!(env.armed, Some(2), "no second round is armed");
+    }
+
+    /// The write-back branch: the second vote crossed the threshold, so
+    /// the read commits the freshest copy and completes on two acks.
+    fn assert_writes_back(env: &mut MockActions, s: CopyState) {
+        assert_eq!(s, CopyState::Committing);
+        assert_eq!(env.returns, 0);
         let commit = env.pushes.last().expect("commit push");
         assert_eq!(commit.kind, MsgKind::QCommit);
         assert_eq!(commit.payload, PayloadKind::Copy);
-
-        // Two acks complete the read.
-        let s = Quorum.step(
-            &mut env,
-            s,
-            &net_msg(MsgKind::QAck, 0, 1, PayloadKind::Token),
-        );
+        let s = Quorum.step(env, s, &net_msg(MsgKind::QAck, 0, 1, PayloadKind::Token));
         assert_eq!(s, CopyState::Committing);
-        let s = Quorum.step(
-            &mut env,
-            s,
-            &net_msg(MsgKind::QAck, 0, 2, PayloadKind::Token),
-        );
+        let s = Quorum.step(env, s, &net_msg(MsgKind::QAck, 0, 2, PayloadKind::Token));
         assert_eq!(s, CopyState::Valid);
         assert_eq!((env.returns, env.enables), (1, 1));
+    }
+
+    #[test]
+    fn split_votes_write_back() {
+        // An old vote, then a newer one: the merged copy equals the last
+        // vote, but the votes disagree, so a majority may not hold it.
+        let mut env = MockActions::client(0, N);
+        let s = read_with_votes(&mut env, 0, [0, 5]);
+        assert_eq!(env.copy, 5);
+        assert_writes_back(&mut env, s);
+    }
+
+    #[test]
+    fn initiator_newer_than_every_vote_writes_back() {
+        // The votes agree with each other, but only the initiator holds
+        // the value the read returns.
+        let mut env = MockActions::client(0, N);
+        let s = read_with_votes(&mut env, 7, [4, 4]);
+        assert_eq!(env.copy, 7);
+        assert_writes_back(&mut env, s);
     }
 
     #[test]
@@ -256,8 +286,9 @@ mod tests {
 
     #[test]
     fn full_round_costs_match_the_closed_forms() {
-        // Sum the initiator's pushes plus every peer's responder legs:
-        // read (n-1)(2S+4), write (n-1)(S+P+4).
+        // Sum the initiator's pushes plus every peer's responder legs,
+        // every replica on the same copy: read (n-1)(S+2), one round;
+        // write (n-1)(S+P+4).
         let n = N + 1;
         for op in [OpKind::Read, OpKind::Write] {
             let mut total = 0u64;
@@ -278,7 +309,7 @@ mod tests {
                 assert_eq!(ps, CopyState::Valid);
                 total += p.cost(S, P);
             }
-            // ...votes drive the initiator into phase 2...
+            // ...votes finish a read or drive a write into phase 2...
             for peer in 1..n as u16 {
                 s = Quorum.step(
                     &mut env,
@@ -286,18 +317,20 @@ mod tests {
                     &net_msg(MsgKind::QVote, 0, peer, PayloadKind::Copy),
                 );
             }
+            if op == OpKind::Read {
+                assert_eq!(s, CopyState::Valid);
+                total += env.cost(S, P);
+                assert_eq!(total, (n as u64 - 1) * (S + 2));
+                continue;
+            }
             assert_eq!(s, CopyState::Committing);
             // ...peers apply and ack the commit...
             for peer in 1..n as u16 {
                 let mut p = MockActions::client(peer, N);
-                let kind = match op {
-                    OpKind::Write => PayloadKind::Params,
-                    OpKind::Read => PayloadKind::Copy,
-                };
                 Quorum.step(
                     &mut p,
                     CopyState::Valid,
-                    &net_msg(MsgKind::QCommit, 0, 0, kind),
+                    &net_msg(MsgKind::QCommit, 0, 0, PayloadKind::Params),
                 );
                 total += p.cost(S, P);
             }
@@ -311,11 +344,7 @@ mod tests {
             }
             assert_eq!(s, CopyState::Valid);
             total += env.cost(S, P);
-            let expect = match op {
-                OpKind::Read => (n as u64 - 1) * (2 * S + 4),
-                OpKind::Write => (n as u64 - 1) * (S + P + 4),
-            };
-            assert_eq!(total, expect, "{op:?}");
+            assert_eq!(total, (n as u64 - 1) * (S + P + 4));
         }
     }
 

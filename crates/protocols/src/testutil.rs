@@ -1,7 +1,7 @@
 //! A recording [`Actions`] implementation for unit-testing protocol
 //! machines in isolation (no host, no channels).
 
-use repmem_core::{Actions, Dest, MsgKind, NodeId, OpKind, PayloadKind};
+use repmem_core::{Actions, Dest, MsgKind, NodeId, OpKind, PayloadKind, VoteAgreement};
 
 /// One recorded `push` with its expanded destination list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +45,13 @@ pub struct MockActions {
     pub armed: Option<usize>,
     /// Votes counted toward the armed round.
     pub votes: usize,
+    /// Stamp of the local copy; `install` raises it to `carried`.
+    pub copy: u64,
+    /// Stamp of the copy the message being stepped carries (a test sets
+    /// it before each `Q-VOTE`); every replica starts at stamp 0.
+    pub carried: u64,
+    /// Agreement of the votes counted toward the armed round.
+    pub agreement: VoteAgreement<u64>,
 }
 
 impl MockActions {
@@ -65,6 +72,9 @@ impl MockActions {
             enables: 0,
             armed: None,
             votes: 0,
+            copy: 0,
+            carried: 0,
+            agreement: VoteAgreement::default(),
         }
     }
 
@@ -138,6 +148,7 @@ impl Actions for MockActions {
     }
     fn install(&mut self) {
         self.installs += 1;
+        self.copy = self.copy.max(self.carried);
     }
     fn ret(&mut self) {
         self.returns += 1;
@@ -154,11 +165,16 @@ impl Actions for MockActions {
     fn quorum_arm(&mut self, need: usize) {
         self.armed = Some(need);
         self.votes = 0;
+        self.agreement = VoteAgreement::default();
     }
     fn quorum_vote(&mut self) -> bool {
         let Some(need) = self.armed else { return false };
         self.votes += 1;
+        self.agreement.count(self.carried);
         self.votes == need
+    }
+    fn quorum_unanimous(&self) -> bool {
+        self.agreement.unanimous_at(&self.copy)
     }
 }
 

@@ -13,7 +13,7 @@ use crate::table::{Replica, ReplicaTable};
 use bytes::Bytes;
 use repmem_core::{
     Actions, CopyState, Dest, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag, PayloadKind,
-    ProtocolKind, QueueKind, SystemParams,
+    ProtocolKind, QueueKind, SystemParams, VoteAgreement,
 };
 use repmem_net::{Endpoint, Envelope, NetError, Payload};
 use repmem_protocols::protocol;
@@ -263,6 +263,9 @@ struct PendingApp {
     /// Peers whose vote was counted this phase, so the shortfall sweep
     /// can tell which live peers could still contribute a fresh vote.
     voted: Vec<NodeId>,
+    /// Whether this phase's counted votes carried one stamp: the
+    /// one-round read's test ([`Actions::quorum_unanimous`]).
+    agreement: VoteAgreement<(u64, NodeId)>,
 }
 
 pub(crate) struct NodeCtx {
@@ -608,6 +611,7 @@ impl Actions for NodeHost<'_> {
             p.need = need;
             p.votes = 0;
             p.voted.clear();
+            p.agreement = VoteAgreement::default();
         }
     }
     fn quorum_vote(&mut self) -> bool {
@@ -619,7 +623,15 @@ impl Actions for NodeHost<'_> {
         }
         p.votes += 1;
         p.voted.push(self.env.msg.sender);
+        if let Some(copy) = &self.env.copy {
+            p.agreement.count(copy.stamp());
+        }
         p.votes == p.need
+    }
+    fn quorum_unanimous(&self) -> bool {
+        self.pending
+            .as_ref()
+            .is_some_and(|p| p.agreement.unanimous_at(&self.proc_.copy.stamp()))
     }
 }
 
@@ -842,6 +854,7 @@ impl NodeCtx {
                 votes: 0,
                 need: 0,
                 voted: Vec::new(),
+                agreement: VoteAgreement::default(),
             },
         );
         let env = Envelope {

@@ -94,7 +94,7 @@ fn warm_reads_cost_nothing_and_are_counted() {
             cluster.total_messages(),
             cluster.local_read_hits(),
         );
-        // Quorum runs two majority rounds per read; fewer keep the
+        // Quorum runs a majority round per read; fewer keep the
         // debug-mode test quick without weakening "never a hit".
         let reads = if kind == ProtocolKind::Quorum {
             READS / 50

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use repmem_core::{
     Actions, CopyState, Dest, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag, PayloadKind,
-    ProtocolKind, QueueKind, Scenario, SystemParams, TraceSig,
+    ProtocolKind, QueueKind, Scenario, SystemParams, TraceSig, VoteAgreement,
 };
 use repmem_protocols::protocol;
 use repmem_workload::{per_node_mix, OpEvent, ScenarioSampler};
@@ -47,7 +47,9 @@ pub struct SimConfig {
     pub seed: u64,
 }
 
-/// Replica payload: a value register merged by version.
+/// Replica payload: a value register merged by version. A write's
+/// value and version are both its tag plus one, so version 0 is the
+/// initial value alone and no two writes tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ObjectData {
     value: u64,
@@ -83,6 +85,8 @@ struct Process {
     votes: usize,
     need: usize,
     round: OpTag,
+    /// Whether the armed round's counted votes carried one copy.
+    agreement: VoteAgreement<ObjectData>,
 }
 
 /// An application operation in flight.
@@ -133,12 +137,8 @@ impl Core {
 
 struct SimHost<'a> {
     me: NodeId,
-    proc_owner: &'a mut NodeId,
-    proc_enabled: &'a mut bool,
-    proc_copy: &'a mut ObjectData,
-    proc_votes: &'a mut usize,
-    proc_need: &'a mut usize,
-    proc_round: &'a mut OpTag,
+    /// The stepped process (its `state` is the caller's to update).
+    proc_: &'a mut Process,
     core: &'a mut Core,
     env: &'a Envelope,
 }
@@ -154,7 +154,7 @@ impl SimHost<'_> {
             if let Some(p) = self.core.pending[self.me.idx()] {
                 return Params {
                     value: p.value,
-                    version: p.tag.0,
+                    version: p.tag.0 + 1,
                 };
             }
         }
@@ -176,10 +176,10 @@ impl Actions for SimHost<'_> {
         self.core.sys.n_nodes()
     }
     fn owner(&self) -> NodeId {
-        *self.proc_owner
+        self.proc_.owner
     }
     fn set_owner(&mut self, owner: NodeId) {
-        *self.proc_owner = owner;
+        self.proc_.owner = owner;
     }
     fn push(&mut self, dest: Dest, kind: MsgKind, payload: PayloadKind) {
         let params = match payload {
@@ -187,7 +187,7 @@ impl Actions for SimHost<'_> {
             _ => None,
         };
         let copy = match payload {
-            PayloadKind::Copy => Some(*self.proc_copy),
+            PayloadKind::Copy => Some(self.proc_.copy),
             _ => None,
         };
         let receivers: Vec<NodeId> = match dest {
@@ -220,8 +220,8 @@ impl Actions for SimHost<'_> {
     }
     fn change(&mut self) {
         let p = self.context_params();
-        if p.version >= self.proc_copy.version {
-            *self.proc_copy = ObjectData {
+        if p.version >= self.proc_.copy.version {
+            self.proc_.copy = ObjectData {
                 value: p.value,
                 version: p.version,
             };
@@ -229,15 +229,15 @@ impl Actions for SimHost<'_> {
     }
     fn install(&mut self) {
         let incoming = self.env.copy.expect("install without a copy payload");
-        if incoming.version >= self.proc_copy.version {
-            *self.proc_copy = incoming;
+        if incoming.version >= self.proc_.copy.version {
+            self.proc_.copy = incoming;
         }
     }
     fn ret(&mut self) {
         let tag = self.env.msg.op;
         self.core
             .reads
-            .push((tag, self.env.msg.object, self.proc_copy.version));
+            .push((tag, self.env.msg.object, self.proc_.copy.version));
         let now = self.core.time;
         let rec = &mut self.core.ops[tag.0 as usize];
         if !rec.completed {
@@ -246,25 +246,32 @@ impl Actions for SimHost<'_> {
         }
     }
     fn disable_local(&mut self) {
-        *self.proc_enabled = false;
+        self.proc_.enabled = false;
     }
     fn enable_local(&mut self) {
-        *self.proc_enabled = true;
+        self.proc_.enabled = true;
     }
     fn pending_op(&self) -> Option<OpKind> {
         self.core.pending[self.me.idx()].map(|p| p.op)
     }
     fn quorum_arm(&mut self, need: usize) {
-        *self.proc_need = need;
-        *self.proc_votes = 0;
-        *self.proc_round = self.env.msg.op;
+        self.proc_.need = need;
+        self.proc_.votes = 0;
+        self.proc_.round = self.env.msg.op;
+        self.proc_.agreement = VoteAgreement::default();
     }
     fn quorum_vote(&mut self) -> bool {
-        if self.env.msg.op != *self.proc_round {
+        if self.env.msg.op != self.proc_.round {
             return false; // straggler from a superseded round
         }
-        *self.proc_votes += 1;
-        *self.proc_votes == *self.proc_need
+        self.proc_.votes += 1;
+        if let Some(copy) = self.env.copy {
+            self.proc_.agreement.count(copy);
+        }
+        self.proc_.votes == self.proc_.need
+    }
+    fn quorum_unanimous(&self) -> bool {
+        self.proc_.agreement.unanimous_at(&self.proc_.copy)
     }
 }
 
@@ -306,6 +313,7 @@ impl Sim {
                     votes: 0,
                     need: 0,
                     round: OpTag(0),
+                    agreement: VoteAgreement::default(),
                 });
             }
         }
@@ -339,15 +347,9 @@ impl Sim {
         let proto = protocol(self.cfg.protocol);
         let pidx = self.pidx(env.msg.object, node);
         let state = self.procs[pidx].state;
-        let proc = &mut self.procs[pidx];
         let mut host = SimHost {
             me: node,
-            proc_owner: &mut proc.owner,
-            proc_enabled: &mut proc.enabled,
-            proc_copy: &mut proc.copy,
-            proc_votes: &mut proc.votes,
-            proc_need: &mut proc.need,
-            proc_round: &mut proc.round,
+            proc_: &mut self.procs[pidx],
             core: &mut self.core,
             env: &env,
         };
@@ -410,7 +412,7 @@ impl Sim {
         let params = match ev.op {
             OpKind::Write => Some(Params {
                 value: tag.0 + 1,
-                version: tag.0,
+                version: tag.0 + 1,
             }),
             OpKind::Read => None,
         };
@@ -736,6 +738,79 @@ mod tests {
                 analytic.acc
             );
         }
+    }
+
+    /// Reads at the one-round cost and at the write-back cost, from a
+    /// Quorum run's trace counts.
+    fn quorum_read_rounds(report: &SimReport, sys: &SystemParams) -> (usize, usize) {
+        let n = sys.n_clients as u64;
+        let mut rounds = (0, 0);
+        for (sig, &count) in &report.trace_counts {
+            match sig.op {
+                OpKind::Read if sig.cost == n * (sys.s + 2) => rounds.0 += count,
+                OpKind::Read if sig.cost == n * (2 * sys.s + 4) => rounds.1 += count,
+                OpKind::Read => panic!("read trace {sig} is neither one round nor two"),
+                OpKind::Write => assert_eq!(sig.cost, n * (sys.s + sys.p + 4), "{sig}"),
+            }
+        }
+        rounds
+    }
+
+    #[test]
+    fn serialized_quorum_prices_each_operation_like_the_closed_form() {
+        // Serialized issue leaves every replica on the last write, so
+        // every read is the one-round read and the measured acc is the
+        // closed form at the measured write share, to rounding.
+        let scenario = Scenario::read_disturbance(0.3, 0.15, 2).unwrap();
+        let cfg = table7_cfg(ProtocolKind::Quorum, IssueMode::Serialized, 23);
+        let report = simulate(&cfg, &scenario);
+        let (one, two) = quorum_read_rounds(&report, &cfg.sys);
+        assert!(one > 0);
+        assert_eq!(two, 0, "a serialized read wrote back");
+        let writes = report.measured_ops - one;
+        let w = writes as f64 / report.measured_ops as f64;
+        let closed = repmem_analytic::closed::quorum(&cfg.sys, w);
+        assert!(
+            (report.acc() - closed).abs() < 1e-9,
+            "{} vs {closed}",
+            report.acc()
+        );
+    }
+
+    #[test]
+    fn concurrent_quorum_reads_write_back_only_on_disagreement() {
+        // Concurrent writes leave replicas mid-commit, so some reads see
+        // split votes and pay the write-back; the acc stays within the
+        // Table 7 band of the serialized closed form all the same.
+        let scenario = Scenario::read_disturbance(0.4, 0.2, 2).unwrap();
+        let cfg = table7_cfg(
+            ProtocolKind::Quorum,
+            IssueMode::Concurrent { mean_think: 64.0 },
+            7,
+        );
+        let report = simulate(&cfg, &scenario);
+        let (one, two) = quorum_read_rounds(&report, &cfg.sys);
+        // 1 of 2 401 at this seed.
+        assert!(
+            two > 0 && two < one,
+            "{two} of {} reads wrote back",
+            one + two
+        );
+        let analytic = analyze(
+            protocol(ProtocolKind::Quorum),
+            &cfg.sys,
+            &scenario,
+            AnalyzeOpts::default(),
+        )
+        .unwrap();
+        let rel = (report.acc() - analytic.acc).abs() / analytic.acc;
+        assert!(
+            rel < 0.10,
+            "sim {} vs analytic {} (rel {rel})",
+            report.acc(),
+            analytic.acc
+        );
+        assert!(report.coherence.is_coherent(), "{:?}", report.coherence);
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn serial_usage_costs_match_the_oracle_exactly() {
         (NodeId(3), OpKind::Read),
         (NodeId(0), OpKind::Write),
     ];
-    for kind in ProtocolKind::ALL {
+    for kind in ProtocolKind::EVERY {
         // Oracle prediction.
         let proto = protocol(kind);
         let mut g = Global::initial(proto, &sys);
@@ -60,6 +60,59 @@ fn serial_usage_costs_match_the_oracle_exactly() {
         );
         assert!(dump.is_coherent(), "{kind:?}: replicas diverged");
     }
+}
+
+#[test]
+fn a_serial_quorum_read_is_one_round_on_every_executor() {
+    // A read after a committed write: every replica holds the write, the
+    // votes agree, and the read costs its probe and votes, (n-1)(S+2),
+    // on the oracle, the serialized DES and the live cluster alike.
+    let sys = SystemParams {
+        n_clients: 4,
+        s: 64,
+        p: 16,
+        m_objects: 1,
+    };
+    let one_round = (sys.n_nodes() as u64 - 1) * (sys.s + 2);
+    let obj = ObjectId(0);
+    let (writer, reader) = (NodeId(1), NodeId(0));
+
+    let proto = protocol(ProtocolKind::Quorum);
+    let mut g = Global::initial(proto, &sys);
+    execute(proto, &sys, &mut g, writer, OpKind::Write);
+    let oracle = execute(proto, &sys, &mut g, reader, OpKind::Read).cost;
+
+    let events = [(writer, OpKind::Write), (reader, OpKind::Read)].map(|(node, op)| OpEvent {
+        node,
+        object: obj,
+        op,
+    });
+    let cfg = SimConfig {
+        sys,
+        protocol: ProtocolKind::Quorum,
+        mode: IssueMode::Serialized,
+        warmup_ops: 1, // measure the read only
+        measured_ops: 1,
+        seed: 1,
+    };
+    let des = replay(&cfg, &events).total_cost;
+
+    let cluster = Cluster::new(sys, ProtocolKind::Quorum);
+    cluster
+        .handle(writer)
+        .write(obj, Bytes::from_static(b"v"))
+        .unwrap();
+    let (before, msgs_before) = cluster.settle().unwrap();
+    assert_eq!(&cluster.handle(reader).read(obj).unwrap()[..], b"v");
+    let (after, msgs_after) = cluster.settle().unwrap();
+    cluster.shutdown().unwrap();
+
+    assert_eq!(
+        (oracle, des, after - before),
+        (one_round, one_round, one_round),
+        "(oracle, DES, runtime) read cost"
+    );
+    assert_eq!(msgs_after - msgs_before, 2 * (sys.n_nodes() as u64 - 1));
 }
 
 #[test]

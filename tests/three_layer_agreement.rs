@@ -32,7 +32,7 @@ fn all_deviations_all_protocols() {
         Scenario::multiple_centers(0.4, 3).unwrap(),
     ];
     for scenario in &scenarios {
-        for kind in ProtocolKind::ALL {
+        for kind in ProtocolKind::EVERY {
             let engine = analyze(protocol(kind), &sys, scenario, AnalyzeOpts::default())
                 .unwrap()
                 .acc;
@@ -105,7 +105,7 @@ fn random_rd_scenarios_agree() {
         let sys = SystemParams::new(5, 50, 10);
         let scenario = Scenario::read_disturbance(p, sigma, a).unwrap();
         const MEASURED_OPS: f64 = 6000.0;
-        for kind in ProtocolKind::ALL {
+        for kind in ProtocolKind::EVERY {
             let closed = closed_rd(kind, &sys, p, sigma, a);
             let result = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default()).unwrap();
             let engine = result.acc;
