@@ -11,9 +11,10 @@
 //! traces `tr_h` with its trace communication cost `cc_h`.
 
 use repmem_core::{
-    Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag,
-    PayloadKind, QueueKind, Role, SystemParams, TraceSig,
+    CoherenceProtocol, CopyState, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag, PayloadKind, Role,
+    SystemParams, TraceSig,
 };
+use repmem_protocols::host::{Driver, Host, Leg, Round, StepFlags};
 use std::collections::VecDeque;
 
 /// The global copy-state of one shared object across all `N+1` nodes.
@@ -58,97 +59,34 @@ pub struct OpOutcome {
     pub changes: u32,
 }
 
-struct OracleHost<'a> {
-    me: NodeId,
-    sys: &'a SystemParams,
-    owner: &'a mut NodeId,
+/// The oracle's [`Driver`]: every leg joins one FIFO cascade, and the
+/// replicas carry no data (`()`), so every merge keeps its copy and
+/// every vote agrees — the cost of a trace does not depend on values.
+struct Cascade<'a> {
     queue: &'a mut VecDeque<(NodeId, Msg)>,
-    current: Msg,
-    op_node: NodeId,
-    op_kind: OpKind,
     cost: &'a mut u64,
     kinds: &'a mut Vec<MsgKind>,
-    rets: &'a mut u32,
-    changes: &'a mut u32,
-    // Quorum vote counter, shared across the cascade (the host is
-    // rebuilt per delivered message; one counter pair suffices because
-    // the oracle runs one operation — hence one round — at a time).
-    votes: &'a mut usize,
-    need: &'a mut usize,
+    /// Whether the stepping node is the operation's initiator.
+    initiator: bool,
 }
 
-impl Actions for OracleHost<'_> {
-    fn me(&self) -> NodeId {
-        self.me
+impl Driver for Cascade<'_> {
+    type Data = ();
+    type Stamp = ();
+    fn stamp(_: &()) {}
+    fn own_params(&mut self) -> Option<()> {
+        self.initiator.then_some(())
     }
-    fn home(&self) -> NodeId {
-        self.sys.home()
-    }
-    fn n_nodes(&self) -> usize {
-        self.sys.n_nodes()
-    }
-    fn owner(&self) -> NodeId {
-        *self.owner
-    }
-    fn set_owner(&mut self, owner: NodeId) {
-        *self.owner = owner;
-    }
-    fn push(&mut self, dest: Dest, kind: MsgKind, payload: PayloadKind) {
-        let receivers: Vec<NodeId> = match dest {
-            Dest::To(n) => vec![n],
-            Dest::AllExcept(a, b) => (0..self.sys.n_nodes() as u16)
-                .map(NodeId)
-                .filter(|&n| n != a && Some(n) != b)
-                .collect(),
-        };
-        for r in receivers {
-            if r != self.me {
-                *self.cost += self.sys.msg_cost(payload);
-                self.kinds.push(kind);
-            }
-            let msg = Msg {
-                kind,
-                initiator: self.current.initiator,
-                sender: self.me,
-                object: self.current.object,
-                queue: QueueKind::Distributed,
-                payload,
-                op: self.current.op,
-                epoch: 0,
-            };
-            self.queue.push_back((r, msg));
+    fn send(&mut self, leg: Leg<'_, ()>) -> Result<(), String> {
+        if leg.remote() {
+            *self.cost += leg.cost;
+            self.kinds.push(leg.msg.kind);
         }
+        self.queue.push_back((leg.to, leg.msg));
+        Ok(())
     }
-    fn change(&mut self) {
-        *self.changes += 1;
-    }
-    fn install(&mut self) {}
-    fn ret(&mut self) {
-        *self.rets += 1;
-    }
-    fn disable_local(&mut self) {}
-    fn enable_local(&mut self) {}
-    fn pending_op(&self) -> Option<OpKind> {
-        if self.me == self.op_node {
-            Some(self.op_kind)
-        } else {
-            None
-        }
-    }
-    fn quorum_arm(&mut self, need: usize) {
-        *self.need = need;
-        *self.votes = 0;
-    }
-    fn quorum_vote(&mut self) -> bool {
-        *self.votes += 1;
-        *self.votes == *self.need
-    }
-    /// Always unanimous: serialized delivery runs every write's commit
-    /// wave to every replica before the next operation starts, so all
-    /// replicas hold the last committed write and every vote agrees —
-    /// the same argument as the zero owner epochs.
-    fn quorum_unanimous(&self) -> bool {
-        true
+    fn fail(&mut self, reason: String) {
+        panic!("{reason}");
     }
 }
 
@@ -182,7 +120,13 @@ pub fn execute(
     let mut kinds = Vec::new();
     let mut rets = 0u32;
     let mut changes = 0u32;
-    let (mut votes, mut need) = (0usize, 0usize);
+    // The owner register is `Global`'s, shared by every node. The epoch
+    // register is shared too, but lives for one operation only, as it
+    // is no part of the chain's state key: an operation bumps it at
+    // most once (its one grant or recall), before it stamps the waves
+    // and flushes tested against it.
+    let mut epoch = 0u64;
+    let mut round = Round::default();
     let budget = 64 * sys.n_nodes() + 256;
     let mut steps = 0usize;
 
@@ -194,22 +138,30 @@ pub fn execute(
             protocol.kind().name()
         );
         let state = g.states[dst.idx()];
-        let mut host = OracleHost {
-            me: dst,
+        let mut host = Host {
+            driver: Cascade {
+                queue: &mut queue,
+                cost: &mut cost,
+                kinds: &mut kinds,
+                initiator: dst == node,
+            },
             sys,
+            me: dst,
+            home: sys.home(),
+            n_nodes: sys.n_nodes(),
+            msg: &msg,
+            params: (msg.payload == PayloadKind::Params).then_some(&()),
+            carried: (msg.payload == PayloadKind::Copy).then_some(&()),
+            copy: &mut (),
             owner: &mut g.owner,
-            queue: &mut queue,
-            current: msg,
-            op_node: node,
-            op_kind: op,
-            cost: &mut cost,
-            kinds: &mut kinds,
-            rets: &mut rets,
-            changes: &mut changes,
-            votes: &mut votes,
-            need: &mut need,
+            epoch: &mut epoch,
+            pending: (dst == node).then_some(op),
+            round: Some(&mut round),
+            flags: StepFlags::default(),
         };
         let next = protocol.step(&mut host, state, &msg);
+        rets += host.flags.rets;
+        changes += host.flags.changes;
         g.states[dst.idx()] = next;
     }
 

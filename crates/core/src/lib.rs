@@ -36,10 +36,7 @@ pub mod scenario;
 pub mod trace;
 
 pub use ids::{NodeId, ObjectId, OpTag};
-pub use mealy::{
-    all_except, protocol_error, Actions, CoherenceProtocol, CopyState, Dest, ProtocolKind, Role,
-    VoteAgreement,
-};
+pub use mealy::{protocol_error, Actions, CoherenceProtocol, CopyState, Dest, ProtocolKind, Role};
 pub use message::{Msg, MsgKind, PayloadKind, QueueKind};
 pub use params::SystemParams;
 pub use scenario::{ActorSpec, OpKind, Scenario, ScenarioError};

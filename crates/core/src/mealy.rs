@@ -12,9 +12,12 @@
 //!   input token, performs the output routine through [`Actions`], and
 //!   returns the successor state.
 //!
-//! One trait object serves three hosts — the synchronous analytic oracle,
-//! the discrete-event simulator, and the threaded runtime — so the analytic
-//! model is faithful to the executable protocol **by construction**.
+//! One implementation of [`Actions`] — `repmem_protocols::host::Host` —
+//! serves three executors: the synchronous analytic oracle, the
+//! discrete-event simulator and the threaded runtime each drive it
+//! through a small `Driver` (where a message leg goes, where a write's
+//! version comes from). So the analytic model is faithful to the
+//! executable protocol **by construction**, host semantics included.
 
 use crate::ids::NodeId;
 use crate::message::{Msg, MsgKind, PayloadKind};
@@ -140,17 +143,12 @@ pub trait Actions {
     /// FIFO channel, so under concurrency an old wave can arrive after
     /// a newer one. Registers guarded by `msg.epoch >= owner_epoch()`
     /// only ever move forward along the grant chain, which makes
-    /// request forwarding terminate at the current owner.
-    ///
-    /// Hosts whose delivery is serialized or causally ordered (the
-    /// oracle, the discrete-event simulator, recording mocks) may keep
-    /// these defaults: every message is stamped zero, the freshness
-    /// test is always `0 >= 0`, and behaviour is unchanged.
-    fn owner_epoch(&self) -> u64 {
-        0
-    }
+    /// request forwarding terminate at the current owner. No default:
+    /// a host that kept every register at zero would run a protocol
+    /// whose stale waves and stray flushes always look fresh.
+    fn owner_epoch(&self) -> u64;
     /// Update the ownership epoch register.
-    fn set_owner_epoch(&mut self, _epoch: u64) {}
+    fn set_owner_epoch(&mut self, epoch: u64);
 
     /// `push(destination, message-token, additional-parameters)`: send a
     /// token (optionally composed with `except`). The host attaches the
@@ -204,56 +202,6 @@ pub trait Actions {
     /// (the Quorum one-round read). No default: a host that answered
     /// `true` without tracking stamps would break atomicity.
     fn quorum_unanimous(&self) -> bool;
-}
-
-/// A host's half of [`Actions::quorum_unanimous`]: the stamp the first
-/// counted vote of a phase carried, and whether a later counted vote
-/// carried another. Each vote is held against the first, not against
-/// the merged local copy — an old vote followed by a newer one would
-/// otherwise pass. Reset it (`Default`) when the round is armed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VoteAgreement<T> {
-    first: Option<T>,
-    split: bool,
-}
-
-impl<T> Default for VoteAgreement<T> {
-    fn default() -> Self {
-        VoteAgreement {
-            first: None,
-            split: false,
-        }
-    }
-}
-
-impl<T: PartialEq> VoteAgreement<T> {
-    /// Record the stamp a counted vote carried.
-    pub fn count(&mut self, stamp: T) {
-        match &self.first {
-            None => self.first = Some(stamp),
-            Some(first) => self.split |= *first != stamp,
-        }
-    }
-
-    /// Whether every counted vote carried `local`, the stamp the local
-    /// copy holds after installing them.
-    pub fn unanimous_at(&self, local: &T) -> bool {
-        !self.split && self.first.as_ref() == Some(local)
-    }
-}
-
-impl dyn Actions + '_ {
-    /// `true` if this node is the fixed home sequencer.
-    #[inline]
-    pub fn is_home(&self) -> bool {
-        self.me() == self.home()
-    }
-
-    /// `true` if this node currently holds the owner register.
-    #[inline]
-    pub fn is_owner(&self) -> bool {
-        self.me() == self.owner()
-    }
 }
 
 /// The eight analyzed coherence protocols (paper §1, Appendix A).
@@ -413,13 +361,6 @@ pub fn protocol_error(kind: ProtocolKind, state: CopyState, msg: &Msg) -> ! {
         msg.sender,
         msg.queue,
     )
-}
-
-/// Convenience: the paper's `push(except(N+1), ...)` — broadcast to every
-/// node except `a` (and optionally `b`).
-#[inline]
-pub fn all_except(a: NodeId, b: Option<NodeId>) -> Dest {
-    Dest::AllExcept(a, b)
 }
 
 #[cfg(test)]

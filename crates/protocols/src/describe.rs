@@ -230,6 +230,12 @@ impl Actions for RecordingActions {
         self.log.push(format!("owner←{owner}"));
         self.inner.set_owner(owner);
     }
+    fn owner_epoch(&self) -> u64 {
+        self.inner.owner_epoch()
+    }
+    fn set_owner_epoch(&mut self, epoch: u64) {
+        self.inner.set_owner_epoch(epoch);
+    }
     fn push(&mut self, dest: Dest, kind: MsgKind, payload: PayloadKind) {
         let presence = match payload {
             PayloadKind::Token => "0",

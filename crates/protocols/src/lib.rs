@@ -10,8 +10,9 @@
 //!   [`Firefly`] — the adaptations of the remaining bus-based protocols
 //!   (paper Appendix A).
 //!
-//! All machines speak through the [`repmem_core::Actions`] interface, so
-//! the exact same transition code runs under the analytic oracle, the
+//! All machines speak through the [`repmem_core::Actions`] interface, and
+//! [`host::Host`] is its one implementation, so the exact same transition
+//! code *and* the same output routines run under the analytic oracle, the
 //! discrete-event simulator and the threaded runtime.
 //!
 //! ## Cost cheat-sheet (serialized execution, client-initiated ops)
@@ -35,6 +36,7 @@ pub mod berkeley;
 pub mod describe;
 pub mod dragon;
 pub mod firefly;
+pub mod host;
 pub mod illinois;
 pub mod quorum;
 pub mod synapse;

@@ -1,7 +1,8 @@
 //! A recording [`Actions`] implementation for unit-testing protocol
 //! machines in isolation (no host, no channels).
 
-use repmem_core::{Actions, Dest, MsgKind, NodeId, OpKind, PayloadKind, VoteAgreement};
+use crate::host::{fanout, leg_cost, VoteAgreement};
+use repmem_core::{Actions, Dest, MsgKind, NodeId, OpKind, PayloadKind, SystemParams};
 
 /// One recorded `push` with its expanded destination list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,30 +86,17 @@ impl MockActions {
 
     /// Number of physical receivers of push `i` (expanding `except`).
     pub fn fanout(&self, i: usize) -> usize {
-        match self.pushes[i].dest {
-            Dest::To(_) => 1,
-            Dest::AllExcept(_, None) => self.n_nodes - 1,
-            Dest::AllExcept(a, Some(b)) => self.n_nodes - if a == b { 1 } else { 2 },
-        }
+        fanout(self.pushes[i].dest, self.n_nodes).count()
     }
 
     /// Total communication cost of the recorded pushes under `(s, p)`,
-    /// counting only inter-node messages (a `To(me)` push is free).
+    /// priced per leg as every host prices it (a leg to `me` is free).
     pub fn cost(&self, s: u64, p: u64) -> u64 {
+        let sys = SystemParams::new(self.n_nodes - 1, s, p);
         self.pushes
             .iter()
-            .enumerate()
-            .map(|(i, push)| {
-                let unit = match push.payload {
-                    PayloadKind::Token => 1,
-                    PayloadKind::Params => p + 1,
-                    PayloadKind::Copy => s + 1,
-                };
-                let receivers = match push.dest {
-                    Dest::To(n) if n == self.me => 0,
-                    _ => self.fanout(i),
-                };
-                unit * receivers as u64
+            .flat_map(|push| {
+                fanout(push.dest, self.n_nodes).map(|to| leg_cost(&sys, self.me, to, push.payload))
             })
             .sum()
     }

@@ -9,13 +9,13 @@
 //! [`Transport`]: repmem_net::Transport
 
 use crate::shard::{ShardConfig, ShardMap};
-use crate::table::{Replica, ReplicaTable};
+use crate::table::ReplicaTable;
 use bytes::Bytes;
 use repmem_core::{
-    Actions, CopyState, Dest, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag, PayloadKind,
-    ProtocolKind, QueueKind, SystemParams, VoteAgreement,
+    CopyState, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag, ProtocolKind, SystemParams,
 };
 use repmem_net::{Endpoint, Envelope, NetError, Payload};
+use repmem_protocols::host::{Driver, Host, Leg, Round, StepFlags};
 use repmem_protocols::protocol;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -157,7 +157,7 @@ impl Poison {
 /// Write-version stamp source.
 ///
 /// Versions must agree with the protocol's serialization order (see
-/// [`NodeHost::context_params`]); the two variants realize that with and
+/// [`NodeLink::own_params`]); the two variants realize that with and
 /// without shared memory:
 ///
 /// * `Shared` — one cluster-global counter (all nodes in one process):
@@ -255,17 +255,10 @@ struct PendingApp {
     reply: SyncSender<Result<Bytes, ClusterError>>,
     /// `true` once the protocol requires a response before completion.
     blocked: bool,
-    /// Quorum round bookkeeping: votes counted and votes needed in the
-    /// armed phase. The round *is* this operation — stragglers from a
-    /// superseded round carry another tag and must not count.
-    votes: usize,
-    need: usize,
-    /// Peers whose vote was counted this phase, so the shortfall sweep
-    /// can tell which live peers could still contribute a fresh vote.
-    voted: Vec<NodeId>,
-    /// Whether this phase's counted votes carried one stamp: the
-    /// one-round read's test ([`Actions::quorum_unanimous`]).
-    agreement: VoteAgreement<(u64, NodeId)>,
+    /// The operation's quorum round, if it runs one. Its `voted` list
+    /// tells the shortfall sweep which live peers could still
+    /// contribute a fresh vote.
+    round: Round<(u64, NodeId)>,
 }
 
 pub(crate) struct NodeCtx {
@@ -363,18 +356,10 @@ impl NodeCtx {
     }
 }
 
-struct NodeHost<'a> {
-    me: NodeId,
-    sys: SystemParams,
-    kind: ProtocolKind,
-    shards: ShardMap,
+/// The runtime's [`Driver`]: legs go to the transport endpoint, and a
+/// send that finds its peer dead degrades the step instead of failing it.
+struct NodeLink<'a> {
     endpoint: &'a dyn Endpoint,
-    /// This step's replica, locked for the whole step (the table's
-    /// publication invariant).
-    proc_: &'a mut Replica,
-    /// The in-flight operation *for this step's object*, if any.
-    pending: Option<&'a mut PendingApp>,
-    env: &'a Envelope,
     cost: &'a AtomicU64,
     messages: &'a AtomicU64,
     clock: &'a VersionClock,
@@ -383,6 +368,16 @@ struct NodeHost<'a> {
     dead: &'a DeadSet,
     /// The node's count of envelopes a link accepted (`NodeCtx::sent`).
     sent: &'a mut u64,
+    shards: ShardMap,
+    /// Whether broadcast waves skip foreign shard nodes
+    /// ([`ShardMap::prunes`]).
+    prune: bool,
+    /// The stepped object's home shard.
+    home: NodeId,
+    /// Whether an operation of this node is in flight on the object.
+    has_op: bool,
+    /// That operation's write data, stamped on first materialisation.
+    own: Option<&'a mut Payload>,
     /// First unrecoverable condition hit during this step, if any.
     error: Option<String>,
     /// The one peer this step's own operation needed, found dead: the
@@ -393,35 +388,16 @@ struct NodeHost<'a> {
     /// peer dead: the node then sweeps its blocked operations, whoever
     /// raised the flag first.
     buried: bool,
-    /// Set when `ret` fires (read completion).
-    returned: bool,
-    /// Set when `enable_local` fires (blocked-write completion).
-    enabled: bool,
 }
 
-impl NodeHost<'_> {
-    fn fail(&mut self, reason: String) {
-        if self.error.is_none() {
-            self.error = Some(reason);
-        }
+impl Driver for NodeLink<'_> {
+    type Data = Payload;
+    type Stamp = (u64, NodeId);
+
+    fn stamp(data: &Payload) -> (u64, NodeId) {
+        data.stamp()
     }
 
-    /// Whether this step completed the object's in-flight operation:
-    /// the step belongs to it, and its read returned or its write is
-    /// no longer (or never was) blocked.
-    fn completed(&self) -> bool {
-        self.pending.as_ref().is_some_and(|p| {
-            p.tag == self.env.msg.op
-                && match p.op {
-                    OpKind::Read => self.returned,
-                    OpKind::Write => self.enabled || !p.blocked,
-                }
-        })
-    }
-
-    /// The write parameters in scope for the current step: either carried
-    /// by the envelope or, at the initiator, the pending operation's data.
-    ///
     /// Versions are stamped *here*, at the first materialization of the
     /// parameters (i.e. when the write is applied or shipped), from the
     /// version clock. Stamping at request time instead would let the
@@ -429,61 +405,38 @@ impl NodeHost<'_> {
     /// (a later-granted write could carry an earlier stamp), and the
     /// last-writer-wins merge in `change`/`install` would then discard
     /// the write the sequencing point committed last.
-    fn context_params(&mut self) -> Payload {
-        if let Some(p) = &self.env.params {
-            return p.clone();
+    fn own_params(&mut self) -> Option<Payload> {
+        let p = self.own.as_deref_mut()?;
+        if p.version == 0 {
+            p.version = self.clock.next();
         }
-        if self.env.msg.initiator == self.me {
-            if let Some(p) = self.pending.as_mut().and_then(|p| p.data.as_mut()) {
-                if p.version == 0 {
-                    p.version = self.clock.next();
-                }
-                return p.clone();
-            }
-        }
-        self.fail(format!(
-            "no write parameters in scope for {:?} (initiator {}, sender {})",
-            self.env.msg.kind, self.env.msg.initiator, self.env.msg.sender
-        ));
-        Payload::initial()
+        Some(p.clone())
     }
 
-    /// One receiver's leg of [`Actions::push`]: meter the message, build
-    /// the envelope, send it, and fold a failure into the step's
-    /// degradation state. `single` marks a `Dest::To` send — only those
-    /// can take the initiator's own pending operation down with them; a
-    /// lost broadcast leg is degraded service, not a failure.
-    fn push_to(
-        &mut self,
-        r: NodeId,
-        single: bool,
-        kind: MsgKind,
-        payload: PayloadKind,
-        params: &Option<Payload>,
-        copy: &Option<Payload>,
-    ) {
-        if r != self.me {
-            self.cost
-                .fetch_add(self.sys.msg_cost(payload), Ordering::Relaxed);
+    /// Meter the leg, send it, and fold a dead peer into the step's
+    /// degradation state. Only a `Dest::To` send can take the
+    /// initiator's own pending operation down with it; a lost broadcast
+    /// leg is degraded service, not a failure.
+    ///
+    /// Client-driven sharded clusters prune foreign shard nodes from
+    /// broadcast waves: their replicas start INVALID, nothing ever reads
+    /// them, so an invalidation or update to them is pure wire cost (the
+    /// sharded-W=1 regression). Quorum is exempt — every replica votes.
+    fn send(&mut self, leg: Leg<'_, Payload>) -> Result<(), String> {
+        if !leg.single && self.prune && leg.to != self.home && self.shards.is_shard(leg.to) {
+            return Ok(());
+        }
+        if leg.remote() {
+            self.cost.fetch_add(leg.cost, Ordering::Relaxed);
             self.messages.fetch_add(1, Ordering::Relaxed);
         }
-        let msg = Msg {
-            kind,
-            initiator: self.env.msg.initiator,
-            sender: self.me,
-            object: self.env.msg.object,
-            queue: QueueKind::Distributed,
-            payload,
-            op: self.env.msg.op,
-            epoch: self.proc_.owner_epoch,
-        };
         let env = Envelope {
-            msg,
-            params: params.clone(),
-            copy: copy.clone(),
+            msg: leg.msg,
+            params: leg.params.cloned(),
+            copy: leg.copy.cloned(),
             clock: self.clock.now(),
         };
-        match self.endpoint.send(r, &env) {
+        match self.endpoint.send(leg.to, &env) {
             Ok(()) => *self.sent += 1,
             Err(NetError::Down(gone)) => {
                 // The peer is gone or — `Down(me)` from a fault layer —
@@ -493,145 +446,22 @@ impl NodeHost<'_> {
                 // relayed message to a dead peer is simply dropped.
                 self.dead.mark(gone);
                 self.buried = true;
-                if single
-                    && self.env.msg.initiator == self.me
-                    && self.pending.is_some()
-                    && self.dead_dest.is_none()
-                {
+                let mine = leg.msg.initiator == leg.msg.sender;
+                if leg.single && mine && self.has_op && self.dead_dest.is_none() {
                     self.dead_dest = Some(gone);
                 }
             }
             // This endpoint has closed: the node is shutting down.
             Err(NetError::Closed(_)) => {}
-            Err(e) => self.fail(format!("send {kind:?} to {r} failed: {e}")),
+            Err(e) => return Err(format!("send {:?} to {} failed: {e}", leg.msg.kind, leg.to)),
         }
+        Ok(())
     }
-}
 
-impl Actions for NodeHost<'_> {
-    fn me(&self) -> NodeId {
-        self.me
-    }
-    fn home(&self) -> NodeId {
-        // Per-object home: the sequencer shard this step's object hashes
-        // to. With one shard this is the paper's fixed node N.
-        self.shards.home_of(self.env.msg.object)
-    }
-    fn n_nodes(&self) -> usize {
-        self.shards.n_nodes()
-    }
-    fn owner(&self) -> NodeId {
-        self.proc_.owner
-    }
-    fn set_owner(&mut self, owner: NodeId) {
-        self.proc_.owner = owner;
-    }
-    fn owner_epoch(&self) -> u64 {
-        self.proc_.owner_epoch
-    }
-    fn set_owner_epoch(&mut self, epoch: u64) {
-        self.proc_.owner_epoch = epoch;
-    }
-    fn push(&mut self, dest: Dest, kind: MsgKind, payload: PayloadKind) {
-        let params = match payload {
-            PayloadKind::Params => Some(self.context_params()),
-            _ => None,
-        };
-        let copy = match payload {
-            PayloadKind::Copy => Some(self.proc_.copy.clone()),
-            _ => None,
-        };
-        if self.error.is_some() {
-            return;
+    fn fail(&mut self, reason: String) {
+        if self.error.is_none() {
+            self.error = Some(reason);
         }
-        match dest {
-            Dest::To(r) => self.push_to(r, true, kind, payload, &params, &copy),
-            Dest::AllExcept(a, b) => {
-                // Client-driven sharded clusters prune foreign shard
-                // nodes from broadcast waves: their replicas start
-                // INVALID, nothing ever reads them, so an invalidation
-                // or update to them is pure wire cost (the sharded-W=1
-                // regression). Quorum is exempt — every replica votes.
-                let prune = self.shards.prunes(self.kind);
-                let home = self.shards.home_of(self.env.msg.object);
-                for i in 0..self.shards.n_nodes() as u16 {
-                    let r = NodeId(i);
-                    if r == a || Some(r) == b {
-                        continue;
-                    }
-                    if prune && r != home && self.shards.is_shard(r) {
-                        continue;
-                    }
-                    self.push_to(r, false, kind, payload, &params, &copy);
-                }
-            }
-        }
-    }
-    fn change(&mut self) {
-        let p = self.context_params();
-        if self.error.is_some() {
-            return;
-        }
-        if p.stamp() >= self.proc_.copy.stamp() {
-            self.proc_.copy = p;
-        }
-    }
-    fn install(&mut self) {
-        let Some(incoming) = self.env.copy.clone() else {
-            self.fail(format!(
-                "install without copy payload on {:?} from {}",
-                self.env.msg.kind, self.env.msg.sender
-            ));
-            return;
-        };
-        if incoming.stamp() >= self.proc_.copy.stamp() {
-            self.proc_.copy = incoming;
-        }
-    }
-    fn ret(&mut self) {
-        self.returned = true;
-    }
-    fn disable_local(&mut self) {
-        if let Some(p) = self.pending.as_mut() {
-            p.blocked = true;
-        }
-    }
-    fn enable_local(&mut self) {
-        self.enabled = true;
-    }
-    fn pending_op(&self) -> Option<OpKind> {
-        self.pending.as_ref().map(|p| p.op)
-    }
-    fn quorum_arm(&mut self, need: usize) {
-        if let Some(p) = self.pending.as_mut() {
-            debug_assert_eq!(
-                p.tag, self.env.msg.op,
-                "a round is armed by its own operation"
-            );
-            p.need = need;
-            p.votes = 0;
-            p.voted.clear();
-            p.agreement = VoteAgreement::default();
-        }
-    }
-    fn quorum_vote(&mut self) -> bool {
-        let Some(p) = self.pending.as_mut() else {
-            return false;
-        };
-        if self.env.msg.op != p.tag {
-            return false; // straggler from a superseded round
-        }
-        p.votes += 1;
-        p.voted.push(self.env.msg.sender);
-        if let Some(copy) = &self.env.copy {
-            p.agreement.count(copy.stamp());
-        }
-        p.votes == p.need
-    }
-    fn quorum_unanimous(&self) -> bool {
-        self.pending
-            .as_ref()
-            .is_some_and(|p| p.agreement.unanimous_at(&self.proc_.copy.stamp()))
     }
 }
 
@@ -652,33 +482,63 @@ impl NodeCtx {
             // see the post-step replica before anything the step emits
             // can be observed (see the table module).
             let mut replica = entry.lock();
-            let state = replica.state;
-            let mut host = NodeHost {
-                me: self.me,
-                sys: self.sys,
-                kind: self.kind,
-                shards: self.shards,
-                endpoint: self.endpoint.as_ref(),
-                proc_: &mut replica,
-                pending: self.pending.get_mut(&object),
-                env,
-                cost: &self.cost,
-                messages: &self.messages,
-                clock: &self.clock,
-                dead: &self.dead,
-                sent: &mut self.sent,
-                error: None,
-                dead_dest: None,
-                buried: false,
-                returned: false,
-                enabled: false,
+            let r = &mut *replica;
+            let home = self.shards.home_of(object);
+            let mut pending = self.pending.get_mut(&object);
+            let (op, round, own) = match pending.as_deref_mut() {
+                Some(p) => (Some(p.op), Some(&mut p.round), p.data.as_mut()),
+                None => (None, None, None),
             };
-            let next = proto.step(&mut host, state, &env.msg);
-            let completed = host.completed();
-            let (error, dead, buried) = (host.error, host.dead_dest, host.buried);
-            if let Some(reason) = error {
+            let mut host = Host {
+                driver: NodeLink {
+                    endpoint: self.endpoint.as_ref(),
+                    cost: &self.cost,
+                    messages: &self.messages,
+                    clock: &self.clock,
+                    dead: &self.dead,
+                    sent: &mut self.sent,
+                    shards: self.shards,
+                    prune: self.shards.prunes(self.kind),
+                    home,
+                    has_op: op.is_some(),
+                    own,
+                    error: None,
+                    dead_dest: None,
+                    buried: false,
+                },
+                sys: &self.sys,
+                me: self.me,
+                // Per-object home: the sequencer shard this step's object
+                // hashes to. With one shard this is the paper's node N.
+                home,
+                n_nodes: self.shards.n_nodes(),
+                msg: &env.msg,
+                params: env.params.as_ref(),
+                carried: env.copy.as_ref(),
+                copy: &mut r.copy,
+                owner: &mut r.owner,
+                epoch: &mut r.owner_epoch,
+                pending: op,
+                round,
+                flags: StepFlags::default(),
+            };
+            let next = proto.step(&mut host, r.state, &env.msg);
+            let Host { driver, flags, .. } = host;
+            if let Some(reason) = driver.error {
                 return Err(reason);
             }
+            let (dead, buried) = (driver.dead_dest, driver.buried);
+            // Whether this step completed the object's in-flight
+            // operation: the step belongs to it, and its read returned
+            // or its write is no longer (or never was) blocked.
+            let completed = pending.is_some_and(|p| {
+                p.blocked |= flags.disabled;
+                p.tag == env.msg.op
+                    && match p.op {
+                        OpKind::Read => flags.rets > 0,
+                        OpKind::Write => flags.enabled || !p.blocked,
+                    }
+            });
             // Degraded completion (`dead` set) does *not* advance the
             // machine — the request never left, so the replica stays in
             // its pre-request state and later operations start clean.
@@ -743,11 +603,13 @@ impl NodeCtx {
                 // and not already counted this round.
                 let potential = (0..self.sys.n_nodes() as u16)
                     .map(NodeId)
-                    .filter(|&n| n != self.me && !self.dead.is_down(n) && !p.voted.contains(&n))
+                    .filter(|&n| {
+                        n != self.me && !self.dead.is_down(n) && !p.round.voted.contains(&n)
+                    })
                     .count();
                 let shortfall =
                     matches!(replica.state, CopyState::Querying | CopyState::Committing)
-                        && p.votes + potential < p.need;
+                        && p.round.votes + potential < p.round.need;
                 if let Some(peer) = self.dead.first().filter(|_| shortfall) {
                     // Abort the round: the object returns to VALID with
                     // the (unchanged) local copy, ready for later
@@ -837,7 +699,8 @@ impl NodeCtx {
         };
         let msg = Msg::app_request(kind, self.me, is_home, req.object, tag);
         // Version 0 is the "unstamped" placeholder; the real version is
-        // assigned by `context_params` when the write first materializes.
+        // assigned by `NodeLink::own_params` when the write first
+        // materializes.
         let data = req.data.map(|d| Payload {
             data: d,
             version: 0,
@@ -851,10 +714,7 @@ impl NodeCtx {
                 data,
                 reply: req.reply,
                 blocked: false,
-                votes: 0,
-                need: 0,
-                voted: Vec::new(),
-                agreement: VoteAgreement::default(),
+                round: Round::default(),
             },
         );
         let env = Envelope {

@@ -5,9 +5,10 @@ use crate::report::{CoherenceCheck, SimReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use repmem_core::{
-    Actions, CopyState, Dest, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag, PayloadKind,
-    ProtocolKind, QueueKind, Scenario, SystemParams, TraceSig, VoteAgreement,
+    CopyState, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag, ProtocolKind, Scenario, SystemParams,
+    TraceSig,
 };
+use repmem_protocols::host::{Driver, Host, Leg, Round, StepFlags};
 use repmem_protocols::protocol;
 use repmem_workload::{per_node_mix, OpEvent, ScenarioSampler};
 use std::cmp::Reverse;
@@ -47,27 +48,31 @@ pub struct SimConfig {
     pub seed: u64,
 }
 
-/// Replica payload: a value register merged by version. A write's
-/// value and version are both its tag plus one, so version 0 is the
-/// initial value alone and no two writes tie.
+/// Replica payload, and the write parameters that become one: a value
+/// register merged by version. A write's value and version are both its
+/// tag plus one, so version 0 is the initial value alone and no two
+/// writes tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ObjectData {
     value: u64,
     version: u64,
 }
 
-/// Write parameters travelling with a message or held by a pending op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Params {
-    value: u64,
-    version: u64,
+impl ObjectData {
+    /// What the write of operation `tag` writes.
+    fn written(tag: OpTag) -> ObjectData {
+        ObjectData {
+            value: tag.0 + 1,
+            version: tag.0 + 1,
+        }
+    }
 }
 
 /// A message plus its data payload.
 #[derive(Debug, Clone)]
 struct Envelope {
     msg: Msg,
-    params: Option<Params>,
+    params: Option<ObjectData>,
     copy: Option<ObjectData>,
 }
 
@@ -76,17 +81,12 @@ struct Envelope {
 struct Process {
     state: CopyState,
     owner: NodeId,
+    owner_epoch: u64,
     enabled: bool,
     local_q: VecDeque<Envelope>,
     copy: ObjectData,
-    /// Quorum round bookkeeping: votes counted, votes needed, and the
-    /// op tag of the armed round (stragglers from a superseded round
-    /// carry an older tag and must not count).
-    votes: usize,
-    need: usize,
-    round: OpTag,
-    /// Whether the armed round's counted votes carried one copy.
-    agreement: VoteAgreement<ObjectData>,
+    /// The quorum round this process armed last.
+    round: Round<u64>,
 }
 
 /// An application operation in flight.
@@ -94,7 +94,6 @@ struct Process {
 struct Pending {
     tag: OpTag,
     op: OpKind,
-    value: u64,
 }
 
 /// Bookkeeping for one issued operation.
@@ -116,7 +115,6 @@ enum EvKind {
 }
 
 struct Core {
-    sys: SystemParams,
     heap: BinaryHeap<Reverse<(u64, u64)>>,
     events: BTreeMap<(u64, u64), EvKind>,
     time: u64,
@@ -135,143 +133,37 @@ impl Core {
     }
 }
 
-struct SimHost<'a> {
-    me: NodeId,
-    /// The stepped process (its `state` is the caller's to update).
-    proc_: &'a mut Process,
+/// The DES's [`Driver`]: every leg is an event one time unit ahead,
+/// charged to the operation it belongs to.
+struct Events<'a> {
     core: &'a mut Core,
-    env: &'a Envelope,
+    /// The stepping node's latest operation.
+    pending: Option<Pending>,
 }
 
-impl SimHost<'_> {
-    /// The write parameters in scope: message-carried, or the initiator's
-    /// pending operation when the machine runs at the initiator.
-    fn context_params(&self) -> Params {
-        if let Some(p) = self.env.params {
-            return p;
-        }
-        if self.env.msg.initiator == self.me {
-            if let Some(p) = self.core.pending[self.me.idx()] {
-                return Params {
-                    value: p.value,
-                    version: p.tag.0 + 1,
-                };
-            }
-        }
-        panic!(
-            "no write parameters in scope at {} for {:?} (initiator {})",
-            self.me, self.env.msg.kind, self.env.msg.initiator
-        );
+impl Driver for Events<'_> {
+    type Data = ObjectData;
+    type Stamp = u64;
+    fn stamp(data: &ObjectData) -> u64 {
+        data.version
     }
-}
-
-impl Actions for SimHost<'_> {
-    fn me(&self) -> NodeId {
-        self.me
+    fn own_params(&mut self) -> Option<ObjectData> {
+        self.pending.map(|p| ObjectData::written(p.tag))
     }
-    fn home(&self) -> NodeId {
-        self.core.sys.home()
-    }
-    fn n_nodes(&self) -> usize {
-        self.core.sys.n_nodes()
-    }
-    fn owner(&self) -> NodeId {
-        self.proc_.owner
-    }
-    fn set_owner(&mut self, owner: NodeId) {
-        self.proc_.owner = owner;
-    }
-    fn push(&mut self, dest: Dest, kind: MsgKind, payload: PayloadKind) {
-        let params = match payload {
-            PayloadKind::Params => Some(self.context_params()),
-            _ => None,
+    fn send(&mut self, leg: Leg<'_, ObjectData>) -> Result<(), String> {
+        let rec = &mut self.core.ops[leg.msg.op.0 as usize];
+        rec.cost += leg.cost;
+        rec.inflight += 1;
+        let env = Envelope {
+            msg: leg.msg,
+            params: leg.params.copied(),
+            copy: leg.copy.copied(),
         };
-        let copy = match payload {
-            PayloadKind::Copy => Some(self.proc_.copy),
-            _ => None,
-        };
-        let receivers: Vec<NodeId> = match dest {
-            Dest::To(n) => vec![n],
-            Dest::AllExcept(a, b) => (0..self.core.sys.n_nodes() as u16)
-                .map(NodeId)
-                .filter(|&n| n != a && Some(n) != b)
-                .collect(),
-        };
-        let tag = self.env.msg.op;
-        for r in receivers {
-            if r != self.me {
-                let rec = &mut self.core.ops[tag.0 as usize];
-                rec.cost += self.core.sys.msg_cost(payload);
-            }
-            self.core.ops[tag.0 as usize].inflight += 1;
-            let msg = Msg {
-                kind,
-                initiator: self.env.msg.initiator,
-                sender: self.me,
-                object: self.env.msg.object,
-                queue: QueueKind::Distributed,
-                payload,
-                op: tag,
-                epoch: 0,
-            };
-            self.core
-                .schedule(1, EvKind::Deliver(r, Envelope { msg, params, copy }));
-        }
+        self.core.schedule(1, EvKind::Deliver(leg.to, env));
+        Ok(())
     }
-    fn change(&mut self) {
-        let p = self.context_params();
-        if p.version >= self.proc_.copy.version {
-            self.proc_.copy = ObjectData {
-                value: p.value,
-                version: p.version,
-            };
-        }
-    }
-    fn install(&mut self) {
-        let incoming = self.env.copy.expect("install without a copy payload");
-        if incoming.version >= self.proc_.copy.version {
-            self.proc_.copy = incoming;
-        }
-    }
-    fn ret(&mut self) {
-        let tag = self.env.msg.op;
-        self.core
-            .reads
-            .push((tag, self.env.msg.object, self.proc_.copy.version));
-        let now = self.core.time;
-        let rec = &mut self.core.ops[tag.0 as usize];
-        if !rec.completed {
-            rec.completed = true;
-            rec.completed_at = now;
-        }
-    }
-    fn disable_local(&mut self) {
-        self.proc_.enabled = false;
-    }
-    fn enable_local(&mut self) {
-        self.proc_.enabled = true;
-    }
-    fn pending_op(&self) -> Option<OpKind> {
-        self.core.pending[self.me.idx()].map(|p| p.op)
-    }
-    fn quorum_arm(&mut self, need: usize) {
-        self.proc_.need = need;
-        self.proc_.votes = 0;
-        self.proc_.round = self.env.msg.op;
-        self.proc_.agreement = VoteAgreement::default();
-    }
-    fn quorum_vote(&mut self) -> bool {
-        if self.env.msg.op != self.proc_.round {
-            return false; // straggler from a superseded round
-        }
-        self.proc_.votes += 1;
-        if let Some(copy) = self.env.copy {
-            self.proc_.agreement.count(copy);
-        }
-        self.proc_.votes == self.proc_.need
-    }
-    fn quorum_unanimous(&self) -> bool {
-        self.proc_.agreement.unanimous_at(&self.proc_.copy)
+    fn fail(&mut self, reason: String) {
+        panic!("{reason}");
     }
 }
 
@@ -304,16 +196,14 @@ impl Sim {
                 procs.push(Process {
                     state: proto.initial_state(role),
                     owner: home,
+                    owner_epoch: 0,
                     enabled: true,
                     local_q: VecDeque::new(),
                     copy: ObjectData {
                         value: 0,
                         version: 0,
                     },
-                    votes: 0,
-                    need: 0,
-                    round: OpTag(0),
-                    agreement: VoteAgreement::default(),
+                    round: Round::default(),
                 });
             }
         }
@@ -321,7 +211,6 @@ impl Sim {
             cfg: cfg.clone(),
             procs,
             core: Core {
-                sys: cfg.sys,
                 heap: BinaryHeap::new(),
                 events: BTreeMap::new(),
                 time: 0,
@@ -346,15 +235,48 @@ impl Sim {
     fn step_process(&mut self, node: NodeId, env: Envelope) {
         let proto = protocol(self.cfg.protocol);
         let pidx = self.pidx(env.msg.object, node);
-        let state = self.procs[pidx].state;
-        let mut host = SimHost {
+        let sys = self.cfg.sys;
+        let pending = self.core.pending[node.idx()];
+        let proc_ = &mut self.procs[pidx];
+        let mut host = Host {
+            driver: Events {
+                core: &mut self.core,
+                pending,
+            },
+            sys: &sys,
             me: node,
-            proc_: &mut self.procs[pidx],
-            core: &mut self.core,
-            env: &env,
+            home: sys.home(),
+            n_nodes: sys.n_nodes(),
+            msg: &env.msg,
+            params: env.params.as_ref(),
+            carried: env.copy.as_ref(),
+            copy: &mut proc_.copy,
+            owner: &mut proc_.owner,
+            epoch: &mut proc_.owner_epoch,
+            pending: pending.map(|p| p.op),
+            round: Some(&mut proc_.round),
+            flags: StepFlags::default(),
         };
-        let next = proto.step(&mut host, state, &env.msg);
-        self.procs[pidx].state = next;
+        proc_.state = proto.step(&mut host, proc_.state, &env.msg);
+        let flags = host.flags;
+        if flags.disabled {
+            proc_.enabled = false;
+        }
+        if flags.enabled {
+            proc_.enabled = true;
+        }
+        if flags.rets > 0 {
+            let tag = env.msg.op;
+            self.core
+                .reads
+                .push((tag, env.msg.object, proc_.copy.version));
+            let now = self.core.time;
+            let rec = &mut self.core.ops[tag.0 as usize];
+            if !rec.completed {
+                rec.completed = true;
+                rec.completed_at = now;
+            }
+        }
     }
 
     /// Service the local queue of a process while it stays enabled.
@@ -398,27 +320,16 @@ impl Sim {
             issued_at: self.core.time,
             completed_at: self.core.time,
         });
-        self.core.pending[ev.node.idx()] = Some(Pending {
-            tag,
-            op: ev.op,
-            value: tag.0 + 1,
-        });
+        self.core.pending[ev.node.idx()] = Some(Pending { tag, op: ev.op });
         let kind = match ev.op {
             OpKind::Read => MsgKind::RReq,
             OpKind::Write => MsgKind::WReq,
         };
         let is_home = ev.node == self.cfg.sys.home();
         let msg = Msg::app_request(kind, ev.node, is_home, ev.object, tag);
-        let params = match ev.op {
-            OpKind::Write => Some(Params {
-                value: tag.0 + 1,
-                version: tag.0 + 1,
-            }),
-            OpKind::Read => None,
-        };
         let env = Envelope {
             msg,
-            params,
+            params: (ev.op == OpKind::Write).then(|| ObjectData::written(tag)),
             copy: None,
         };
         if is_home {
@@ -523,6 +434,11 @@ impl Sim {
 
 /// Run a simulation of the given scenario.
 pub fn simulate(cfg: &SimConfig, scenario: &Scenario) -> SimReport {
+    run(cfg, scenario).report()
+}
+
+/// Run a simulation of the given scenario to quiescence.
+fn run(cfg: &SimConfig, scenario: &Scenario) -> Sim {
     match cfg.mode {
         IssueMode::Serialized => {
             let mut sim = Sim::new(cfg);
@@ -556,7 +472,7 @@ pub fn simulate(cfg: &SimConfig, scenario: &Scenario) -> SimReport {
                     }
                 }
             }
-            sim.report()
+            sim
         }
         IssueMode::Concurrent { mean_think } => {
             let mut sim = Sim::new(cfg);
@@ -625,7 +541,7 @@ pub fn simulate(cfg: &SimConfig, scenario: &Scenario) -> SimReport {
                 seq += 1;
             }
             sim.drain();
-            sim.report()
+            sim
         }
     }
 }
@@ -926,6 +842,35 @@ mod tests {
                     report.coherence
                 );
             }
+        }
+    }
+
+    #[test]
+    fn concurrent_berkeley_advances_the_ownership_epochs() {
+        // The DES steps the machines through the same host core as the
+        // runtime, so Berkeley's grants advance the epoch registers and
+        // every message carries them.
+        let sys = SystemParams {
+            n_clients: 5,
+            s: 40,
+            p: 10,
+            m_objects: 3,
+        };
+        let scenario = Scenario::multiple_centers(0.5, 4).unwrap();
+        for seed in [1u64, 99, 12345] {
+            let cfg = SimConfig {
+                sys,
+                protocol: ProtocolKind::Berkeley,
+                mode: IssueMode::Concurrent { mean_think: 16.0 },
+                warmup_ops: 200,
+                measured_ops: 2000,
+                seed,
+            };
+            let sim = run(&cfg, &scenario);
+            let top = sim.procs.iter().map(|p| p.owner_epoch).max();
+            assert!(top > Some(0), "seed {seed}: every epoch register is 0");
+            let coherence = sim.audit_coherence();
+            assert!(coherence.is_coherent(), "seed {seed}: {coherence:?}");
         }
     }
 
