@@ -8,7 +8,11 @@
 //! The paper reports a maximum analysis-vs-simulation discrepancy below
 //! ±8 %; both our issue modes are run — `serialized` (the analytic
 //! semantics; discrepancy is pure sampling noise) and `concurrent` (the
-//! paper's setup with overlapping in-flight operations).
+//! paper's setup with overlapping in-flight operations). The simulator
+//! runs the runtime's node code, so an operation completes when the
+//! runtime would answer it: a Write-Once or Write-Through-V write whose
+//! node does not wait for its wave lets that node think again before
+//! the wave lands.
 //!
 //! The cells fan out over the sweep pool: each cell solves its analytic
 //! acc, then runs its `REPS` independent-seed replications per issue

@@ -13,10 +13,10 @@
 //!   returns the successor state.
 //!
 //! One implementation of [`Actions`] — `repmem_protocols::host::Host` —
-//! serves three executors: the synchronous analytic oracle, the
-//! discrete-event simulator and the threaded runtime each drive it
-//! through a small `Driver` (where a message leg goes, where a write's
-//! version comes from). So the analytic model is faithful to the
+//! serves every executor: the synchronous analytic oracle and the
+//! runtime each drive it through a small `Driver` (where a message leg
+//! goes, where a write's version comes from), and the discrete-event
+//! simulator runs the runtime's. So the analytic model is faithful to the
 //! executable protocol **by construction**, host semantics included.
 
 use crate::ids::NodeId;

@@ -216,7 +216,7 @@ impl MsgKind {
 /// A message token together with the host-level routing/attribution fields.
 ///
 /// `payload` describes *what class of data* travels with the token; the
-/// hosts (oracle, simulator, runtime) attach and move the actual data so
+/// hosts (oracle, runtime) attach and move the actual data so
 /// that the protocol machines stay data-agnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Msg {

@@ -28,7 +28,10 @@
 //!
 //! Time does not pass here, so [`crate::FaultTransport`]'s delay bursts
 //! have no counterpart: the scheduler already owns every reordering a
-//! delay could cause.
+//! delay could cause. What the handle does keep is the global send order
+//! (each accepted envelope is numbered, see [`SchedHandle::oldest`]): a
+//! driver that keeps a clock of its own, like the discrete-event
+//! simulator's, dates the sends of each step by it.
 //!
 //! Self-sends queue on the node's own loopback link `(n, n)` and are
 //! scheduled like any other delivery (a node that has not yet processed
@@ -42,13 +45,16 @@
 //! on a property the transport no longer provides.
 
 use crate::{DeliverFn, Endpoint, Envelope, NetError, Transport};
-use repmem_core::NodeId;
+use repmem_core::{NodeId, OpTag};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Directed link key `(from, to)`.
 type Link = (u16, u16);
+
+/// Envelopes in FIFO order, each with its send number.
+type Queue = VecDeque<(u64, Envelope)>;
 
 /// A fault [`SchedHandle::apply`] injects (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,10 +71,12 @@ pub enum SchedAction {
 #[derive(Default)]
 struct LinkMap {
     /// Envelopes on the wire, deliverable in FIFO order per link.
-    queues: BTreeMap<Link, VecDeque<Envelope>>,
+    queues: BTreeMap<Link, Queue>,
     /// Envelopes accepted while the link pair was severed, waiting for
     /// the restore that re-sends them.
-    parked: BTreeMap<Link, VecDeque<Envelope>>,
+    parked: BTreeMap<Link, Queue>,
+    /// Sends accepted so far: the next one's send number.
+    accepted: u64,
     /// Currently severed unordered pairs.
     severed: BTreeSet<Link>,
     /// Permanently killed endpoints.
@@ -82,6 +90,19 @@ struct SchedState {
 
 fn lock(state: &SchedState) -> MutexGuard<'_, LinkMap> {
     state.links.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl LinkMap {
+    /// Take the head envelope of `link`, dropping the queue it empties:
+    /// only non-empty queues stay in the map.
+    fn pop(&mut self, link: Link) -> Option<Envelope> {
+        let q = self.queues.get_mut(&link)?;
+        let head = q.pop_front().map(|(_, env)| env);
+        if q.is_empty() {
+            self.queues.remove(&link);
+        }
+        head
+    }
 }
 
 /// Normalized unordered pair key for the severed set.
@@ -147,7 +168,9 @@ impl Endpoint for SchedEndpoint {
         if to.idx() >= self.state.sinks.len() {
             return Err(NetError::Io(format!("no node {to}")));
         }
-        let mut map = lock(&self.state);
+        let mut guard = lock(&self.state);
+        let map = &mut *guard;
+        let mut queues = &mut map.queues;
         if to != self.me {
             if map.killed.contains(&to.0) {
                 return Err(NetError::Down(to));
@@ -157,17 +180,14 @@ impl Endpoint for SchedEndpoint {
             }
             if map.severed.contains(&pair(self.me, to)) {
                 // Parked, not lost: released in order on Restore.
-                map.parked
-                    .entry((self.me.0, to.0))
-                    .or_default()
-                    .push_back(env.clone());
-                return Ok(());
+                queues = &mut map.parked;
             }
         }
-        map.queues
+        queues
             .entry((self.me.0, to.0))
             .or_default()
-            .push_back(env.clone());
+            .push_back((map.accepted, env.clone()));
+        map.accepted += 1;
         Ok(())
     }
 
@@ -204,11 +224,7 @@ impl SchedHandle {
             if map.killed.contains(&to.0) {
                 return false;
             }
-            match map
-                .queues
-                .get_mut(&(from.0, to.0))
-                .and_then(VecDeque::pop_front)
-            {
+            match map.pop((from.0, to.0)) {
                 Some(env) => env,
                 None => return false,
             }
@@ -226,11 +242,7 @@ impl SchedHandle {
     /// Mutation hook: silently lose the head envelope of `(from, to)`,
     /// violating reliable delivery. Returns whether one was dropped.
     pub fn drop_head(&self, from: NodeId, to: NodeId) -> bool {
-        lock(&self.state)
-            .queues
-            .get_mut(&(from.0, to.0))
-            .and_then(VecDeque::pop_front)
-            .is_some()
+        lock(&self.state).pop((from.0, to.0)).is_some()
     }
 
     /// Mutation hook: move the head envelope of `(from, to)` to the back
@@ -247,6 +259,28 @@ impl SchedHandle {
             }
             _ => false,
         }
+    }
+
+    /// The deliverable head envelope the mesh accepted first, as `(send
+    /// number, link, operation tag)`; the send number counts the sends
+    /// accepted before it. Delivering this head every time replays the
+    /// global send order.
+    pub fn oldest(&self) -> Option<(u64, (NodeId, NodeId), OpTag)> {
+        let map = lock(&self.state);
+        let mut oldest: Option<(u64, (NodeId, NodeId), OpTag)> = None;
+        for (&(f, t), q) in &map.queues {
+            if let Some((seq, env)) = q.front() {
+                if oldest.is_none_or(|(first, ..)| *seq < first) && !map.killed.contains(&t) {
+                    oldest = Some((*seq, (NodeId(f), NodeId(t)), env.msg.op));
+                }
+            }
+        }
+        oldest
+    }
+
+    /// Sends the mesh has accepted so far, parked ones included.
+    pub fn accepted(&self) -> u64 {
+        lock(&self.state).accepted
     }
 
     /// Apply one fault action now (see the module docs for the
@@ -281,7 +315,7 @@ impl SchedHandle {
         lock(&self.state)
             .queues
             .get(&(from.0, to.0))
-            .map(|q| q.iter().cloned().collect())
+            .map(|q| q.iter().map(|(_, env)| env.clone()).collect())
             .unwrap_or_default()
     }
 
@@ -293,7 +327,12 @@ impl SchedHandle {
             .queues
             .iter()
             .filter(|(_, q)| !q.is_empty())
-            .map(|(&(f, t), q)| ((NodeId(f), NodeId(t)), q.iter().cloned().collect()))
+            .map(|(&(f, t), q)| {
+                (
+                    (NodeId(f), NodeId(t)),
+                    q.iter().map(|(_, env)| env.clone()).collect(),
+                )
+            })
             .collect()
     }
 
@@ -303,7 +342,12 @@ impl SchedHandle {
             .parked
             .iter()
             .filter(|(_, q)| !q.is_empty())
-            .map(|(&(f, t), q)| ((NodeId(f), NodeId(t)), q.iter().cloned().collect()))
+            .map(|(&(f, t), q)| {
+                (
+                    (NodeId(f), NodeId(t)),
+                    q.iter().map(|(_, env)| env.clone()).collect(),
+                )
+            })
             .collect()
     }
 
@@ -456,6 +500,23 @@ mod tests {
         assert_eq!(h.total_parked(), 0);
         assert!(h.deliver(NodeId(0), NodeId(0)));
         assert_eq!(rxs[0].try_recv().unwrap().msg.op, OpTag(9));
+    }
+
+    #[test]
+    fn oldest_follows_the_global_send_order() {
+        let (eps, _rxs, h) = mesh(3);
+        assert_eq!(h.oldest(), None);
+        eps[1].send(NodeId(2), &env(1, 1)).unwrap();
+        h.apply(SchedAction::Sever(NodeId(0), NodeId(2)));
+        eps[0].send(NodeId(2), &env(0, 2)).unwrap(); // parked, still numbered
+        eps[0].send(NodeId(0), &env(0, 3)).unwrap();
+        eps[1].send(NodeId(2), &env(1, 4)).unwrap();
+        assert_eq!(h.accepted(), 4);
+        assert_eq!(h.oldest(), Some((0, (NodeId(1), NodeId(2)), OpTag(1))));
+        assert!(h.deliver(NodeId(1), NodeId(2)));
+        assert_eq!(h.oldest(), Some((2, (NodeId(0), NodeId(0)), OpTag(3))));
+        h.apply(SchedAction::Restore(NodeId(0), NodeId(2)));
+        assert_eq!(h.oldest(), Some((1, (NodeId(0), NodeId(2)), OpTag(2))));
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The host core: the one implementation of [`Actions`], which the
-//! analytic oracle, the discrete-event simulator and the runtime all
-//! step the machines through.
+//! analytic oracle and the runtime step the machines through (the
+//! discrete-event simulator runs the runtime's node code).
 //!
 //! [`Host`] owns what the output routines mean: the `Dest` fan-out, the
 //! price of each message leg, building each outgoing [`Msg`] (stamped
 //! from the epoch register), the last-writer-wins `change`/`install`
 //! merge, the `ret`/`disable`/`enable` step flags and the quorum round.
-//! Each executor supplies a [`Driver`] for what really differs — where a
-//! leg goes (or whether it is pruned), where a write's version comes
-//! from, and what a failure does — and reads the [`StepFlags`] after.
+//! Each of the two executors supplies a [`Driver`] for what really
+//! differs — where a leg goes (or whether it is pruned), where a write's
+//! version comes from, and what a failure does — and reads the
+//! [`StepFlags`] after.
 
 use repmem_core::{
     Actions, Dest, Msg, MsgKind, NodeId, OpKind, OpTag, PayloadKind, QueueKind, SystemParams,

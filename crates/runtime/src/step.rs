@@ -1,5 +1,6 @@
 //! Deterministic, step-driven cluster mode: the schedule explorer's view
-//! of the runtime.
+//! of the runtime, and the discrete-event simulator's (`repmem-sim` runs
+//! it under a virtual clock, delivering in global send order).
 //!
 //! A [`crate::Cluster`] runs one thread per node and lets the OS pick
 //! the interleaving. [`StepCluster`] runs the *same* protocol logic —

@@ -1,15 +1,21 @@
-//! The discrete-event kernel: FIFO channels, protocol-process queues,
-//! cost accounting, and the two issue modes.
+//! The discrete-event kernel: the runtime's single-threaded
+//! [`StepCluster`] under a virtual clock, and the two issue modes.
+//!
+//! Every message leg takes one time unit: what a step sends at `t`
+//! arrives at `t + 1`, so the envelope the mesh accepted first
+//! (`SchedHandle::oldest`) is always the next event. Each
+//! leg carries the tag of the operation whose envelope was stepped, so
+//! the change in the cost counter across a step is that operation's.
+//! An operation completes when the cluster answers it.
 
 use crate::report::{CoherenceCheck, SimReport};
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use repmem_core::{
-    CopyState, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag, ProtocolKind, Scenario, SystemParams,
-    TraceSig,
+    NodeId, ObjectId, OpKind, OpTag, ProtocolKind, Scenario, SystemParams, TraceSig,
 };
-use repmem_protocols::host::{Driver, Host, Leg, Round, StepFlags};
-use repmem_protocols::protocol;
+use repmem_runtime::{ClusterError, ReplicaSnap, StepCluster};
 use repmem_workload::{per_node_mix, OpEvent, ScenarioSampler};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -48,520 +54,242 @@ pub struct SimConfig {
     pub seed: u64,
 }
 
-/// Replica payload, and the write parameters that become one: a value
-/// register merged by version. A write's value and version are both its
-/// tag plus one, so version 0 is the initial value alone and no two
-/// writes tie.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ObjectData {
-    value: u64,
-    version: u64,
-}
-
-impl ObjectData {
-    /// What the write of operation `tag` writes.
-    fn written(tag: OpTag) -> ObjectData {
-        ObjectData {
-            value: tag.0 + 1,
-            version: tag.0 + 1,
-        }
-    }
-}
-
-/// A message plus its data payload.
-#[derive(Debug, Clone)]
-struct Envelope {
-    msg: Msg,
-    params: Option<ObjectData>,
-    copy: Option<ObjectData>,
-}
-
-/// One protocol process (one object at one node).
-#[derive(Debug, Clone)]
-struct Process {
-    state: CopyState,
-    owner: NodeId,
-    owner_epoch: u64,
-    enabled: bool,
-    local_q: VecDeque<Envelope>,
-    copy: ObjectData,
-    /// The quorum round this process armed last.
-    round: Round<u64>,
-}
-
-/// An application operation in flight.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    tag: OpTag,
-    op: OpKind,
-}
-
-/// Bookkeeping for one issued operation.
-#[derive(Debug, Clone, Copy)]
-struct OpRecord {
-    node: NodeId,
-    op: OpKind,
-    cost: u64,
-    inflight: usize,
-    completed: bool,
-    measured: bool,
+/// One issued operation.
+struct Op {
+    /// Its trace, with what the steps of its own envelopes cost so far.
+    sig: TraceSig,
     issued_at: u64,
-    completed_at: u64,
+    /// When the cluster answered it, and with what.
+    done: Option<(u64, Bytes)>,
 }
 
-#[derive(Debug)]
-enum EvKind {
-    Deliver(NodeId, Envelope),
-}
-
-struct Core {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    events: BTreeMap<(u64, u64), EvKind>,
-    time: u64,
-    seq: u64,
-    pending: Vec<Option<Pending>>,
-    ops: Vec<OpRecord>,
-    reads: Vec<(OpTag, ObjectId, u64)>,
-}
-
-impl Core {
-    fn schedule(&mut self, delay: u64, kind: EvKind) {
-        let key = (self.time + delay, self.seq);
-        self.seq += 1;
-        self.heap.push(Reverse(key));
-        self.events.insert(key, kind);
-    }
-}
-
-/// The DES's [`Driver`]: every leg is an event one time unit ahead,
-/// charged to the operation it belongs to.
-struct Events<'a> {
-    core: &'a mut Core,
-    /// The stepping node's latest operation.
-    pending: Option<Pending>,
-}
-
-impl Driver for Events<'_> {
-    type Data = ObjectData;
-    type Stamp = u64;
-    fn stamp(data: &ObjectData) -> u64 {
-        data.version
-    }
-    fn own_params(&mut self) -> Option<ObjectData> {
-        self.pending.map(|p| ObjectData::written(p.tag))
-    }
-    fn send(&mut self, leg: Leg<'_, ObjectData>) -> Result<(), String> {
-        let rec = &mut self.core.ops[leg.msg.op.0 as usize];
-        rec.cost += leg.cost;
-        rec.inflight += 1;
-        let env = Envelope {
-            msg: leg.msg,
-            params: leg.params.copied(),
-            copy: leg.copy.copied(),
-        };
-        self.core.schedule(1, EvKind::Deliver(leg.to, env));
-        Ok(())
-    }
-    fn fail(&mut self, reason: String) {
-        panic!("{reason}");
-    }
-}
-
-/// The simulator.
+/// A cluster, its clock, and every operation issued on it.
 struct Sim {
-    cfg: SimConfig,
-    procs: Vec<Process>, // index = object * n_nodes + node
-    core: Core,
-    rng: StdRng,
-    next_tag: u64,
-    measure_from: u64,
-    quota: u64,
-    stale_reads: usize,
+    cluster: StepCluster,
+    now: u64,
+    /// `(first, arrival)`: the sends numbered from `first` up to the next
+    /// entry's `first` arrive at `arrival`.
+    arrivals: VecDeque<(u64, u64)>,
+    /// The cluster's cost counter and send count after the last step.
+    cost: u64,
+    sent: u64,
+    ops: Vec<Op>,
 }
 
 impl Sim {
-    fn new(cfg: &SimConfig) -> Sim {
-        let proto = protocol(cfg.protocol);
-        let n = cfg.sys.n_nodes();
-        let m = cfg.sys.m_objects;
-        let home = cfg.sys.home();
-        let mut procs = Vec::with_capacity(n * m);
-        for _obj in 0..m {
-            for node in 0..n as u16 {
-                let role = if NodeId(node) == home {
-                    repmem_core::Role::Sequencer
-                } else {
-                    repmem_core::Role::Client
-                };
-                procs.push(Process {
-                    state: proto.initial_state(role),
-                    owner: home,
-                    owner_epoch: 0,
-                    enabled: true,
-                    local_q: VecDeque::new(),
-                    copy: ObjectData {
-                        value: 0,
-                        version: 0,
-                    },
-                    round: Round::default(),
-                });
-            }
+    /// After a step at `now` of operation `tag`'s envelope: charge it what
+    /// the step cost, date what it sent, and record the operations the
+    /// cluster answered.
+    fn account(&mut self, tag: OpTag) -> Result<(), ClusterError> {
+        let (cost, sent) = (self.cluster.total_cost(), self.cluster.sched().accepted());
+        self.ops[tag.0 as usize].sig.cost += cost - self.cost;
+        if sent > self.sent {
+            self.arrivals.push_back((self.sent, self.now + 1));
         }
-        Sim {
-            cfg: cfg.clone(),
-            procs,
-            core: Core {
-                heap: BinaryHeap::new(),
-                events: BTreeMap::new(),
-                time: 0,
-                seq: 0,
-                pending: vec![None; n],
-                ops: Vec::new(),
-                reads: Vec::new(),
+        (self.cost, self.sent) = (cost, sent);
+        for (id, answer) in self.cluster.poll() {
+            self.ops[id as usize].done = Some((self.now, answer?));
+        }
+        Ok(())
+    }
+
+    /// Issue one application operation now. Returns its tag.
+    fn issue(&mut self, ev: OpEvent) -> Result<u64, ClusterError> {
+        let tag = self.ops.len() as u64;
+        self.ops.push(Op {
+            sig: TraceSig {
+                initiator: ev.node,
+                op: ev.op,
+                cost: 0,
             },
-            rng: StdRng::seed_from_u64(cfg.seed),
-            next_tag: 0,
-            measure_from: cfg.warmup_ops as u64,
-            quota: (cfg.warmup_ops + cfg.measured_ops) as u64,
-            stale_reads: 0,
-        }
-    }
-
-    #[inline]
-    fn pidx(&self, object: ObjectId, node: NodeId) -> usize {
-        object.idx() * self.cfg.sys.n_nodes() + node.idx()
-    }
-
-    fn step_process(&mut self, node: NodeId, env: Envelope) {
-        let proto = protocol(self.cfg.protocol);
-        let pidx = self.pidx(env.msg.object, node);
-        let sys = self.cfg.sys;
-        let pending = self.core.pending[node.idx()];
-        let proc_ = &mut self.procs[pidx];
-        let mut host = Host {
-            driver: Events {
-                core: &mut self.core,
-                pending,
-            },
-            sys: &sys,
-            me: node,
-            home: sys.home(),
-            n_nodes: sys.n_nodes(),
-            msg: &env.msg,
-            params: env.params.as_ref(),
-            carried: env.copy.as_ref(),
-            copy: &mut proc_.copy,
-            owner: &mut proc_.owner,
-            epoch: &mut proc_.owner_epoch,
-            pending: pending.map(|p| p.op),
-            round: Some(&mut proc_.round),
-            flags: StepFlags::default(),
-        };
-        proc_.state = proto.step(&mut host, proc_.state, &env.msg);
-        let flags = host.flags;
-        if flags.disabled {
-            proc_.enabled = false;
-        }
-        if flags.enabled {
-            proc_.enabled = true;
-        }
-        if flags.rets > 0 {
-            let tag = env.msg.op;
-            self.core
-                .reads
-                .push((tag, env.msg.object, proc_.copy.version));
-            let now = self.core.time;
-            let rec = &mut self.core.ops[tag.0 as usize];
-            if !rec.completed {
-                rec.completed = true;
-                rec.completed_at = now;
-            }
-        }
-    }
-
-    /// Service the local queue of a process while it stays enabled.
-    fn drain_local(&mut self, node: NodeId, object: ObjectId) {
-        loop {
-            let pidx = self.pidx(object, node);
-            let proc = &mut self.procs[pidx];
-            if !proc.enabled {
-                return;
-            }
-            let Some(env) = proc.local_q.pop_front() else {
-                return;
-            };
-            let tag = env.msg.op;
-            self.step_process(node, env);
-            self.try_complete_write(tag);
-        }
-    }
-
-    fn try_complete_write(&mut self, tag: OpTag) {
-        let now = self.core.time;
-        let rec = &mut self.core.ops[tag.0 as usize];
-        if rec.op == OpKind::Write && !rec.completed && rec.inflight == 0 {
-            rec.completed = true;
-            rec.completed_at = now;
-        }
-    }
-
-    /// Issue one application operation. Returns its tag.
-    fn issue(&mut self, ev: OpEvent) -> OpTag {
-        let tag = OpTag(self.next_tag);
-        self.next_tag += 1;
-        let measured = tag.0 >= self.measure_from && tag.0 < self.quota;
-        self.core.ops.push(OpRecord {
-            node: ev.node,
-            op: ev.op,
-            cost: 0,
-            inflight: 0,
-            completed: false,
-            measured,
-            issued_at: self.core.time,
-            completed_at: self.core.time,
+            issued_at: self.now,
+            done: None,
         });
-        self.core.pending[ev.node.idx()] = Some(Pending { tag, op: ev.op });
-        let kind = match ev.op {
-            OpKind::Read => MsgKind::RReq,
-            OpKind::Write => MsgKind::WReq,
-        };
-        let is_home = ev.node == self.cfg.sys.home();
-        let msg = Msg::app_request(kind, ev.node, is_home, ev.object, tag);
-        let env = Envelope {
-            msg,
-            params: (ev.op == OpKind::Write).then(|| ObjectData::written(tag)),
-            copy: None,
-        };
-        if is_home {
-            // The sequencer's own requests flow through its distributed
-            // queue.
-            self.step_process(ev.node, env);
-        } else {
-            let pidx = self.pidx(ev.object, ev.node);
-            self.procs[pidx].local_q.push_back(env);
-            self.drain_local(ev.node, ev.object);
-        }
-        self.try_complete_write(tag);
-        tag
+        let data = (ev.op == OpKind::Write).then(|| written(tag));
+        self.cluster.issue(ev.node, ev.op, ev.object, data, tag)?;
+        self.account(OpTag(tag))?;
+        Ok(tag)
     }
 
-    /// Process every scheduled event (run to quiescence).
-    fn drain(&mut self) {
-        while let Some(Reverse(key)) = self.core.heap.pop() {
-            self.core.time = key.0;
-            let kind = self.core.events.remove(&key).expect("scheduled event");
-            match kind {
-                EvKind::Deliver(node, env) => {
-                    let tag = env.msg.op;
-                    let object = env.msg.object;
-                    self.core.ops[tag.0 as usize].inflight -= 1;
-                    self.step_process(node, env);
-                    self.drain_local(node, object);
-                    self.try_complete_write(tag);
-                }
+    /// Deliver the oldest envelope on the wire if it arrives by `until`,
+    /// advancing the clock to its arrival. Returns whether one was.
+    fn deliver_next(&mut self, until: u64) -> Result<bool, ClusterError> {
+        let Some((seq, (from, to), tag)) = self.cluster.sched().oldest() else {
+            return Ok(false);
+        };
+        while self.arrivals.get(1).is_some_and(|&(first, _)| first <= seq) {
+            self.arrivals.pop_front();
+        }
+        let (_, at) = *self.arrivals.front().expect("every send is dated");
+        if at > until {
+            return Ok(false);
+        }
+        self.now = at;
+        assert!(self.cluster.deliver(from, to)?, "{from}->{to} had no head");
+        self.account(tag)?;
+        Ok(true)
+    }
+
+    /// Issue each event after the one before it has settled, and count
+    /// the reads that did not return what their object's last (so
+    /// newest) write wrote.
+    fn serialized(&mut self, events: impl Iterator<Item = OpEvent>) -> Result<usize, ClusterError> {
+        let mut newest = vec![Bytes::new(); self.cluster.system().m_objects];
+        let mut stale_reads = 0;
+        for ev in events {
+            let tag = self.issue(ev)?;
+            while self.deliver_next(u64::MAX)? {}
+            let Some((_, value)) = &self.ops[tag as usize].done else {
+                panic!("op {tag} did not complete");
+            };
+            match ev.op {
+                OpKind::Write => newest[ev.object.idx()] = written(tag),
+                OpKind::Read => stale_reads += usize::from(*value != newest[ev.object.idx()]),
             }
         }
+        Ok(stale_reads)
     }
 
+    /// Let every active node issue with exponential think times, one
+    /// operation in flight per node, until the warm-up and measured
+    /// operations are all issued; then drain.
+    fn concurrent(
+        &mut self,
+        cfg: &SimConfig,
+        scenario: &Scenario,
+        mean_think: f64,
+    ) -> Result<(), ClusterError> {
+        let mixes = per_node_mix(scenario);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        // Each node's latest operation.
+        let mut latest: Vec<Option<u64>> = vec![None; cfg.sys.n_nodes()];
+        // Issue times, ties broken by push order. Every node starts at a
+        // random offset.
+        let mut next_issue = BinaryHeap::new();
+        for (i, mx) in mixes.iter().enumerate() {
+            let t = exp_delay(&mut rng, mean_think / mx.weight);
+            next_issue.push(Reverse((t, i as u64, i)));
+        }
+        let mut seq = mixes.len() as u64;
+        let mut issued = 0usize;
+        while issued < cfg.warmup_ops + cfg.measured_ops {
+            let Reverse((t, _, i)) = next_issue.pop().expect("an active node");
+            while self.deliver_next(t)? {}
+            self.now = self.now.max(t);
+            let mx = mixes[i];
+            // Nodes issue one op at a time: postpone if still busy.
+            let busy =
+                latest[mx.node.idx()].is_some_and(|tag| self.ops[tag as usize].done.is_none());
+            let next = if busy {
+                t + 8
+            } else {
+                let write = rng.random::<f64>() < mx.write_fraction;
+                let ev = OpEvent {
+                    node: mx.node,
+                    op: if write { OpKind::Write } else { OpKind::Read },
+                    object: ObjectId(rng.random_range(0..cfg.sys.m_objects as u32)),
+                };
+                latest[mx.node.idx()] = Some(self.issue(ev)?);
+                issued += 1;
+                t + exp_delay(&mut rng, mean_think / mx.weight)
+            };
+            next_issue.push(Reverse((next, seq, i)));
+            seq += 1;
+        }
+        while self.deliver_next(u64::MAX)? {}
+        Ok(())
+    }
+
+    /// Replica audit over every object, from the cluster's snapshots.
     fn audit_coherence(&self) -> CoherenceCheck {
-        let n = self.cfg.sys.n_nodes();
-        let mut readable_copies = 0;
-        let mut stale_readable = 0;
-        let mut divergent_objects = 0;
-        for obj in 0..self.cfg.sys.m_objects {
-            let copies = &self.procs[obj * n..(obj + 1) * n];
-            let latest = copies.iter().map(|p| p.copy.version).max().unwrap_or(0);
-            let mut values: Vec<u64> = Vec::new();
-            for p in copies {
-                if p.state.readable() {
-                    readable_copies += 1;
-                    if p.copy.version != latest {
-                        stale_readable += 1;
-                    }
-                    values.push(p.copy.value);
-                }
-            }
-            values.sort_unstable();
-            values.dedup();
-            if values.len() > 1 {
-                divergent_objects += 1;
-            }
+        let replicas = self.cluster.replicas();
+        let mut check = CoherenceCheck::default();
+        for object in 0..self.cluster.system().m_objects {
+            let latest = replicas.iter().map(|node| node[object].stamp()).max();
+            let readable: Vec<&ReplicaSnap> = replicas
+                .iter()
+                .map(|node| &node[object])
+                .filter(|snap| snap.state.readable())
+                .collect();
+            check.readable_copies += readable.len();
+            check.stale_readable += readable
+                .iter()
+                .filter(|s| Some(s.stamp()) != latest)
+                .count();
+            check.divergent_objects +=
+                usize::from(readable.iter().any(|s| s.data != readable[0].data));
         }
-        CoherenceCheck {
-            readable_copies,
-            stale_readable,
-            divergent_objects,
-        }
+        check
     }
 
-    fn report(&self) -> SimReport {
+    /// The report over the operations from `measure_from` on.
+    fn report(&self, measure_from: usize, stale_reads: usize) -> SimReport {
         let mut trace_counts: BTreeMap<TraceSig, usize> = BTreeMap::new();
         let mut mix: BTreeMap<(NodeId, OpKind), usize> = BTreeMap::new();
-        let mut total_cost = 0u64;
-        let mut measured_ops = 0usize;
         let mut latencies: Vec<u64> = Vec::new();
-        for rec in &self.core.ops {
-            if !rec.measured {
-                continue;
-            }
-            measured_ops += 1;
-            total_cost += rec.cost;
-            *trace_counts
-                .entry(TraceSig {
-                    initiator: rec.node,
-                    op: rec.op,
-                    cost: rec.cost,
-                })
-                .or_default() += 1;
-            *mix.entry((rec.node, rec.op)).or_default() += 1;
-            if rec.completed {
-                latencies.push(rec.completed_at.saturating_sub(rec.issued_at));
+        let measured = &self.ops[measure_from.min(self.ops.len())..];
+        for rec in measured {
+            *trace_counts.entry(rec.sig).or_default() += 1;
+            *mix.entry((rec.sig.initiator, rec.sig.op)).or_default() += 1;
+            if let Some((done_at, _)) = rec.done {
+                latencies.push(done_at - rec.issued_at);
             }
         }
         latencies.sort_unstable();
         SimReport {
-            measured_ops,
-            total_cost,
+            measured_ops: measured.len(),
+            total_cost: measured.iter().map(|rec| rec.sig.cost).sum(),
             trace_counts,
             mix,
-            end_time: self.core.time,
-            stale_reads: self.stale_reads,
+            end_time: self.now,
+            stale_reads,
             latencies,
             coherence: self.audit_coherence(),
         }
     }
 }
 
-/// Run a simulation of the given scenario.
-pub fn simulate(cfg: &SimConfig, scenario: &Scenario) -> SimReport {
-    run(cfg, scenario).report()
+/// What the write with tag `tag` writes: the tag itself.
+fn written(tag: u64) -> Bytes {
+    Bytes::copy_from_slice(&tag.to_le_bytes())
 }
 
-/// Run a simulation of the given scenario to quiescence.
-fn run(cfg: &SimConfig, scenario: &Scenario) -> Sim {
-    match cfg.mode {
+/// Run a simulation of the given scenario.
+pub fn simulate(cfg: &SimConfig, scenario: &Scenario) -> SimReport {
+    run(cfg, |sim| match cfg.mode {
         IssueMode::Serialized => {
-            let mut sim = Sim::new(cfg);
             let mut sampler = ScenarioSampler::new(scenario, cfg.sys.m_objects, cfg.seed ^ 0x5eed);
-            let total = cfg.warmup_ops + cfg.measured_ops;
-            for _ in 0..total {
-                let ev = sampler.next_event();
-                let tag = sim.issue(ev);
-                sim.drain();
-                let rec = &sim.core.ops[tag.0 as usize];
-                assert!(
-                    rec.completed,
-                    "{:?}: op {tag:?} did not complete",
-                    cfg.protocol
-                );
-                // Freshness audit: in serialized mode a read must observe
-                // the newest applied version of its object.
-                if rec.op == OpKind::Read {
-                    let n = cfg.sys.n_nodes();
-                    let latest = sim.procs[ev.object.idx() * n..(ev.object.idx() + 1) * n]
-                        .iter()
-                        .map(|p| p.copy.version)
-                        .max()
-                        .unwrap_or(0);
-                    if let Some(&(_, _, seen)) =
-                        sim.core.reads.iter().rev().find(|(t, _, _)| *t == tag)
-                    {
-                        if seen != latest {
-                            sim.stale_reads += 1;
-                        }
-                    }
-                }
-            }
-            sim
+            sim.serialized((0..cfg.warmup_ops + cfg.measured_ops).map(|_| sampler.next_event()))
         }
         IssueMode::Concurrent { mean_think } => {
-            let mut sim = Sim::new(cfg);
-            let mixes = per_node_mix(scenario);
-            assert!(
-                !mixes.is_empty(),
-                "concurrent mode needs at least one active node"
-            );
-            // Per-node mean think times inversely proportional to weight.
-            let total = cfg.warmup_ops + cfg.measured_ops;
-            let mut issued = 0usize;
-            let m = cfg.sys.m_objects as u32;
-            // Kick off every node at a random offset.
-            let mut next_issue: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            for (i, mx) in mixes.iter().enumerate() {
-                let delay = exp_delay(&mut sim.rng, mean_think / mx.weight);
-                next_issue.push(Reverse((delay, seq, i)));
-                seq += 1;
-            }
-            // Event-interleaved issuing: issue the next op whose time has
-            // come, then process kernel events up to that time.
-            while issued < total {
-                let Reverse((t, _, i)) = next_issue.pop().expect("active nodes");
-                // Run kernel events scheduled before the issue time.
-                while let Some(&Reverse(key)) = sim.core.heap.peek() {
-                    if key.0 > t {
-                        break;
-                    }
-                    let Reverse(key) = sim.core.heap.pop().expect("peeked");
-                    sim.core.time = key.0;
-                    let EvKind::Deliver(node, env) =
-                        sim.core.events.remove(&key).expect("scheduled event");
-                    let tag = env.msg.op;
-                    let object = env.msg.object;
-                    sim.core.ops[tag.0 as usize].inflight -= 1;
-                    sim.step_process(node, env);
-                    sim.drain_local(node, object);
-                    sim.try_complete_write(tag);
-                }
-                sim.core.time = sim.core.time.max(t);
-                let mx = mixes[i];
-                // Nodes issue one op at a time: postpone if still busy.
-                let busy = sim.core.pending[mx.node.idx()]
-                    .map(|p| !sim.core.ops[p.tag.0 as usize].completed)
-                    .unwrap_or(false);
-                if busy {
-                    next_issue.push(Reverse((t + 8, seq, i)));
-                    seq += 1;
-                    continue;
-                }
-                let op = if sim.rng.random::<f64>() < mx.write_fraction {
-                    OpKind::Write
-                } else {
-                    OpKind::Read
-                };
-                let object = ObjectId(sim.rng.random_range(0..m));
-                sim.issue(OpEvent {
-                    node: mx.node,
-                    object,
-                    op,
-                });
-                issued += 1;
-                let delay = exp_delay(&mut sim.rng, mean_think / mx.weight);
-                next_issue.push(Reverse((t + delay, seq, i)));
-                seq += 1;
-            }
-            sim.drain();
-            sim
+            sim.concurrent(cfg, scenario, mean_think).map(|()| 0)
         }
-    }
+    })
 }
 
 /// Replay a fixed application trace (serialized), e.g. the app-shaped
 /// workloads of `repmem-workload::apps`.
 pub fn replay(cfg: &SimConfig, events: &[OpEvent]) -> SimReport {
-    let mut sim = Sim::new(cfg);
-    sim.quota = events.len() as u64;
-    sim.measure_from = cfg.warmup_ops.min(events.len()) as u64;
-    for ev in events {
-        let tag = sim.issue(*ev);
-        sim.drain();
-        assert!(
-            sim.core.ops[tag.0 as usize].completed,
-            "{:?}: replayed op {tag:?} did not complete",
-            cfg.protocol
-        );
-    }
-    sim.report()
+    run(cfg, |sim| sim.serialized(events.iter().copied()))
+}
+
+/// Drive a fresh cluster with `issue`, which returns the stale-read
+/// count, and report on it. The simulated cluster has no faults, so a
+/// step that fails is a bug.
+fn run(cfg: &SimConfig, issue: impl FnOnce(&mut Sim) -> Result<usize, ClusterError>) -> SimReport {
+    let report = StepCluster::new(cfg.sys, cfg.protocol).and_then(|cluster| {
+        let mut sim = Sim {
+            cluster,
+            now: 0,
+            arrivals: VecDeque::new(),
+            cost: 0,
+            sent: 0,
+            ops: Vec::new(),
+        };
+        let stale_reads = issue(&mut sim)?;
+        Ok(sim.report(cfg.warmup_ops, stale_reads))
+    });
+    report.unwrap_or_else(|e| panic!("{:?}: a step failed: {e}", cfg.protocol))
 }
 
 fn exp_delay(rng: &mut StdRng, mean: f64) -> u64 {
@@ -573,6 +301,7 @@ fn exp_delay(rng: &mut StdRng, mean: f64) -> u64 {
 mod tests {
     use super::*;
     use repmem_analytic::chain::{analyze, AnalyzeOpts};
+    use repmem_protocols::protocol;
 
     fn table7_cfg(protocol: ProtocolKind, mode: IssueMode, seed: u64) -> SimConfig {
         SimConfig {
@@ -737,6 +466,18 @@ mod tests {
         let b = simulate(&cfg, &scenario);
         assert_eq!(a.acc(), b.acc());
         assert_eq!(a.trace_counts, b.trace_counts);
+        // Concurrent runs step runtime code that keeps `HashMap`s; no
+        // output may depend on their iteration order.
+        for kind in ProtocolKind::EVERY {
+            let cfg = table7_cfg(kind, IssueMode::Concurrent { mean_think: 16.0 }, 5);
+            let a = simulate(&cfg, &scenario);
+            let b = simulate(&cfg, &scenario);
+            assert_eq!(a.acc().to_bits(), b.acc().to_bits(), "{kind:?}");
+            assert_eq!(a.trace_counts, b.trace_counts, "{kind:?}");
+            assert_eq!(a.latencies, b.latencies, "{kind:?}");
+            assert_eq!(a.end_time, b.end_time, "{kind:?}");
+            assert_eq!(a.coherence, b.coherence, "{kind:?}");
+        }
     }
 
     #[test]
@@ -842,35 +583,6 @@ mod tests {
                     report.coherence
                 );
             }
-        }
-    }
-
-    #[test]
-    fn concurrent_berkeley_advances_the_ownership_epochs() {
-        // The DES steps the machines through the same host core as the
-        // runtime, so Berkeley's grants advance the epoch registers and
-        // every message carries them.
-        let sys = SystemParams {
-            n_clients: 5,
-            s: 40,
-            p: 10,
-            m_objects: 3,
-        };
-        let scenario = Scenario::multiple_centers(0.5, 4).unwrap();
-        for seed in [1u64, 99, 12345] {
-            let cfg = SimConfig {
-                sys,
-                protocol: ProtocolKind::Berkeley,
-                mode: IssueMode::Concurrent { mean_think: 16.0 },
-                warmup_ops: 200,
-                measured_ops: 2000,
-                seed,
-            };
-            let sim = run(&cfg, &scenario);
-            let top = sim.procs.iter().map(|p| p.owner_epoch).max();
-            assert!(top > Some(0), "seed {seed}: every epoch register is 0");
-            let coherence = sim.audit_coherence();
-            assert!(coherence.is_coherent(), "seed {seed}: {coherence:?}");
         }
     }
 

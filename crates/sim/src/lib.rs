@@ -4,14 +4,17 @@
 //! — the role the multitasking Ada environment of the paper's reference
 //! [10] plays in its §5.2 evaluation.
 //!
-//! The simulated system is the paper's §2 structure, faithfully:
+//! The kernel drives the runtime's single-threaded `StepCluster` (the
+//! node code the threaded runtime runs, over per-link FIFO queues) under
+//! a virtual clock; it has no executor of its own. The simulated system
+//! is therefore the paper's §2 structure as the runtime realizes it:
 //!
-//! * `N+1` nodes; per-object *protocol processes* at every node running
-//!   the real Mealy machines from `repmem-protocols`;
-//! * fault-free FIFO channels (unit latency, stable tie-breaking);
-//! * two input queues per client process (local + distributed) with the
-//!   disable/enable mechanism on the local queue; the sequencer's
-//!   distributed queue performs the global sequential filtering;
+//! * `N+1` nodes; per-object protocol processes at every node running
+//!   the real Mealy machines from `repmem-protocols` through the one
+//!   host core, with the runtime's in-flight window standing in for the
+//!   local queue and its disable/enable gating;
+//! * fault-free FIFO channels with unit latency, delivered in global
+//!   send order;
 //! * per-message communication costs `1` / `P+1` / `S+1`, accounted per
 //!   operation (= the paper's trace costs).
 //!
@@ -27,9 +30,9 @@
 //!   produces the small analysis-vs-simulation discrepancies of the
 //!   paper's Table 7 (< ±8 %).
 //!
-//! Replica payloads are modelled as `(value, version)` registers merged
-//! by version, so coherence invariants (replica convergence, read
-//! freshness) are machine-checkable after every run.
+//! A write writes its own operation tag, and replicas merge by the
+//! runtime's `(version, writer)` stamp, so coherence invariants (replica
+//! convergence, read freshness) are machine-checkable after every run.
 
 pub mod kernel;
 pub mod replicate;

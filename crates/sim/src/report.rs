@@ -4,7 +4,7 @@ use repmem_core::{NodeId, OpKind, TraceSig};
 use std::collections::BTreeMap;
 
 /// Post-run coherence audit over all objects.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoherenceCheck {
     /// Number of (object, node) pairs whose copy is readable.
     pub readable_copies: usize,
@@ -35,12 +35,14 @@ pub struct SimReport {
     pub mix: BTreeMap<(NodeId, OpKind), usize>,
     /// Virtual time at the end of the run.
     pub end_time: u64,
-    /// Reads whose returned value was not the newest written version at
-    /// return time in serialized mode (diagnostic; 0 for a correct
-    /// protocol in serialized mode).
+    /// Serialized reads (warm-up included) that did not return what the
+    /// object's last write wrote (diagnostic; 0 for a correct protocol).
+    /// Concurrent runs do not audit reads.
     pub stale_reads: usize,
     /// Sorted virtual-time completion latencies of the measured
-    /// operations (channel-latency units; issue → completion).
+    /// operations (channel-latency units), from issue to the cluster's
+    /// answer — for a write that does not wait for its wave, before the
+    /// wave lands.
     pub latencies: Vec<u64>,
     /// Post-drain replica audit.
     pub coherence: CoherenceCheck,
