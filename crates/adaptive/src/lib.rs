@@ -18,7 +18,7 @@
 //!   charging a replica-redistribution penalty of `N·(S+1)` cost units
 //!   per protocol switch (every client re-fetches a coherent copy).
 
-use repmem_analytic::chain::{analyze, AnalyzeOpts};
+use repmem_analytic::chain::analyze;
 use repmem_core::{ActorSpec, NodeId, OpKind, ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
 use repmem_workload::OpEvent;
@@ -117,7 +117,7 @@ pub struct Classifier {
 impl Classifier {
     /// Predicted steady-state cost of one protocol under a scenario.
     pub fn cost(&self, kind: ProtocolKind, scenario: &Scenario) -> f64 {
-        analyze(protocol(kind), &self.sys, scenario, AnalyzeOpts::default())
+        analyze(protocol(kind), &self.sys, scenario)
             .map(|r| r.acc)
             .unwrap_or(f64::INFINITY)
     }

@@ -24,8 +24,8 @@
 //! e.g., the `2^10` disturbing-client validity vectors of the paper's
 //! Figure 5 configuration into 11 count vectors. Transitions are expanded
 //! per concrete member and merged by canonical target, so the lumping is
-//! exact — `AnalyzeOpts { lump: false }` keeps the raw product space and
-//! is used in tests and the ablation bench to confirm equality.
+//! exact — the raw product space is kept only as the reference the unit
+//! test `lumped_equals_unlumped` compares against.
 //!
 //! Per-initiator trace probabilities need one extra step: a lumped state
 //! stores only the first concrete representative it was discovered with,
@@ -48,19 +48,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 const DENSE_CUTOFF: usize = 256;
 /// [`build`] aborts if the reachable state space exceeds this bound.
 const MAX_STATES: usize = 2_000_000;
-
-/// Options for [`analyze`].
-#[derive(Debug, Clone, Copy)]
-pub struct AnalyzeOpts {
-    /// Lump exchangeable clients (exact; keep on except for ablations).
-    pub lump: bool,
-}
-
-impl Default for AnalyzeOpts {
-    fn default() -> Self {
-        AnalyzeOpts { lump: true }
-    }
-}
 
 /// Errors from [`analyze`].
 #[derive(Debug)]
@@ -276,12 +263,23 @@ impl ChainModel {
     }
 }
 
-/// Build the chain model for `protocol` under `scenario` without solving.
+/// Build the (lumped) chain model for `protocol` under `scenario`
+/// without solving.
 pub fn build(
     protocol: &dyn CoherenceProtocol,
     sys: &SystemParams,
     scenario: &Scenario,
-    opts: AnalyzeOpts,
+) -> Result<ChainModel, AnalyzeError> {
+    build_chain(protocol, sys, scenario, true)
+}
+
+/// [`build`], with exchangeable clients lumped or (the tests' reference)
+/// kept apart.
+fn build_chain(
+    protocol: &dyn CoherenceProtocol,
+    sys: &SystemParams,
+    scenario: &Scenario,
+    lump: bool,
 ) -> Result<ChainModel, AnalyzeError> {
     for a in &scenario.actors {
         if a.node.idx() >= sys.n_nodes() {
@@ -289,7 +287,7 @@ pub fn build(
         }
     }
     let events: Vec<(NodeId, OpKind, f64)> = scenario.events().collect();
-    let lumper = Lumper::new(sys, scenario, opts.lump);
+    let lumper = Lumper::new(sys, scenario, lump);
 
     let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
     let mut reps: Vec<Global> = Vec::new();
@@ -378,9 +376,8 @@ pub fn analyze(
     protocol: &dyn CoherenceProtocol,
     sys: &SystemParams,
     scenario: &Scenario,
-    opts: AnalyzeOpts,
 ) -> Result<ChainResult, AnalyzeError> {
-    build(protocol, sys, scenario, opts)?.solve()
+    build(protocol, sys, scenario)?.solve()
 }
 
 #[cfg(test)]
@@ -397,13 +394,7 @@ mod tests {
     fn write_through_matches_paper_equation_3() {
         let sys = SystemParams::new(6, 100, 30);
         let (p, sigma, a) = (0.3, 0.05, 3);
-        let r = analyze(
-            protocol(ProtocolKind::WriteThrough),
-            &sys,
-            &rd(p, sigma, a),
-            AnalyzeOpts::default(),
-        )
-        .unwrap();
+        let r = analyze(protocol(ProtocolKind::WriteThrough), &sys, &rd(p, sigma, a)).unwrap();
         // acc = [p(1-p-aσ)/(1-aσ) + aσp/(p+σ)](S+2) + p(P+N)   (eq. 3)
         let q = a as f64 * sigma;
         let pi2 = p * (1.0 - p - q) / (1.0 - q) + q * p / (p + sigma);
@@ -420,13 +411,7 @@ mod tests {
     fn trace_probabilities_sum_to_one() {
         let sys = SystemParams::new(5, 50, 10);
         for kind in ProtocolKind::ALL {
-            let r = analyze(
-                protocol(kind),
-                &sys,
-                &rd(0.2, 0.1, 2),
-                AnalyzeOpts::default(),
-            )
-            .unwrap();
+            let r = analyze(protocol(kind), &sys, &rd(0.2, 0.1, 2)).unwrap();
             let total: f64 = r.trace_probs.values().sum();
             assert!(
                 (total - 1.0).abs() < 1e-9,
@@ -445,10 +430,11 @@ mod tests {
                 Scenario::write_disturbance(0.2, 0.05, 3).unwrap(),
                 Scenario::multiple_centers(0.3, 3).unwrap(),
             ] {
-                let lumped =
-                    analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default()).unwrap();
-                let full =
-                    analyze(protocol(kind), &sys, &scenario, AnalyzeOpts { lump: false }).unwrap();
+                let lumped = analyze(protocol(kind), &sys, &scenario).unwrap();
+                let full = build_chain(protocol(kind), &sys, &scenario, false)
+                    .unwrap()
+                    .solve()
+                    .unwrap();
                 assert!(
                     (lumped.acc - full.acc).abs() < 1e-8,
                     "{kind:?}: lumped {} vs full {}",
@@ -466,7 +452,7 @@ mod tests {
         let sys = SystemParams::new(8, 5000, 30);
         let scenario = rd(0.0, 0.1, 4);
         for kind in ProtocolKind::ALL {
-            let r = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default()).unwrap();
+            let r = analyze(protocol(kind), &sys, &scenario).unwrap();
             assert!(r.acc.abs() < 1e-9, "{kind:?}: acc {} for p=0", r.acc);
         }
     }
@@ -494,7 +480,7 @@ mod tests {
             (ProtocolKind::Firefly, p * (nf * (pf + 1.0) + 1.0)),
         ];
         for (kind, expect) in expectations {
-            let r = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default()).unwrap();
+            let r = analyze(protocol(kind), &sys, &scenario).unwrap();
             assert!(
                 (r.acc - expect).abs() < 1e-8,
                 "{kind:?}: acc {} vs ideal-workload {}",
@@ -508,13 +494,7 @@ mod tests {
     fn figure5_configuration_is_tractable() {
         // N=50, a=10 — the lumped chain must stay small.
         let sys = SystemParams::figure5();
-        let r = analyze(
-            protocol(ProtocolKind::Synapse),
-            &sys,
-            &rd(0.3, 0.05, 10),
-            AnalyzeOpts::default(),
-        )
-        .unwrap();
+        let r = analyze(protocol(ProtocolKind::Synapse), &sys, &rd(0.3, 0.05, 10)).unwrap();
         assert!(
             r.n_states < 500,
             "lumped Synapse chain has {} states",

@@ -263,15 +263,13 @@ pub fn ideal(kind: ProtocolKind, sys: &SystemParams, p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::{analyze, AnalyzeOpts};
+    use crate::chain::analyze;
     use repmem_core::Scenario;
     use repmem_protocols::protocol;
 
     fn engine_rd(kind: ProtocolKind, sys: &SystemParams, p: f64, sigma: f64, a: usize) -> f64 {
         let scenario = Scenario::read_disturbance(p, sigma, a).unwrap();
-        analyze(protocol(kind), sys, &scenario, AnalyzeOpts::default())
-            .unwrap()
-            .acc
+        analyze(protocol(kind), sys, &scenario).unwrap().acc
     }
 
     #[test]
@@ -301,9 +299,7 @@ mod tests {
             let scenario = Scenario::write_disturbance(p, xi, a).unwrap();
             for kind in ProtocolKind::EVERY {
                 if let Some(closed) = closed_wd(kind, &sys, p, xi, a) {
-                    let engine = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
-                        .unwrap()
-                        .acc;
+                    let engine = analyze(protocol(kind), &sys, &scenario).unwrap().acc;
                     assert!(
                         (closed - engine).abs() < 1e-7,
                         "{kind:?} WD (p={p}, ξ={xi}, a={a}): closed {closed} vs engine {engine}"
@@ -320,9 +316,7 @@ mod tests {
             let scenario = Scenario::multiple_centers(p, beta).unwrap();
             for kind in ProtocolKind::EVERY {
                 if let Some(closed) = closed_mc(kind, &sys, p, beta) {
-                    let engine = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
-                        .unwrap()
-                        .acc;
+                    let engine = analyze(protocol(kind), &sys, &scenario).unwrap().acc;
                     assert!(
                         (closed - engine).abs() < 1e-7,
                         "{kind:?} MC (p={p}, β={beta}): closed {closed} vs engine {engine}"
@@ -384,7 +378,7 @@ mod tests {
 #[cfg(test)]
 mod randomized_tests {
     use super::*;
-    use crate::chain::{analyze, AnalyzeOpts};
+    use crate::chain::analyze;
     use rand::{Rng, SeedableRng};
     use repmem_core::Scenario;
     use repmem_protocols::protocol;
@@ -412,9 +406,7 @@ mod randomized_tests {
             let scenario = Scenario::read_disturbance(p, sigma, a).unwrap();
             for kind in repmem_core::ProtocolKind::EVERY {
                 let closed = closed_rd(kind, &sys, p, sigma, a);
-                let engine = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
-                    .unwrap()
-                    .acc;
+                let engine = analyze(protocol(kind), &sys, &scenario).unwrap().acc;
                 assert!(
                     (closed - engine).abs() < 1e-6 * (1.0 + engine.abs()),
                     "{kind:?} (p={p}, σ={sigma}, a={a}, N={n}): closed {closed} vs engine {engine}"

@@ -8,7 +8,7 @@
 //! weight; the system-level average communication cost per operation is
 //! the weighted mixture of the per-object costs.
 
-use crate::chain::{analyze, AnalyzeError, AnalyzeOpts};
+use crate::chain::{analyze, AnalyzeError};
 use repmem_core::{CoherenceProtocol, Scenario, SystemParams};
 
 /// One class of objects with a common access pattern.
@@ -60,7 +60,7 @@ pub fn composite_acc(
         if class.weight == 0.0 {
             continue;
         }
-        let acc = analyze(protocol, sys, &class.scenario, AnalyzeOpts::default())?.acc;
+        let acc = analyze(protocol, sys, &class.scenario)?.acc;
         total += class.weight * acc;
     }
     Ok(total)
@@ -98,12 +98,8 @@ mod tests {
         let cls = classes();
         let p = protocol(ProtocolKind::WriteThrough);
         let whole = composite_acc(p, &sys, &cls).unwrap();
-        let a0 = analyze(p, &sys, &cls[0].scenario, AnalyzeOpts::default())
-            .unwrap()
-            .acc;
-        let a1 = analyze(p, &sys, &cls[1].scenario, AnalyzeOpts::default())
-            .unwrap()
-            .acc;
+        let a0 = analyze(p, &sys, &cls[0].scenario).unwrap().acc;
+        let a1 = analyze(p, &sys, &cls[1].scenario).unwrap().acc;
         assert!((whole - (0.6 * a0 + 0.4 * a1)).abs() < 1e-12);
     }
 
@@ -114,9 +110,7 @@ mod tests {
         let cls = vec![ObjectClass::new("all", scenario.clone(), 1.0)];
         for kind in ProtocolKind::ALL {
             let c = composite_acc(protocol(kind), &sys, &cls).unwrap();
-            let a = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
-                .unwrap()
-                .acc;
+            let a = analyze(protocol(kind), &sys, &scenario).unwrap().acc;
             assert!((c - a).abs() < 1e-12, "{kind:?}");
         }
     }

@@ -40,7 +40,7 @@ pub mod oracle;
 pub mod traces;
 pub mod transient;
 
-pub use chain::{analyze, AnalyzeError, AnalyzeOpts, ChainResult};
+pub use chain::{analyze, AnalyzeError, ChainResult};
 pub use closed::closed_rd;
 pub use oracle::{execute, Global, OpOutcome};
 pub use traces::{trace_set, TraceInfo};

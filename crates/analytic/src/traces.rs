@@ -8,7 +8,7 @@
 //! each trace its **message-kind sequence** (the paper's Figures 2–4) and
 //! its **communication cost** `cc_h`.
 
-use crate::chain::{analyze, AnalyzeOpts};
+use crate::chain::analyze;
 use crate::oracle::{execute, Global};
 use repmem_core::{CoherenceProtocol, MsgKind, NodeId, OpKind, Scenario, SystemParams};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
@@ -108,8 +108,7 @@ pub fn trace_distribution(
     sys: &SystemParams,
     scenario: &Scenario,
 ) -> BTreeMap<(bool, OpKind, u64), f64> {
-    let result = analyze(protocol, sys, scenario, AnalyzeOpts::default())
-        .expect("chain analysis for trace distribution");
+    let result = analyze(protocol, sys, scenario).expect("chain analysis for trace distribution");
     let mut out: BTreeMap<(bool, OpKind, u64), f64> = BTreeMap::new();
     for (sig, prob) in result.trace_probs {
         *out.entry((sig.initiator == sys.home(), sig.op, sig.cost))

@@ -10,7 +10,7 @@
 //! tolerance of `acc` — for the paper's Table 7 configuration this is far
 //! below 500, confirming the warm-up choice was conservative.
 
-use crate::chain::{build, AnalyzeError, AnalyzeOpts, ChainModel};
+use crate::chain::{build, AnalyzeError, ChainModel};
 use repmem_core::{CoherenceProtocol, Scenario, SystemParams};
 
 /// The convergence profile of the expected per-operation cost.
@@ -35,7 +35,7 @@ pub fn profile(
     rel_tol: f64,
     horizon: usize,
 ) -> Result<TransientProfile, AnalyzeError> {
-    let model = build(protocol, sys, scenario, AnalyzeOpts::default())?;
+    let model = build(protocol, sys, scenario)?;
     let acc = model.solve()?.acc;
     let profile = iterate(&model, horizon);
     let tol = rel_tol * acc.abs().max(1e-9);

@@ -1,21 +1,16 @@
 //! E3–E5 — the paper's Write-Through closed forms, equations (3), (4)
 //! and (5), evaluated against the chain engine over parameter grids.
 
-use repmem_analytic::chain::{analyze, AnalyzeOpts};
+use repmem_analytic::chain::analyze;
 use repmem_analytic::closed;
 use repmem_bench::{linspace, render_table, write_csv};
 use repmem_core::{ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
 
 fn engine(sys: &SystemParams, scenario: &Scenario) -> f64 {
-    analyze(
-        protocol(ProtocolKind::WriteThrough),
-        sys,
-        scenario,
-        AnalyzeOpts::default(),
-    )
-    .expect("chain analysis")
-    .acc
+    analyze(protocol(ProtocolKind::WriteThrough), sys, scenario)
+        .expect("chain analysis")
+        .acc
 }
 
 fn main() {

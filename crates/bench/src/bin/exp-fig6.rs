@@ -7,8 +7,8 @@
 //! form, so their surfaces come from the chain engine — which is the
 //! point of the engine: any protocol × any deviation.
 
+use repmem_analytic::analyze;
 use repmem_analytic::closed::closed_wd;
-use repmem_analytic::{analyze, AnalyzeOpts};
 use repmem_bench::{grid2, linspace, par_map, write_csv, SweepTimer};
 use repmem_core::{ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
@@ -20,7 +20,7 @@ fn acc_wd(kind: ProtocolKind, sys: &SystemParams, p: f64, xi: f64, a: usize) -> 
         return c;
     }
     let scenario = Scenario::write_disturbance(p, xi, a).expect("valid WD point");
-    analyze(protocol(kind), sys, &scenario, AnalyzeOpts::default())
+    analyze(protocol(kind), sys, &scenario)
         .expect("chain analysis")
         .acc
 }

@@ -4,8 +4,8 @@
 //! formula here is re-derived for our protocol definitions (DESIGN.md §4)
 //! and verified against the chain engine at every printed point.
 
+use repmem_analytic::analyze;
 use repmem_analytic::closed::closed_rd;
-use repmem_analytic::{analyze, AnalyzeOpts};
 use repmem_bench::{grid2, par_map, render_table, write_csv, write_text, SweepTimer};
 use repmem_core::{ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
@@ -58,7 +58,7 @@ fn main() {
     let solved = par_map(&cells, |_, &(kind, (p, sigma))| {
         let c = closed_rd(kind, &sys, p, sigma, a);
         let scenario = Scenario::read_disturbance(p, sigma, a).unwrap();
-        let e = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
+        let e = analyze(protocol(kind), &sys, &scenario)
             .expect("chain analysis")
             .acc;
         (kind, p, sigma, c, e)

@@ -18,7 +18,7 @@
 //! acc, then runs its `REPS` independent-seed replications per issue
 //! mode serially, in seed order.
 
-use repmem_analytic::{analyze, AnalyzeOpts};
+use repmem_analytic::analyze;
 use repmem_bench::{par_map, render_table, write_csv, SweepTimer};
 use repmem_core::{ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
@@ -59,7 +59,7 @@ fn main() {
         // REPS independent-seed replications.
         let results = par_map(&cells, |_, &(p, sigma)| {
             let scenario = Scenario::read_disturbance(p, sigma, a).expect("valid cell");
-            let acc_a = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
+            let acc_a = analyze(protocol(kind), &sys, &scenario)
                 .expect("chain analysis")
                 .acc;
             let base = 0xC0FFEE ^ ((p * 100.0) as u64) << 8 ^ (sigma * 100.0) as u64;

@@ -6,7 +6,7 @@
 //! For Write-Through the paper enumerates six traces:
 //! `cc1 = 0`, `cc2 = S+2`, `cc3 = cc4 = P+N`, `cc5 = 0`, `cc6 = N`.
 
-use repmem_analytic::chain::{analyze, AnalyzeOpts};
+use repmem_analytic::chain::analyze;
 use repmem_bench::{render_table, write_csv};
 use repmem_core::{ActorSpec, NodeId, ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
@@ -42,8 +42,7 @@ fn main() {
 
     let mut csv_rows = Vec::new();
     for kind in ProtocolKind::ALL {
-        let r = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
-            .expect("chain analysis");
+        let r = analyze(protocol(kind), &sys, &scenario).expect("chain analysis");
         let header: Vec<String> = ["initiator", "op", "cc_h", "pi_h"]
             .iter()
             .map(|s| s.to_string())
@@ -83,13 +82,8 @@ fn main() {
     println!("written: {}", path.display());
 
     // Golden check: the Write-Through costs of paper §4.1.
-    let wt = analyze(
-        protocol(ProtocolKind::WriteThrough),
-        &sys,
-        &scenario,
-        AnalyzeOpts::default(),
-    )
-    .expect("write-through analysis");
+    let wt = analyze(protocol(ProtocolKind::WriteThrough), &sys, &scenario)
+        .expect("write-through analysis");
     let costs: std::collections::BTreeSet<u64> =
         wt.trace_probs.keys().map(|sig| sig.cost).collect();
     let n = sys.n_clients as u64;

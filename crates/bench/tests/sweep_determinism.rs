@@ -3,8 +3,8 @@
 //! worker count, so `results/` CSVs never depend on how many CPUs the
 //! host has or how the workers were scheduled.
 
+use repmem_analytic::analyze;
 use repmem_analytic::closed::closed_rd;
-use repmem_analytic::{analyze, AnalyzeOpts};
 use repmem_bench::{grid2, linspace, par_map_with};
 use repmem_core::{ProtocolKind, Scenario, SystemParams};
 use repmem_protocols::protocol;
@@ -52,10 +52,7 @@ fn engine_sweep_is_bit_identical_to_serial() {
     for kind in [ProtocolKind::WriteOnce, ProtocolKind::Berkeley] {
         let acc = |_: usize, &(p, sigma): &(f64, f64)| {
             let sc = Scenario::read_disturbance(p, sigma, a).unwrap();
-            analyze(protocol(kind), &sys, &sc, AnalyzeOpts::default())
-                .unwrap()
-                .acc
-                .to_bits()
+            analyze(protocol(kind), &sys, &sc).unwrap().acc.to_bits()
         };
         let serial: Vec<u64> = points.iter().enumerate().map(|(i, t)| acc(i, t)).collect();
         for workers in [1, 2, 4] {

@@ -36,7 +36,7 @@ pub mod scenario;
 pub mod trace;
 
 pub use ids::{NodeId, ObjectId, OpTag};
-pub use mealy::{protocol_error, Actions, CoherenceProtocol, CopyState, Dest, ProtocolKind, Role};
+pub use mealy::{error_entry, Actions, CoherenceProtocol, CopyState, Dest, ProtocolKind, Role};
 pub use message::{Msg, MsgKind, PayloadKind, QueueKind};
 pub use params::SystemParams;
 pub use scenario::{ActorSpec, OpKind, Scenario, ScenarioError};

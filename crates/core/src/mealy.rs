@@ -202,6 +202,15 @@ pub trait Actions {
     /// (the Quorum one-round read). No default: a host that answered
     /// `true` without tracking stamps would break atomicity.
     fn quorum_unanimous(&self) -> bool;
+
+    /// The machine has no transition for the message being stepped in
+    /// its current state: one of the *error* entries the paper leaves
+    /// "not analyzed by the protocol" (Table 1, note 5). The machine
+    /// reports `reason` here, produces no output and keeps its state;
+    /// the host fails the step (the runtime poisons the cluster, the
+    /// analytic oracle panics). No default: a host that ignored it
+    /// would run on from a step the protocol does not define.
+    fn no_transition(&mut self, reason: String);
 }
 
 /// The eight analyzed coherence protocols (paper §1, Appendix A).
@@ -340,27 +349,33 @@ pub trait CoherenceProtocol: Send + Sync {
     /// input token in `state`, perform the output routine through `env`,
     /// and return the successor state of the local copy.
     ///
-    /// # Panics
-    ///
-    /// Panics on (state, token) combinations the protocol marks as
-    /// *error* — the paper's protocols do not analyze errors, and reaching
-    /// such a combination indicates a host bug.
+    /// A (state, token) combination the protocol marks as *error* — the
+    /// paper's protocols do not analyze errors — goes through
+    /// [`error_entry`]: no output, the state kept, and the host told.
     fn step(&self, env: &mut dyn Actions, state: CopyState, msg: &Msg) -> CopyState;
 }
 
-/// Panic helper for the *error* entries of a transition table.
+/// An *error* entry of `kind`'s transition table: report it through
+/// [`Actions::no_transition`] and keep `state`. Reaching one means a peer
+/// or the host sent a message this machine cannot take.
 #[cold]
 #[inline(never)]
-pub fn protocol_error(kind: ProtocolKind, state: CopyState, msg: &Msg) -> ! {
-    panic!(
-        "{} protocol error: no transition from state {} on {:?} (initiator {}, sender {}, queue {:?})",
+pub fn error_entry(
+    kind: ProtocolKind,
+    env: &mut dyn Actions,
+    state: CopyState,
+    msg: &Msg,
+) -> CopyState {
+    env.no_transition(format!(
+        "{} protocol error: no transition from state {} on {} (initiator {}, sender {}, queue {:?})",
         kind.name(),
         state.name(),
-        msg.kind,
+        msg.kind.mnemonic(),
         msg.initiator,
         msg.sender,
         msg.queue,
-    )
+    ));
+    state
 }
 
 #[cfg(test)]

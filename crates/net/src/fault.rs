@@ -209,10 +209,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
             state: Arc::clone(&self.state),
         }))
     }
-
-    fn meter(&self) -> Option<crate::MeterHandle> {
-        self.inner.meter()
-    }
 }
 
 struct FaultEndpoint {

@@ -195,10 +195,4 @@ pub trait Transport {
 
     /// Attach `node` and return its endpoint.
     fn bind(&mut self, node: NodeId, deliver: DeliverFn) -> Result<Box<dyn Endpoint>, NetError>;
-
-    /// The per-link meter, when some layer of this transport stack is a
-    /// [`MeteredTransport`].
-    fn meter(&self) -> Option<MeterHandle> {
-        None
-    }
 }

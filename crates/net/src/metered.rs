@@ -205,10 +205,6 @@ impl<T: Transport> Transport for MeteredTransport<T> {
             stats: Arc::clone(&self.stats),
         }))
     }
-
-    fn meter(&self) -> Option<MeterHandle> {
-        Some(Arc::clone(&self.stats))
-    }
 }
 
 struct MeteredEndpoint {

@@ -15,7 +15,7 @@
 //! owner for `S+2`.
 
 use repmem_core::{
-    protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, PayloadKind,
+    error_entry, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, PayloadKind,
     ProtocolKind, Role,
 };
 
@@ -168,7 +168,7 @@ impl CoherenceProtocol for Berkeley {
             // owners) and, worse, a stale wave reaching the *current*
             // owner would silently de-throne it. Drop it.
             (MsgKind::WInv, _) => state,
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 }

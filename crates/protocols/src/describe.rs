@@ -4,15 +4,16 @@
 //!
 //! Every `(state, input-token)` pair is fed to the machine under a
 //! recording host; pairs the protocol treats as *error* (the paper's `E`
-//! entries — "errors are not analyzed by the given protocol") are shown
-//! as such.
+//! entries — "errors are not analyzed by the given protocol") report
+//! through [`Actions::no_transition`] and are left out of the rendered
+//! table, like the paper's `E` cells. The same probe derives the
+//! runtime's local-hit table ([`crate::read_hits`]).
 
 use crate::testutil::MockActions;
 use repmem_core::{
     Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, NodeId, ObjectId, OpKind, OpTag,
     PayloadKind, QueueKind, Role,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One input symbol of the Mealy machine's alphabet: a message-token kind
 /// with its parameter presence (and, for RETRY, the pending operation the
@@ -291,6 +292,9 @@ impl Actions for RecordingActions {
         // the rendered read entry is the one-round read.
         self.inner.quorum_unanimous()
     }
+    fn no_transition(&mut self, reason: String) {
+        self.inner.no_transition(reason);
+    }
 }
 
 /// Probe one `(state, input)` pair of a machine; `None` = error entry.
@@ -333,20 +337,13 @@ pub fn probe(
         op: OpTag(0),
         epoch: 0,
     };
-    let result = catch_unwind(AssertUnwindSafe(|| protocol.step(&mut env, state, &msg)));
-    match result {
-        Ok(next) => TableEntry {
-            state,
-            input,
-            next: Some(next),
-            actions: env.log.join("; "),
-        },
-        Err(_) => TableEntry {
-            state,
-            input,
-            next: None,
-            actions: String::new(),
-        },
+    let next = protocol.step(&mut env, state, &msg);
+    let next = env.inner.error.take().is_none().then_some(next);
+    TableEntry {
+        state,
+        input,
+        next,
+        actions: next.map_or_else(String::new, |_| env.log.join("; ")),
     }
 }
 
@@ -381,9 +378,6 @@ fn live_states(protocol: &dyn CoherenceProtocol, role: Role) -> Vec<CopyState> {
 /// Render the full transition table for one role of one protocol, in the
 /// spirit of the paper's Table 1/Table 3.
 pub fn transition_table(protocol: &dyn CoherenceProtocol, role: Role) -> String {
-    // Silence the intentional panics of error entries.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let states = live_states(protocol, role);
     let inputs = input_alphabet();
     let mut out = String::new();
@@ -419,7 +413,6 @@ pub fn transition_table(protocol: &dyn CoherenceProtocol, role: Role) -> String 
             }
         }
     }
-    std::panic::set_hook(prev_hook);
     out
 }
 

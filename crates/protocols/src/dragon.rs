@@ -23,7 +23,7 @@
 //! free of ownership races — see DESIGN.md §4.
 
 use repmem_core::{
-    protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, PayloadKind,
+    error_entry, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, PayloadKind,
     ProtocolKind, Role,
 };
 
@@ -85,7 +85,7 @@ impl CoherenceProtocol for Dragon {
                 env.change();
                 SharedClean
             }
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 }
@@ -173,13 +173,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "protocol error")]
     fn invalidations_never_occur_in_dragon() {
         let mut env = MockActions::client(0, N);
-        Dragon.step(
+        let s = Dragon.step(
             &mut env,
             CopyState::SharedClean,
             &net_msg(MsgKind::WInv, 1, N as u16, PayloadKind::Token),
         );
+        assert_eq!(s, CopyState::SharedClean);
+        let error = env.error.take().expect("W-INV is an error entry");
+        assert!(
+            error.starts_with("Dragon protocol error") && error.contains("SHARED-CLEAN on W-INV"),
+            "{error}"
+        );
+        assert!(env.pushes.is_empty());
     }
 }

@@ -13,7 +13,7 @@
 //! `p(N(P+1)+1)` (§5.1), one acknowledgement unit above Dragon.
 
 use repmem_core::{
-    protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, PayloadKind,
+    error_entry, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, PayloadKind,
     ProtocolKind, Role,
 };
 
@@ -46,7 +46,7 @@ impl Firefly {
                 env.enable_local();
                 Valid
             }
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 
@@ -79,7 +79,7 @@ impl Firefly {
                 env.push(Dest::To(msg.initiator), MsgKind::Ack, PayloadKind::Token);
                 Valid
             }
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 }

@@ -137,7 +137,8 @@ pub trait Driver {
     fn send(&mut self, leg: Leg<'_, Self::Data>) -> Result<(), String>;
 
     /// The step could not do what the machine asked: a parameter or copy
-    /// was missing, or a send failed.
+    /// was missing, a send failed, or the machine has no transition for
+    /// the message ([`Actions::no_transition`]).
     fn fail(&mut self, reason: String);
 }
 
@@ -324,6 +325,9 @@ impl<D: Driver> Actions for Host<'_, D> {
         self.round
             .as_deref()
             .is_some_and(|r| r.agreement.unanimous_at(&D::stamp(self.copy)))
+    }
+    fn no_transition(&mut self, reason: String) {
+        self.fail(reason);
     }
 }
 

@@ -12,7 +12,7 @@
 //!   `S+N+1` acquisition.
 
 use repmem_core::{
-    protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
+    error_entry, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
     ProtocolKind, Role,
 };
 
@@ -88,12 +88,12 @@ impl Illinois {
                     (Some(OpKind::Read), _) => MsgKind::RPer,
                     (Some(OpKind::Write), Valid) => MsgKind::WUpg,
                     (Some(OpKind::Write), _) => MsgKind::WPer,
-                    (None, _) => protocol_error(self.kind(), state, msg),
+                    (None, _) => return error_entry(self.kind(), env, state, msg),
                 };
                 env.push(Dest::To(home), kind, PayloadKind::Token);
                 state
             }
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 
@@ -180,7 +180,7 @@ impl Illinois {
                 let (kind, payload) = match env.pending_op() {
                     Some(OpKind::Read) => (MsgKind::RReq, PayloadKind::Token),
                     Some(OpKind::Write) => (MsgKind::WReq, PayloadKind::Params),
-                    None => protocol_error(self.kind(), state, msg),
+                    None => return error_entry(self.kind(), env, state, msg),
                 };
                 env.push(Dest::To(home), kind, payload);
                 state
@@ -208,7 +208,7 @@ impl Illinois {
                 }
             }
             (MsgKind::Flush | MsgKind::FlushX, Valid | Invalid) => state,
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 }

@@ -13,7 +13,10 @@
 //! All machines speak through the [`repmem_core::Actions`] interface, and
 //! [`host::Host`] is its one implementation, so the exact same transition
 //! code *and* the same output routines run under the analytic oracle, the
-//! discrete-event simulator and the threaded runtime.
+//! discrete-event simulator and the threaded runtime. An *error* entry —
+//! a message a machine has no transition for — is reported through
+//! [`repmem_core::Actions::no_transition`] with the state kept; the host
+//! fails the step ([`host::Driver::fail`]). Nothing here panics.
 //!
 //! ## Cost cheat-sheet (serialized execution, client-initiated ops)
 //!
@@ -55,31 +58,53 @@ pub use write_once::WriteOnce;
 pub use write_through::WriteThrough;
 pub use write_through_v::WriteThroughV;
 
-use repmem_core::{CoherenceProtocol, CopyState, ProtocolKind, Role};
+use repmem_core::{CoherenceProtocol, CopyState, MsgKind, PayloadKind, ProtocolKind, Role};
+use std::sync::OnceLock;
 
-/// Whether a read request (`R-REQ`) entering `kind`'s `role` machine in
-/// `state` is a *pure local hit*: the output routine is `return` alone
-/// and the state is kept — the "read hit: 0" column above. Hosts may
-/// serve such a read without running the machine.
+/// Which `(role, state)` pairs of one protocol take a read request
+/// (`R-REQ`) as a *pure local hit*: the machine's entry is `return`
+/// alone and keeps the state — the "read hit: 0" column above. Hosts
+/// may serve such a read without running the machine.
 ///
-/// This is not [`CopyState::readable`]: Quorum's `VALID` opens a
+/// The table is read off the machines ([`read_hits`]), not written by
+/// hand. It is not [`CopyState::readable`]: Quorum's `VALID` opens a
 /// majority round, and Write-Through-V's sequencer serves reads while
-/// `RECALLING`. The table is pinned against `step` for every protocol,
-/// role and state by `crates/runtime/tests/read_fast_path.rs`.
-pub fn read_hits_locally(kind: ProtocolKind, role: Role, state: CopyState) -> bool {
-    use CopyState::*;
-    use ProtocolKind::*;
-    match (kind, role, state) {
-        (Quorum, _, _) => false,
-        // Berkeley's behaviour is uniform across roles.
-        (Berkeley, _, Valid | Dirty | SharedDirty) => true,
-        (Dragon, Role::Client, SharedClean) | (Dragon, Role::Sequencer, SharedDirty) => true,
-        (WriteThroughV, Role::Sequencer, Recalling) => true,
-        (WriteOnce, Role::Client, Reserved | Dirty) => true,
-        (Synapse | Illinois, Role::Client, Dirty) => true,
-        (WriteThrough | WriteThroughV | WriteOnce | Synapse | Illinois | Firefly, _, Valid) => true,
-        _ => false,
+/// `RECALLING`. An *error* entry is a miss, so such a read still
+/// reaches its node's machine and fails the step there.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadHits([[bool; describe::ALL_STATES.len()]; 2]);
+
+impl ReadHits {
+    /// Probe every `(role, state)` entry of `kind`'s `R-REQ` column.
+    fn probe(kind: ProtocolKind) -> ReadHits {
+        let r_req = describe::InputSym {
+            kind: MsgKind::RReq,
+            payload: PayloadKind::Token,
+            pending: None,
+        };
+        let mut hits = [[false; describe::ALL_STATES.len()]; 2];
+        for role in [Role::Client, Role::Sequencer] {
+            for state in describe::ALL_STATES {
+                let e = describe::probe(protocol(kind), role, state, r_req);
+                hits[role as usize][state as usize] =
+                    e.next == Some(state) && e.actions == "return";
+            }
+        }
+        ReadHits(hits)
     }
+
+    /// Whether a read entering the `role` machine in `state` is a hit.
+    #[inline]
+    pub fn hit(&self, role: Role, state: CopyState) -> bool {
+        self.0[role as usize][state as usize]
+    }
+}
+
+/// `kind`'s [`ReadHits`], probed once per protocol and process.
+pub fn read_hits(kind: ProtocolKind) -> ReadHits {
+    static TABLES: [OnceLock<ReadHits>; ProtocolKind::EVERY.len()] =
+        [const { OnceLock::new() }; ProtocolKind::EVERY.len()];
+    *TABLES[kind as usize].get_or_init(|| ReadHits::probe(kind))
 }
 
 /// Look up the static instance of a protocol by kind.
@@ -105,6 +130,38 @@ pub fn all_protocols() -> impl Iterator<Item = &'static dyn CoherenceProtocol> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The two places `CopyState::readable()` would get wrong, and a
+    /// floor on the table's size.
+    #[test]
+    fn read_hits_are_the_machines_return_only_entries() {
+        assert!(!read_hits(ProtocolKind::Quorum).hit(Role::Client, CopyState::Valid));
+        assert!(read_hits(ProtocolKind::WriteThroughV).hit(Role::Sequencer, CopyState::Recalling));
+        let hits = ProtocolKind::EVERY
+            .into_iter()
+            .flat_map(|kind| {
+                [Role::Client, Role::Sequencer]
+                    .into_iter()
+                    .flat_map(move |role| {
+                        describe::ALL_STATES
+                            .into_iter()
+                            .filter(move |&state| read_hits(kind).hit(role, state))
+                    })
+            })
+            .count();
+        assert!(hits >= 16, "suspiciously few hit entries: {hits}");
+    }
+
+    /// `ReadHits` and `read_hits` index by declaration order.
+    #[test]
+    fn indices_follow_declaration_order() {
+        for (i, state) in describe::ALL_STATES.into_iter().enumerate() {
+            assert_eq!(state as usize, i, "{}", state.name());
+        }
+        for (i, kind) in ProtocolKind::EVERY.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+        }
+    }
 
     #[test]
     fn registry_is_consistent() {

@@ -40,7 +40,7 @@
 //! `closed::quorum`. A read that writes back costs `(n−1)(2S+4)`.
 
 use repmem_core::{
-    protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
+    error_entry, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
     ProtocolKind, Role,
 };
 
@@ -158,7 +158,7 @@ impl CoherenceProtocol for Quorum {
             }
             // A straggler ack from a superseded round.
             (MsgKind::QAck, s) => s,
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 }
@@ -368,13 +368,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "protocol error")]
     fn sequencer_tokens_are_errors() {
         let mut env = MockActions::client(0, N);
-        Quorum.step(
+        let s = Quorum.step(
             &mut env,
             CopyState::Valid,
             &net_msg(MsgKind::RPer, 1, 1, PayloadKind::Token),
         );
+        assert_eq!(s, CopyState::Valid);
+        let error = env.error.take().expect("R-PER is an error entry");
+        assert!(
+            error.starts_with("Quorum protocol error") && error.contains("VALID on R-PER"),
+            "{error}"
+        );
+        assert!(env.pushes.is_empty() && env.armed.is_none());
     }
 }

@@ -15,7 +15,7 @@
 //! recall is in flight are answered with `RETRY`).
 
 use repmem_core::{
-    protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
+    error_entry, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
     ProtocolKind, Role,
 };
 
@@ -82,12 +82,12 @@ impl Synapse {
                 let kind = match env.pending_op() {
                     Some(OpKind::Read) => MsgKind::RPer,
                     Some(OpKind::Write) => MsgKind::WPer,
-                    None => protocol_error(self.kind(), state, msg),
+                    None => return error_entry(self.kind(), env, state, msg),
                 };
                 env.push(Dest::To(home), kind, PayloadKind::Token);
                 state
             }
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 
@@ -157,7 +157,7 @@ impl Synapse {
                 let (kind, payload) = match env.pending_op() {
                     Some(OpKind::Read) => (MsgKind::RReq, PayloadKind::Token),
                     Some(OpKind::Write) => (MsgKind::WReq, PayloadKind::Params),
-                    None => protocol_error(self.kind(), state, msg),
+                    None => return error_entry(self.kind(), env, state, msg),
                 };
                 env.push(Dest::To(home), kind, payload);
                 state
@@ -204,7 +204,7 @@ impl Synapse {
             }
             // Stale flushes after the recall already completed are dropped.
             (MsgKind::Flush | MsgKind::FlushX, Valid | Invalid) => state,
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 }

@@ -53,6 +53,9 @@ pub struct MockActions {
     pub carried: u64,
     /// Agreement of the votes counted toward the armed round.
     pub agreement: VoteAgreement<u64>,
+    /// What the machine reported through `no_transition`, if it hit an
+    /// *error* entry.
+    pub error: Option<String>,
 }
 
 impl MockActions {
@@ -76,6 +79,7 @@ impl MockActions {
             copy: 0,
             carried: 0,
             agreement: VoteAgreement::default(),
+            error: None,
         }
     }
 
@@ -164,6 +168,9 @@ impl Actions for MockActions {
     fn quorum_unanimous(&self) -> bool {
         self.agreement.unanimous_at(&self.copy)
     }
+    fn no_transition(&mut self, reason: String) {
+        self.error = Some(reason);
+    }
 }
 
 /// Build an application request aimed at `env.me()`.
@@ -197,5 +204,22 @@ pub fn net_msg(
         payload,
         op: repmem_core::OpTag(1),
         epoch: 0,
+    }
+}
+
+/// In this crate's own tests an *error* entry no test took out of
+/// `error` fails the test: a dropped message and an error entry both
+/// leave the state unchanged and push nothing, so only this tells them
+/// apart.
+#[cfg(test)]
+impl Drop for MockActions {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            assert!(
+                self.error.is_none(),
+                "unexpected error entry: {:?}",
+                self.error
+            );
+        }
     }
 }

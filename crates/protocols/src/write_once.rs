@@ -36,7 +36,7 @@
 //! merges (`change`/`install`) make the order of arrival irrelevant.
 
 use repmem_core::{
-    protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
+    error_entry, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
     ProtocolKind, Role,
 };
 
@@ -148,12 +148,12 @@ impl WriteOnce {
                 let kind = match env.pending_op() {
                     Some(OpKind::Read) => MsgKind::RPer,
                     Some(OpKind::Write) => MsgKind::WPer,
-                    None => protocol_error(self.kind(), state, msg),
+                    None => return error_entry(self.kind(), env, state, msg),
                 };
                 env.push(Dest::To(home), kind, PayloadKind::Token);
                 state
             }
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 
@@ -274,7 +274,7 @@ impl WriteOnce {
                 let (kind, payload) = match env.pending_op() {
                     Some(OpKind::Read) => (MsgKind::RReq, PayloadKind::Token),
                     Some(OpKind::Write) => (MsgKind::WReq, PayloadKind::Params),
-                    None => protocol_error(self.kind(), state, msg),
+                    None => return error_entry(self.kind(), env, state, msg),
                 };
                 env.push(Dest::To(home), kind, payload);
                 state
@@ -346,7 +346,7 @@ impl WriteOnce {
                 }
                 state
             }
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 }

@@ -20,7 +20,7 @@
 //!   cost `N`).
 
 use repmem_core::{
-    protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, PayloadKind,
+    error_entry, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, PayloadKind,
     ProtocolKind, Role,
 };
 
@@ -58,7 +58,7 @@ impl WriteThrough {
                 Valid
             }
             (MsgKind::WInv, _) => Invalid,
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 
@@ -97,7 +97,7 @@ impl WriteThrough {
                 );
                 Valid
             }
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 }
@@ -254,13 +254,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "protocol error")]
     fn unexpected_token_is_an_error() {
         let mut env = MockActions::client(0, N);
-        WriteThrough.step(
+        let s = WriteThrough.step(
             &mut env,
             CopyState::Valid,
             &net_msg(MsgKind::Flush, 1, 1, PayloadKind::Copy),
         );
+        assert_eq!(s, CopyState::Valid);
+        assert_eq!(
+            env.error.take().as_deref(),
+            Some(
+                "Write-Through protocol error: no transition from state VALID on FLUSH \
+                 (initiator n1, sender n1, queue Distributed)"
+            )
+        );
+        assert!(env.pushes.is_empty());
+        assert_eq!((env.returns, env.installs, env.changes), (0, 0, 0));
     }
 }

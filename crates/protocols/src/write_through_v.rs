@@ -25,7 +25,7 @@
 //! excludes the other, leaving a stale readable copy behind.
 
 use repmem_core::{
-    protocol_error, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
+    error_entry, Actions, CoherenceProtocol, CopyState, Dest, Msg, MsgKind, OpKind, PayloadKind,
     ProtocolKind, Role,
 };
 
@@ -74,12 +74,12 @@ impl WriteThroughV {
                 let kind = match env.pending_op() {
                     Some(OpKind::Read) => MsgKind::RPer,
                     Some(OpKind::Write) => MsgKind::WPer,
-                    None => protocol_error(self.kind(), state, msg),
+                    None => return error_entry(self.kind(), env, state, msg),
                 };
                 env.push(Dest::To(env.home()), kind, PayloadKind::Token);
                 state
             }
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 
@@ -148,11 +148,11 @@ impl WriteThroughV {
                     Some(OpKind::Read) => {
                         env.push(Dest::To(home), MsgKind::RReq, PayloadKind::Token)
                     }
-                    None => protocol_error(self.kind(), state, msg),
+                    None => return error_entry(self.kind(), env, state, msg),
                 }
                 state
             }
-            _ => protocol_error(self.kind(), state, msg),
+            _ => error_entry(self.kind(), env, state, msg),
         }
     }
 }

@@ -8,7 +8,7 @@ use crate::shard::ShardConfig;
 use crate::table::ReplicaTable;
 use bytes::Bytes;
 use repmem_core::{CopyState, NodeId, ObjectId, OpKind, OpTag, ProtocolKind, SystemParams};
-use repmem_net::{InProcTransport, MeterHandle, Transport};
+use repmem_net::{InProcTransport, Transport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::{Arc, OnceLock};
@@ -33,7 +33,6 @@ pub struct Cluster {
     messages: Arc<AtomicU64>,
     next_tag: Arc<AtomicU64>,
     poison: Arc<Poison>,
-    meter: Option<MeterHandle>,
 }
 
 /// Final per-node replica snapshot returned by [`Cluster::shutdown`].
@@ -283,7 +282,6 @@ impl Cluster {
         let versions = Arc::new(AtomicU64::new(0));
         let poison = Arc::new(Poison::default());
         let dead = Arc::new(crate::node::DeadSet::new(n));
-        let meter = transport.meter();
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
         for _ in 0..n {
@@ -339,7 +337,6 @@ impl Cluster {
             messages,
             next_tag: Arc::new(AtomicU64::new(1)),
             poison,
-            meter,
         })
     }
 
@@ -396,12 +393,6 @@ impl Cluster {
     /// The first error that poisoned this cluster, if any.
     pub fn poisoned(&self) -> Option<ClusterError> {
         self.poison.get()
-    }
-
-    /// Per-link traffic meter, when the transport stack contains a
-    /// `MeteredTransport` layer.
-    pub fn meter(&self) -> Option<&MeterHandle> {
-        self.meter.as_ref()
     }
 
     /// Wait until the cluster is quiescent — every envelope any node

@@ -437,6 +437,34 @@ mod tests {
     }
 
     #[test]
+    fn an_envelope_without_a_transition_poisons() {
+        let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough).unwrap();
+        let (n0, home) = (NodeId(0), sys().home());
+        c.issue(n0, OpKind::Read, ObjectId(0), None, 1).unwrap();
+        assert!(c.deliver(n0, home).unwrap());
+        // Swap the home's R-GNT for a W-GNT, which a Write-Through
+        // client has no transition for.
+        let mut grant = c.sched().queued(home, n0).remove(0);
+        assert_eq!(grant.msg.kind, repmem_core::MsgKind::RGnt);
+        assert!(c.sched().drop_head(home, n0));
+        grant.msg.kind = repmem_core::MsgKind::WGnt;
+        c.nodes[home.idx()].endpoint.send(n0, &grant).unwrap();
+        let err = c.deliver(home, n0).unwrap_err();
+        let ClusterError::Poisoned { node, reason } = &err else {
+            panic!("{err}");
+        };
+        assert_eq!(*node, n0);
+        assert!(reason.contains("from state INVALID on W-GNT"), "{reason}");
+        assert_eq!(c.poisoned(), Some(err.clone()));
+        // The machine kept its state, and every later step fails alike.
+        assert_eq!(c.replicas()[0][0].state, repmem_core::CopyState::Invalid);
+        assert_eq!(
+            c.issue(NodeId(1), OpKind::Read, ObjectId(1), None, 2),
+            Err(err)
+        );
+    }
+
+    #[test]
     fn sever_parks_and_restore_releases_deterministically() {
         let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough).unwrap();
         let home = sys().home();

@@ -6,8 +6,9 @@
 //! no inbox hop, no reply channel — exactly when all of:
 //!
 //! * **(a)** the protocol machine says a read in the entry's current
-//!   `(role, state)` is a pure local hit
-//!   ([`repmem_protocols::read_hits_locally`]);
+//!   `(role, state)` is a pure local hit: its `R-REQ` entry is `return`
+//!   alone and keeps the state ([`repmem_protocols::ReadHits`], read off
+//!   the machines once per protocol, so a read indexes an array);
 //! * **(b)** this node has no earlier operation on the same object still
 //!   queued, backlogged or in flight (`Replica::queued == 0`), so
 //!   per-object program order holds — a `read_async` right after a
@@ -35,7 +36,7 @@ use crate::shard::{ShardConfig, ShardMap};
 use bytes::Bytes;
 use repmem_core::{CopyState, NodeId, ObjectId, OpKind, ProtocolKind, Role, SystemParams};
 use repmem_net::Payload;
-use repmem_protocols::{protocol, read_hits_locally};
+use repmem_protocols::{protocol, read_hits, ReadHits};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -80,6 +81,8 @@ impl Entry {
 pub(crate) struct ReplicaTable {
     pub me: NodeId,
     pub kind: ProtocolKind,
+    /// Clause (a), per `(role, state)`.
+    read_hits: ReadHits,
     shards: ShardMap,
     /// Per object: its entry, once touched.
     slots: Box<[OnceLock<Box<Entry>>]>,
@@ -100,6 +103,7 @@ impl ReplicaTable {
         ReplicaTable {
             me,
             kind,
+            read_hits: read_hits(kind),
             shards: cfg.map(&sys),
             slots: (0..sys.m_objects).map(|_| OnceLock::new()).collect(),
             closed: AtomicBool::new(false),
@@ -163,7 +167,7 @@ impl ReplicaTable {
             } else {
                 self.shards.home_of(object)
             };
-            if read_hits_locally(self.kind, self.role(sequencer), replica.state) {
+            if self.read_hits.hit(self.role(sequencer), replica.state) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(replica.copy.data.clone());
             }

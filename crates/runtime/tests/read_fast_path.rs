@@ -3,17 +3,14 @@
 //!
 //! The rule under test, clause by clause: a read skips the node loop
 //! exactly when (a) the protocol machine says a read in the entry's
-//! `(role, state)` is a pure local hit, (b) the node has no earlier
+//! `(role, state)` is a pure local hit (`repmem_protocols::ReadHits`,
+//! read off the machines), (b) the node has no earlier
 //! operation on the object queued or in flight, and (c) the node loop
 //! is running and the cluster is not poisoned.
 
 use bytes::Bytes;
-use repmem_core::{
-    CopyState, MsgKind, NodeId, ObjectId, PayloadKind, ProtocolKind, Role, SystemParams,
-};
+use repmem_core::{NodeId, ObjectId, ProtocolKind, SystemParams};
 use repmem_net::{InProcTransport, Transport};
-use repmem_protocols::describe::{probe, InputSym, ALL_STATES};
-use repmem_protocols::{protocol, read_hits_locally};
 use repmem_runtime::{Cluster, ClusterError, ShardConfig, ENTRY_BYTES};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -30,50 +27,6 @@ fn sys() -> SystemParams {
         p: 16,
         m_objects: 4,
     }
-}
-
-/// Clause (a) is read off a table; the machines are the truth. For
-/// every protocol, role and state, the table says "hit" exactly when
-/// the machine's `R-REQ` entry is `return` alone with the state kept —
-/// in particular it says "miss" for every *error* entry, so those
-/// still reach the node loop and poison as before.
-#[test]
-fn hit_predicate_equals_the_machines() {
-    let r_req = InputSym {
-        kind: MsgKind::RReq,
-        payload: PayloadKind::Token,
-        pending: None,
-    };
-    let mut hits = 0;
-    for kind in ProtocolKind::EVERY {
-        for role in [Role::Client, Role::Sequencer] {
-            for state in ALL_STATES {
-                let entry = probe(protocol(kind), role, state, r_req);
-                let pure_hit = entry.next == Some(state) && entry.actions == "return";
-                assert_eq!(
-                    read_hits_locally(kind, role, state),
-                    pure_hit,
-                    "{kind:?} {role:?} {}: machine does [{}] -> {:?}",
-                    state.name(),
-                    entry.actions,
-                    entry.next.map(CopyState::name),
-                );
-                hits += usize::from(pure_hit);
-            }
-        }
-    }
-    // The two places `CopyState::readable()` would get wrong.
-    assert!(!read_hits_locally(
-        ProtocolKind::Quorum,
-        Role::Client,
-        CopyState::Valid
-    ));
-    assert!(read_hits_locally(
-        ProtocolKind::WriteThroughV,
-        Role::Sequencer,
-        CopyState::Recalling
-    ));
-    assert!(hits >= 16, "suspiciously few hit entries: {hits}");
 }
 
 /// Reads the paper prices at 0 send nothing, cost nothing, and are

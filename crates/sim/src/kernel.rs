@@ -8,14 +8,14 @@
 //! the change in the cost counter across a step is that operation's.
 //! An operation completes when the cluster answers it.
 
-use crate::report::{CoherenceCheck, SimReport};
+use crate::report::SimReport;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use repmem_core::{
     NodeId, ObjectId, OpKind, OpTag, ProtocolKind, Scenario, SystemParams, TraceSig,
 };
-use repmem_runtime::{ClusterError, ReplicaSnap, StepCluster};
+use repmem_runtime::{ClusterDump, ClusterError, StepCluster};
 use repmem_workload::{per_node_mix, OpEvent, ScenarioSampler};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -77,6 +77,17 @@ struct Sim {
 }
 
 impl Sim {
+    fn new(cfg: &SimConfig) -> Result<Self, ClusterError> {
+        Ok(Sim {
+            cluster: StepCluster::new(cfg.sys, cfg.protocol)?,
+            now: 0,
+            arrivals: VecDeque::new(),
+            cost: 0,
+            sent: 0,
+            ops: Vec::new(),
+        })
+    }
+
     /// After a step at `now` of operation `tag`'s envelope: charge it what
     /// the step cost, date what it sent, and record the operations the
     /// cluster answered.
@@ -200,28 +211,6 @@ impl Sim {
         Ok(())
     }
 
-    /// Replica audit over every object, from the cluster's snapshots.
-    fn audit_coherence(&self) -> CoherenceCheck {
-        let replicas = self.cluster.replicas();
-        let mut check = CoherenceCheck::default();
-        for object in 0..self.cluster.system().m_objects {
-            let latest = replicas.iter().map(|node| node[object].stamp()).max();
-            let readable: Vec<&ReplicaSnap> = replicas
-                .iter()
-                .map(|node| &node[object])
-                .filter(|snap| snap.state.readable())
-                .collect();
-            check.readable_copies += readable.len();
-            check.stale_readable += readable
-                .iter()
-                .filter(|s| Some(s.stamp()) != latest)
-                .count();
-            check.divergent_objects +=
-                usize::from(readable.iter().any(|s| s.data != readable[0].data));
-        }
-        check
-    }
-
     /// The report over the operations from `measure_from` on.
     fn report(&self, measure_from: usize, stale_reads: usize) -> SimReport {
         let mut trace_counts: BTreeMap<TraceSig, usize> = BTreeMap::new();
@@ -244,7 +233,10 @@ impl Sim {
             end_time: self.now,
             stale_reads,
             latencies,
-            coherence: self.audit_coherence(),
+            coherent: ClusterDump {
+                copies: self.cluster.replicas().into(),
+            }
+            .is_coherent(),
         }
     }
 }
@@ -277,15 +269,7 @@ pub fn replay(cfg: &SimConfig, events: &[OpEvent]) -> SimReport {
 /// count, and report on it. The simulated cluster has no faults, so a
 /// step that fails is a bug.
 fn run(cfg: &SimConfig, issue: impl FnOnce(&mut Sim) -> Result<usize, ClusterError>) -> SimReport {
-    let report = StepCluster::new(cfg.sys, cfg.protocol).and_then(|cluster| {
-        let mut sim = Sim {
-            cluster,
-            now: 0,
-            arrivals: VecDeque::new(),
-            cost: 0,
-            sent: 0,
-            ops: Vec::new(),
-        };
+    let report = Sim::new(cfg).and_then(|mut sim| {
         let stale_reads = issue(&mut sim)?;
         Ok(sim.report(cfg.warmup_ops, stale_reads))
     });
@@ -300,7 +284,7 @@ fn exp_delay(rng: &mut StdRng, mean: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repmem_analytic::chain::{analyze, AnalyzeOpts};
+    use repmem_analytic::chain::analyze;
     use repmem_protocols::protocol;
 
     fn table7_cfg(protocol: ProtocolKind, mode: IssueMode, seed: u64) -> SimConfig {
@@ -319,13 +303,7 @@ mod tests {
         let scenario = Scenario::read_disturbance(0.4, 0.1, 2).unwrap();
         let cfg = table7_cfg(ProtocolKind::WriteThrough, IssueMode::Serialized, 11);
         let report = simulate(&cfg, &scenario);
-        let analytic = analyze(
-            protocol(ProtocolKind::WriteThrough),
-            &cfg.sys,
-            &scenario,
-            AnalyzeOpts::default(),
-        )
-        .unwrap();
+        let analytic = analyze(protocol(ProtocolKind::WriteThrough), &cfg.sys, &scenario).unwrap();
         let rel = (report.acc() - analytic.acc).abs() / analytic.acc;
         assert!(
             rel < 0.05,
@@ -334,7 +312,7 @@ mod tests {
             analytic.acc
         );
         assert_eq!(report.stale_reads, 0);
-        assert!(report.coherence.is_coherent(), "{:?}", report.coherence);
+        assert!(report.coherent);
     }
 
     #[test]
@@ -343,8 +321,7 @@ mod tests {
         for kind in ProtocolKind::EVERY {
             let cfg = table7_cfg(kind, IssueMode::Serialized, 23);
             let report = simulate(&cfg, &scenario);
-            let analytic =
-                analyze(protocol(kind), &cfg.sys, &scenario, AnalyzeOpts::default()).unwrap();
+            let analytic = analyze(protocol(kind), &cfg.sys, &scenario).unwrap();
             if analytic.acc == 0.0 {
                 assert!(report.acc() < 1e-9, "{kind:?}");
                 continue;
@@ -357,11 +334,7 @@ mod tests {
                 analytic.acc
             );
             assert_eq!(report.stale_reads, 0, "{kind:?}: stale reads");
-            assert!(
-                report.coherence.is_coherent(),
-                "{kind:?}: {:?}",
-                report.coherence
-            );
+            assert!(report.coherent, "{kind:?}");
         }
     }
 
@@ -373,8 +346,7 @@ mod tests {
         for kind in [ProtocolKind::WriteOnce, ProtocolKind::WriteThroughV] {
             let cfg = table7_cfg(kind, IssueMode::Concurrent { mean_think: 64.0 }, 7);
             let report = simulate(&cfg, &scenario);
-            let analytic =
-                analyze(protocol(kind), &cfg.sys, &scenario, AnalyzeOpts::default()).unwrap();
+            let analytic = analyze(protocol(kind), &cfg.sys, &scenario).unwrap();
             let rel = (report.acc() - analytic.acc).abs() / analytic.acc.max(1e-9);
             assert!(
                 rel < 0.10,
@@ -441,13 +413,7 @@ mod tests {
             "{two} of {} reads wrote back",
             one + two
         );
-        let analytic = analyze(
-            protocol(ProtocolKind::Quorum),
-            &cfg.sys,
-            &scenario,
-            AnalyzeOpts::default(),
-        )
-        .unwrap();
+        let analytic = analyze(protocol(ProtocolKind::Quorum), &cfg.sys, &scenario).unwrap();
         let rel = (report.acc() - analytic.acc).abs() / analytic.acc;
         assert!(
             rel < 0.10,
@@ -455,7 +421,7 @@ mod tests {
             report.acc(),
             analytic.acc
         );
-        assert!(report.coherence.is_coherent(), "{:?}", report.coherence);
+        assert!(report.coherent);
     }
 
     #[test]
@@ -476,7 +442,16 @@ mod tests {
             assert_eq!(a.trace_counts, b.trace_counts, "{kind:?}");
             assert_eq!(a.latencies, b.latencies, "{kind:?}");
             assert_eq!(a.end_time, b.end_time, "{kind:?}");
-            assert_eq!(a.coherence, b.coherence, "{kind:?}");
+            assert_eq!(a.coherent, b.coherent, "{kind:?}");
+            let replicas = || {
+                let mut sim = Sim::new(&cfg).unwrap();
+                sim.concurrent(&cfg, &scenario, 16.0).unwrap();
+                let snaps = sim.cluster.replicas().into_iter().flatten();
+                snaps
+                    .map(|snap| (snap.state, snap.stamp(), snap.data))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(replicas(), replicas(), "{kind:?}");
         }
     }
 
@@ -494,13 +469,7 @@ mod tests {
             seed: 3,
         };
         let report = simulate(&cfg, &scenario);
-        let analytic = analyze(
-            protocol(ProtocolKind::WriteThrough),
-            &cfg.sys,
-            &scenario,
-            AnalyzeOpts::default(),
-        )
-        .unwrap();
+        let analytic = analyze(protocol(ProtocolKind::WriteThrough), &cfg.sys, &scenario).unwrap();
         let emp = report.trace_probs();
         for (sig, p) in &analytic.trace_probs {
             if *p < 0.01 {
@@ -531,11 +500,7 @@ mod tests {
             let report = replay(&cfg, &trace);
             assert_eq!(report.measured_ops, trace.len());
             assert_eq!(report.stale_reads, 0, "{kind:?}");
-            assert!(
-                report.coherence.is_coherent(),
-                "{kind:?}: {:?}",
-                report.coherence
-            );
+            assert!(report.coherent, "{kind:?}");
             assert!(report.total_cost > 0, "{kind:?}");
         }
     }
@@ -577,11 +542,7 @@ mod tests {
                 };
                 let report = simulate(&cfg, &scenario);
                 assert_eq!(report.measured_ops, 2000, "{kind:?} seed {seed}");
-                assert!(
-                    report.coherence.is_coherent(),
-                    "{kind:?} seed {seed}: {:?}",
-                    report.coherence
-                );
+                assert!(report.coherent, "{kind:?} seed {seed}");
             }
         }
     }
@@ -594,13 +555,7 @@ mod tests {
         let cfg = table7_cfg(ProtocolKind::WriteOnce, IssueMode::Serialized, 17);
         assert_eq!(cfg.sys.m_objects, 20);
         let report = simulate(&cfg, &scenario);
-        let analytic = analyze(
-            protocol(ProtocolKind::WriteOnce),
-            &cfg.sys,
-            &scenario,
-            AnalyzeOpts::default(),
-        )
-        .unwrap();
+        let analytic = analyze(protocol(ProtocolKind::WriteOnce), &cfg.sys, &scenario).unwrap();
         let rel = (report.acc() - analytic.acc).abs() / analytic.acc;
         assert!(
             rel < 0.06,

@@ -40,4 +40,4 @@ pub mod report;
 
 pub use kernel::{replay, simulate, IssueMode, SimConfig};
 pub use replicate::{mean_acc, replication_seeds};
-pub use report::{CoherenceCheck, SimReport};
+pub use report::SimReport;

@@ -3,25 +3,6 @@
 use repmem_core::{NodeId, OpKind, TraceSig};
 use std::collections::BTreeMap;
 
-/// Post-run coherence audit over all objects.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CoherenceCheck {
-    /// Number of (object, node) pairs whose copy is readable.
-    pub readable_copies: usize,
-    /// Readable copies whose version is *not* the object's newest applied
-    /// version — must be zero after a drained run.
-    pub stale_readable: usize,
-    /// Objects whose replicas disagree in value among readable copies.
-    pub divergent_objects: usize,
-}
-
-impl CoherenceCheck {
-    /// All replicas coherent.
-    pub fn is_coherent(&self) -> bool {
-        self.stale_readable == 0 && self.divergent_objects == 0
-    }
-}
-
 /// Result of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -44,8 +25,10 @@ pub struct SimReport {
     /// answer — for a write that does not wait for its wave, before the
     /// wave lands.
     pub latencies: Vec<u64>,
-    /// Post-drain replica audit.
-    pub coherence: CoherenceCheck,
+    /// Post-drain replica audit: the runtime's own verdict
+    /// (`ClusterDump::is_coherent`) over the cluster's replicas — every
+    /// readable replica holds its object's newest write.
+    pub coherent: bool,
 }
 
 impl SimReport {

@@ -49,8 +49,7 @@ fn main() {
     let mut rows: Vec<(ProtocolKind, f64, f64, f64, usize)> = ProtocolKind::ALL
         .into_iter()
         .map(|kind| {
-            let engine = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
-                .expect("chain analysis");
+            let engine = analyze(protocol(kind), &sys, &scenario).expect("chain analysis");
             let closed = closed_rd(kind, &sys, p, sigma, a);
             let sim = simulate(
                 &SimConfig {

@@ -48,7 +48,7 @@ fn main() {
             },
             &trace,
         );
-        assert!(report.coherence.is_coherent(), "{kind:?} diverged");
+        assert!(report.coherent, "{kind:?} diverged");
         println!(
             "{:<16} {:>12} {:>14.3}",
             kind.name(),

@@ -36,8 +36,7 @@
 //! let workload = Scenario::read_disturbance(0.3, 0.05, 4).unwrap();
 //!
 //! // Analytic prediction (paper §4).
-//! let pred = analyze(protocol(ProtocolKind::Berkeley), &sys, &workload,
-//!                    AnalyzeOpts::default()).unwrap();
+//! let pred = analyze(protocol(ProtocolKind::Berkeley), &sys, &workload).unwrap();
 //!
 //! // Discrete-event simulation (paper §5.2).
 //! let cfg = SimConfig {
@@ -66,7 +65,7 @@ pub use repmem_workload as workload;
 /// The most common imports in one place.
 pub mod prelude {
     pub use repmem_adaptive::{plan, Classifier, Phase, WorkloadEstimator};
-    pub use repmem_analytic::chain::{analyze, AnalyzeOpts, ChainResult};
+    pub use repmem_analytic::chain::{analyze, ChainResult};
     pub use repmem_analytic::closed;
     pub use repmem_analytic::oracle::{execute, Global};
     pub use repmem_core::{

@@ -17,7 +17,7 @@ fn replay_cost(kind: ProtocolKind, sys: SystemParams, trace: &[OpEvent]) -> u64 
         },
         trace,
     );
-    assert!(report.coherence.is_coherent(), "{kind:?} diverged");
+    assert!(report.coherent, "{kind:?} diverged");
     assert_eq!(report.stale_reads, 0, "{kind:?} returned stale data");
     report.total_cost
 }

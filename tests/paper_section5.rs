@@ -13,7 +13,7 @@ fn all_protocols_free_without_writes() {
     for kind in ProtocolKind::ALL {
         assert_eq!(closed_rd(kind, &sys, 0.0, 0.05, 10), 0.0, "{kind:?} closed");
         let scenario = Scenario::read_disturbance(0.0, 0.05, 10).unwrap();
-        let engine = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default()).unwrap();
+        let engine = analyze(protocol(kind), &sys, &scenario).unwrap();
         assert!(engine.acc.abs() < 1e-9, "{kind:?} engine: {}", engine.acc);
     }
 }
@@ -26,9 +26,7 @@ fn ideal_workload_limits() {
     for p in [0.15, 0.5, 0.85] {
         let scenario = Scenario::ideal(p).unwrap();
         for kind in ProtocolKind::ALL {
-            let engine = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
-                .unwrap()
-                .acc;
+            let engine = analyze(protocol(kind), &sys, &scenario).unwrap().acc;
             let expect = ideal(kind, &sys, p);
             assert!(
                 (engine - expect).abs() < 1e-8,
@@ -155,9 +153,7 @@ fn table7_bound_holds() {
     for kind in [ProtocolKind::WriteOnce, ProtocolKind::WriteThroughV] {
         for (p, sigma) in [(0.2, 0.2), (0.4, 0.2), (0.6, 0.2), (0.4, 0.0), (0.8, 0.1)] {
             let scenario = Scenario::read_disturbance(p, sigma, 2).unwrap();
-            let acc_a = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default())
-                .unwrap()
-                .acc;
+            let acc_a = analyze(protocol(kind), &sys, &scenario).unwrap().acc;
             if acc_a < 0.5 {
                 continue;
             }

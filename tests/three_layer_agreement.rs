@@ -33,9 +33,7 @@ fn all_deviations_all_protocols() {
     ];
     for scenario in &scenarios {
         for kind in ProtocolKind::EVERY {
-            let engine = analyze(protocol(kind), &sys, scenario, AnalyzeOpts::default())
-                .unwrap()
-                .acc;
+            let engine = analyze(protocol(kind), &sys, scenario).unwrap().acc;
             let sim = sim_acc(kind, &sys, scenario, 31);
             if engine < 0.5 {
                 assert!(sim < 1.0, "{kind:?}: engine {engine} vs sim {sim}");
@@ -56,13 +54,7 @@ fn trace_probability_agreement_for_write_through() {
     // simulator's empirical frequencies, per trace class.
     let sys = SystemParams::new(4, 60, 15);
     let scenario = Scenario::read_disturbance(0.35, 0.1, 2).unwrap();
-    let engine = analyze(
-        protocol(ProtocolKind::WriteThrough),
-        &sys,
-        &scenario,
-        AnalyzeOpts::default(),
-    )
-    .unwrap();
+    let engine = analyze(protocol(ProtocolKind::WriteThrough), &sys, &scenario).unwrap();
     let report = simulate(
         &SimConfig {
             sys,
@@ -107,7 +99,7 @@ fn random_rd_scenarios_agree() {
         const MEASURED_OPS: f64 = 6000.0;
         for kind in ProtocolKind::EVERY {
             let closed = closed_rd(kind, &sys, p, sigma, a);
-            let result = analyze(protocol(kind), &sys, &scenario, AnalyzeOpts::default()).unwrap();
+            let result = analyze(protocol(kind), &sys, &scenario).unwrap();
             let engine = result.acc;
             assert!(
                 (closed - engine).abs() < 1e-7 * (1.0 + engine),
