@@ -64,11 +64,6 @@ impl WorkloadEstimator {
         self.observe(ev.node, ev.op);
     }
 
-    /// Number of effective observations currently in the window.
-    pub fn effective_samples(&self) -> f64 {
-        self.total
-    }
-
     /// The estimated scenario, or `None` before any observation.
     pub fn scenario(&self) -> Option<Scenario> {
         if self.total <= 0.0 {

@@ -86,18 +86,6 @@ pub struct ChainResult {
     pub residual: f64,
 }
 
-impl ChainResult {
-    /// Probability mass of traces with non-zero cost (the paper's "how
-    /// often does an operation communicate at all").
-    pub fn communicating_fraction(&self) -> f64 {
-        self.trace_probs
-            .iter()
-            .filter(|(sig, _)| sig.cost > 0)
-            .map(|(_, p)| p)
-            .sum()
-    }
-}
-
 /// Exchangeability classes: vectors of node ids whose states may be
 /// sorted together, plus the list of "pinned" nodes (home + any actor
 /// with a unique probability signature).

@@ -8,6 +8,12 @@
 //! every protocol kind, including the sequencer-free quorum protocol,
 //! for a fixed wall-clock budget.
 //!
+//! The faults wrap the in-process transport in three scenarios of four
+//! and the TCP mesh (`EpollTransport::loopback`) in the fourth; the
+//! seed chooses which, and the scenario header names the transport. On
+//! the mesh the runner thread runs idle nodes' turns itself, so those
+//! scenarios are where a delivery races the node's own thread.
+//!
 //! Kills are drawn from each family's availability contract: any
 //! replica, at any send, for the sequencer-free quorum protocol; the
 //! sequencer node, before the first delivery, for the eight sequencer
@@ -45,6 +51,8 @@
 
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, ProtocolKind, SystemParams};
+#[cfg(target_os = "linux")]
+use repmem_net::EpollTransport;
 use repmem_net::{FaultSchedule, FaultTransport, InProcTransport};
 use repmem_runtime::{Cluster, ClusterError, ShardConfig, DEFAULT_STOP_DEADLINE};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,6 +92,9 @@ struct Scenario {
     /// The node the schedule kills, if any.
     killed: Option<NodeId>,
     schedule: FaultSchedule,
+    /// Whether the faults wrap the TCP mesh instead of the in-process
+    /// transport.
+    mesh: bool,
 }
 
 impl Scenario {
@@ -130,6 +141,7 @@ impl Scenario {
             faults.push(format!("kill {n} @send {at}"));
             killed = Some(n);
         }
+        let mesh = cfg!(target_os = "linux") && rng.chance(4);
 
         Scenario {
             seed,
@@ -139,17 +151,42 @@ impl Scenario {
             faults,
             killed,
             schedule,
+            mesh,
         }
+    }
+
+    fn transport(&self) -> &'static str {
+        if self.mesh {
+            "tcp-mesh"
+        } else {
+            "in-proc"
+        }
+    }
+
+    /// Start the scenario's cluster over its faulted transport.
+    fn start(&self) -> Result<Cluster, ClusterError> {
+        let n = self.sys.n_nodes();
+        let cfg = ShardConfig::default();
+        #[cfg(target_os = "linux")]
+        if self.mesh {
+            let mesh =
+                EpollTransport::loopback(n).map_err(|e| ClusterError::Transport(e.to_string()))?;
+            let transport = FaultTransport::new(mesh, self.schedule.clone());
+            return Cluster::with_transport(self.sys, self.kind, cfg, transport);
+        }
+        let transport = FaultTransport::new(InProcTransport::new(n), self.schedule.clone());
+        Cluster::with_transport(self.sys, self.kind, cfg, transport)
     }
 
     fn render(&self) -> String {
         let mut out = format!(
-            "seed {} iteration {} protocol {:?} nodes {} objects {}\n",
+            "seed {} iteration {} protocol {:?} nodes {} objects {} transport {}\n",
             self.seed,
             self.iter,
             self.kind,
             self.sys.n_nodes(),
-            self.sys.m_objects
+            self.sys.m_objects,
+            self.transport()
         );
         if self.faults.is_empty() {
             out.push_str("  (fault-free schedule)\n");
@@ -167,10 +204,7 @@ impl Scenario {
 /// so the watchdog can tell a starved-but-progressing scenario from a
 /// wedged wait. `Err` carries the failure report.
 fn run(sc: &Scenario, rng: &mut Rng, trace: bool, tick: &AtomicU64) -> Result<(), String> {
-    let transport =
-        FaultTransport::new(InProcTransport::new(sc.sys.n_nodes()), sc.schedule.clone());
-    let cluster = Cluster::with_transport(sc.sys, sc.kind, ShardConfig::default(), transport)
-        .map_err(|e| format!("cluster start: {e}"))?;
+    let cluster = sc.start().map_err(|e| format!("cluster start: {e}"))?;
 
     let nodes = sc.sys.n_nodes() as u64;
     let objects = sc.sys.m_objects as u64;
@@ -380,6 +414,7 @@ fn main() {
     println!("[chaos] seed {seed}, budget {}s", budget.as_secs());
     let mut iter = 0u64;
     let mut per_kind = vec![0u64; ProtocolKind::EVERY.len()];
+    let mut on_mesh = 0u64;
     while epoch.elapsed() < budget && iter < iters_max {
         for (k, &kind) in ProtocolKind::EVERY.iter().enumerate() {
             let sc = Scenario::derive(seed, iter, kind);
@@ -390,6 +425,7 @@ fn main() {
                 fail(&sc, &why, artifact_dir.as_deref(), 1);
             }
             per_kind[k] += 1;
+            on_mesh += u64::from(sc.mesh);
         }
         iter += 1;
         if iter.is_multiple_of(25) {
@@ -401,11 +437,15 @@ fn main() {
         }
     }
 
+    let scenarios = per_kind.iter().sum::<u64>();
     println!(
-        "[chaos] clean: {} scenarios ({} iterations x {} protocols) in {}s",
-        per_kind.iter().sum::<u64>(),
+        "[chaos] clean: {} scenarios ({} iterations x {} protocols) in {}s; \
+         in-proc {}, tcp-mesh {}",
+        scenarios,
         iter,
         ProtocolKind::EVERY.len(),
-        epoch.elapsed().as_secs()
+        epoch.elapsed().as_secs(),
+        scenarios - on_mesh,
+        on_mesh
     );
 }

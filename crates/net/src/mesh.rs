@@ -28,10 +28,17 @@
 //!   readiness drives everything.
 //! * **One flush discipline.** [`Endpoint::send`] only appends the
 //!   encoded frame to the link's outbound buffer; [`Endpoint::flush`]
-//!   pushes each link's whole burst with one `write` syscall, so a
-//!   broadcast fan-out costs one syscall (and one receiver wakeup) per
-//!   *link*, not per envelope. Callers must flush before blocking on
-//!   their inbox — the cluster node loop does.
+//!   pushes each link's whole burst with one `write` syscall. Callers
+//!   must flush before blocking on their inbox — the cluster node loop
+//!   does. A link whose inbound connection has not arrived yet keeps
+//!   its burst, and the loop writes it when it installs the link,
+//!   so a flush never waits.
+//! * **Delivery runs on the runner.** The deliver sink is called on the
+//!   runner thread as frames are decoded. The runtime's sink may run the
+//!   receiving node's whole turn right there (sends and flush included),
+//!   so nothing the runner calls may wait on the runner: no flush blocks,
+//!   and a self-send (delivered inline by [`Endpoint::send`]) is queued
+//!   by the sink, never run.
 //! * **Backpressure via `EPOLLOUT`.** A flush that fills the socket
 //!   buffer parks the remainder and hands the link to the loop, which
 //!   arms `EPOLLOUT` and drains as the kernel frees space. Senders never
@@ -101,9 +108,8 @@ pub struct MeshConfig {
     pub peers: Vec<SocketAddr>,
 }
 
-/// Total budget for dialing each peer (retries until then), for waiting
-/// on a not-yet-accepted inbound link at flush, and for `close` to wait
-/// on the runner.
+/// Total budget for dialing each peer (retries until then) and for
+/// `close` to wait on the runner.
 const LINK_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// SplitMix64 step: the deterministic jitter source (no RNG state to
@@ -185,7 +191,6 @@ struct LinkOut {
 
 struct Link {
     out: Mutex<LinkOut>,
-    ready: Condvar,
     /// The stream died; the link never comes back.
     dead: AtomicBool,
 }
@@ -239,7 +244,6 @@ impl MeshShared {
         out.wire.clear();
         out.sent = 0;
         out.blocked = false;
-        link.ready.notify_all();
         self.push_cmd(LoopCmd::LinkFailed(to));
     }
 }
@@ -445,8 +449,9 @@ impl EventLoop {
         self.install(peer, conn.stream, conn.rbuf);
     }
 
-    /// Install `stream` as the live link to `peer` and register it with
-    /// the loop. Called once per link.
+    /// Install `stream` as the live link to `peer`, register it with
+    /// the loop, and write what senders queued for it meanwhile. Called
+    /// once per link.
     fn install(&mut self, peer: NodeId, stream: TcpStream, rbuf: FrameBuf) {
         if self.shared.closed.load(Ordering::SeqCst) {
             return;
@@ -459,11 +464,7 @@ impl EventLoop {
             return;
         };
         let link = &self.shared.links[peer.idx()];
-        // Whatever senders queued while the stream was not up yet stays
-        // in `wire`: those envelopes were accepted, so the next flush
-        // puts them on the wire.
         lock(&link.out).stream = Some(writer);
-        link.ready.notify_all();
         if self
             .ep
             .add(
@@ -482,6 +483,11 @@ impl EventLoop {
             rbuf,
             writing: false,
         });
+        // Whatever senders queued while the stream was not up yet was
+        // accepted, and their flushes left it in `wire`: write it now.
+        if !self.drain_link(peer) {
+            return;
+        }
         // Frames may have arrived right behind the peer's hello.
         self.deliver_buffered(peer);
     }
@@ -600,15 +606,12 @@ impl EventLoop {
         let _ = self.ep.del(entry.stream.as_raw_fd());
         let _ = entry.stream.shutdown(Shutdown::Both);
         let link = &self.shared.links[peer.idx()];
-        {
-            let mut out = lock(&link.out);
-            out.stream = None;
-            out.wire.clear();
-            out.sent = 0;
-            out.blocked = false;
-            link.dead.store(true, Ordering::SeqCst);
-        }
-        link.ready.notify_all();
+        let mut out = lock(&link.out);
+        out.stream = None;
+        out.wire.clear();
+        out.sent = 0;
+        out.blocked = false;
+        link.dead.store(true, Ordering::SeqCst);
     }
 
     /// Drop accepted connections whose hello is overdue.
@@ -656,14 +659,10 @@ impl EventLoop {
                 let _ = self.ep.del(entry.stream.as_raw_fd());
                 let _ = entry.stream.shutdown(Shutdown::Both);
             }
-            let link = &self.shared.links[i];
-            {
-                let mut out = lock(&link.out);
-                out.stream = None;
-                out.wire.clear();
-                out.sent = 0;
-            }
-            link.ready.notify_all();
+            let mut out = lock(&self.shared.links[i].out);
+            out.stream = None;
+            out.wire.clear();
+            out.sent = 0;
         }
         for (_, p) in self.pending.drain(..) {
             let _ = self.ep.del(p.stream.as_raw_fd());
@@ -851,8 +850,8 @@ impl EpollEndpoint {
     /// Join the mesh: dial every higher-numbered peer (blocking, with
     /// retries — processes may start in any order), then hand listener,
     /// dialed streams and all future I/O to the event loop. Inbound
-    /// links complete asynchronously; a flush over a link whose peer has
-    /// not connected yet blocks up to `LINK_TIMEOUT` (10 s).
+    /// links complete asynchronously; what is sent over a link whose peer
+    /// has not connected yet waits in its buffer until the link is up.
     pub fn establish(
         cfg: MeshConfig,
         deliver: DeliverFn,
@@ -886,7 +885,6 @@ impl EpollEndpoint {
                         stream: None,
                         blocked: false,
                     }),
-                    ready: Condvar::new(),
                     dead: AtomicBool::new(false),
                 })
                 .collect(),
@@ -968,9 +966,9 @@ impl EpollEndpoint {
         }
     }
 
-    /// Flush one link: wait (bounded) for it to come up if needed, then
-    /// push its whole outbound burst with as few writes as the socket
-    /// buffer allows.
+    /// Flush one link: push its whole outbound burst with as few writes
+    /// as the socket buffer allows. A link not up yet keeps its burst
+    /// for [`EventLoop::install`] to write.
     fn flush_link(&self, to: NodeId) -> Result<(), NetError> {
         let shared = &self.shared;
         let Some(link) = shared.links.get(to.idx()) else {
@@ -980,8 +978,7 @@ impl EpollEndpoint {
         if out.wire.is_empty() {
             return Ok(());
         }
-        let deadline = Instant::now() + LINK_TIMEOUT;
-        while out.stream.is_none() {
+        if out.stream.is_none() {
             if link.dead.load(Ordering::SeqCst) {
                 // The peer hung up with envelopes still queued: they are
                 // "on the wire when the link died". Drop them.
@@ -992,18 +989,7 @@ impl EpollEndpoint {
             if shared.closed.load(Ordering::SeqCst) {
                 return Err(NetError::Closed(to));
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(NetError::Io(format!(
-                    "link {} → {to} not established within {LINK_TIMEOUT:?}",
-                    shared.me
-                )));
-            }
-            out = link
-                .ready
-                .wait_timeout(out, left)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+            return Ok(());
         }
         if out.blocked {
             return Ok(()); // the loop owns the drain via EPOLLOUT
@@ -1081,9 +1067,6 @@ impl Endpoint for EpollEndpoint {
             return;
         }
         shared.wake.wake();
-        for link in &shared.links {
-            link.ready.notify_all();
-        }
         // Wait (bounded — a wedged runner must not wedge close) for the
         // runner to finish tearing this endpoint's loop down.
         let deadline = Instant::now() + LINK_TIMEOUT;

@@ -115,21 +115,6 @@ impl MeterStats {
         snap
     }
 
-    /// Aggregate snapshot of everything `from` sent, over all links —
-    /// e.g. one sequencer shard's share of the outbound traffic.
-    pub fn from_node(&self, from: NodeId) -> LinkSnapshot {
-        let mut snap = LinkSnapshot::default();
-        for to in 0..self.n {
-            let link = self.link(from, NodeId(to as u16));
-            for c in 0..CLASSES {
-                snap.classes[c].msgs += link.classes[c].msgs;
-                snap.classes[c].bytes += link.classes[c].bytes;
-                snap.classes[c].dropped += link.classes[c].dropped;
-            }
-        }
-        snap
-    }
-
     /// Aggregate snapshot of everything addressed *to* `to`, over all
     /// links — a shard's share of the inbound request traffic.
     pub fn to_node(&self, to: NodeId) -> LinkSnapshot {

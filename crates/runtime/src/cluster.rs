@@ -1,8 +1,13 @@
 //! The node threads, transport wiring and the application API
 //! (blocking and pipelined).
+//!
+//! Each node has a thread of its own, and its transport's deliver sink
+//! is [`NodeCell::deliver`]: a sink called on a thread that holds no
+//! node's turn (the TCP mesh's runner) runs an idle node's turn itself,
+//! and queues on the node's inbox otherwise (see the node module).
 
 use crate::node::{
-    node_loop, AppReq, ClusterError, NodeCtx, Poison, ReplicaSnap, VersionClock, Wire,
+    node_loop, AppReq, ClusterError, NodeCell, NodeCtx, Poison, ReplicaSnap, VersionClock, Wire,
 };
 use crate::shard::ShardConfig;
 use crate::table::ReplicaTable;
@@ -294,14 +299,10 @@ impl Cluster {
         let mut threads = Vec::with_capacity(n);
         for (i, rx) in rxs.into_iter().enumerate() {
             let me = NodeId(i as u16);
-            let net_tx = txs[i].clone();
+            let cell = Arc::new(NodeCell::new(txs[i].clone()));
+            let sink = Arc::clone(&cell);
             let endpoint = transport
-                .bind(
-                    me,
-                    Box::new(move |env| {
-                        let _ = net_tx.send(Wire::Net(env));
-                    }),
-                )
+                .bind(me, Box::new(move |env| sink.deliver(env)))
                 .map_err(|e| ClusterError::Transport(e.to_string()))?;
             let ctx = NodeCtx::new(
                 Arc::new(ReplicaTable::new(me, sys, kind, cfg)),
@@ -319,7 +320,7 @@ impl Cluster {
             let thread = std::thread::Builder::new()
                 .name(format!("repmem-node-{i}"))
                 .spawn(move || {
-                    let endpoint = node_loop(ctx, rx);
+                    let endpoint = node_loop(&cell, ctx, rx);
                     let _ = done_tx.send(me);
                     endpoint.close();
                 })

@@ -6,6 +6,20 @@
 //! [`Transport`] backend) and [`crate::remote`] (one node per OS process
 //! over the TCP mesh).
 //!
+//! A node's work comes in *turns* (`NodeCtx::turn`): handle what woke
+//! it, drain what is queued, start backlogged requests, flush, answer
+//! quiescence probes. The node's state sits behind one lock in a
+//! [`NodeCell`], and whoever runs a turn holds it. Two kinds of thread
+//! run the same turn:
+//!
+//! * the node's own thread ([`node_loop`]), for every item on its inbox —
+//!   local requests, probes, `Stop`, and the envelopes that were queued;
+//! * the thread that delivers an envelope ([`NodeCell::deliver`]), when
+//!   it holds no node's turn itself, finds the node idle and no earlier
+//!   envelope queued. On the TCP mesh that thread is the mesh runner, so
+//!   an envelope costs no thread handoff. An in-process send delivers
+//!   inside the sender's turn, so there the envelope is always queued.
+//!
 //! [`Transport`]: repmem_net::Transport
 
 use crate::shard::{ShardConfig, ShardMap};
@@ -17,10 +31,11 @@ use repmem_core::{
 use repmem_net::{Endpoint, Envelope, NetError, Payload};
 use repmem_protocols::host::{Driver, Host, Leg, Round, StepFlags};
 use repmem_protocols::protocol;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Errors surfaced by the cluster API instead of panics or hangs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,6 +222,8 @@ pub(crate) enum Wire {
     /// the node's [`Tally`] at its next idle point. Not a message — it
     /// never touches the transport, the cost counters or a meter.
     Probe(Sender<Tally>),
+    /// The node's thread exits. Also what wakes it after a turn run by
+    /// a deliverer failed (`NodeCtx::broken`).
     Stop,
 }
 
@@ -221,6 +238,26 @@ pub(crate) struct AppReq {
     pub object: ObjectId,
     pub data: Option<Bytes>,
     pub reply: SyncSender<Result<Bytes, ClusterError>>,
+}
+
+/// What a ticket yields: the value the operation observed, or why it
+/// failed.
+type Outcome = Result<Bytes, ClusterError>;
+
+/// Ticket answers a turn decided: sent only once the turn has let go of
+/// the node's lock ([`Answers::send`]). A woken caller may preempt the
+/// thread that answers it; answered under the lock, it would preempt the
+/// lock holder, and the node's own thread, woken by the caller's next
+/// request, would then sleep on the lock.
+#[derive(Default)]
+pub(crate) struct Answers(Vec<(SyncSender<Outcome>, Outcome)>);
+
+impl Answers {
+    pub fn send(self) {
+        for (reply, result) in self.0 {
+            let _ = reply.send(result);
+        }
+    }
 }
 
 /// Final state of one replica, reported at node exit.
@@ -289,10 +326,20 @@ pub(crate) struct NodeCtx {
     dead: Arc<DeadSet>,
     /// Envelopes a link accepted from this node, self-sends included.
     sent: u64,
-    /// Envelopes taken off this node's inbox, counted at dequeue (so a
+    /// Envelopes a turn took up, counted before they are handled (so a
     /// dropped straggler counts too). With `sent`, this node's half of
-    /// the cluster's quiescence test; both are private to its loop.
+    /// the cluster's quiescence test; both change only inside a turn.
     handled: u64,
+    /// Local requests waiting for a window slot or for their object.
+    backlog: VecDeque<(AppReq, OpTag)>,
+    /// Quiescence probes waiting for this node's next idle point.
+    probes: Vec<Sender<Tally>>,
+    /// Why a turn run by a deliverer failed: the node's thread poisons
+    /// the cluster with it at its next turn, and no deliverer runs
+    /// another.
+    broken: Option<String>,
+    /// Tickets the steps so far completed or failed, not yet answered.
+    pub answers: Answers,
 }
 
 impl NodeCtx {
@@ -329,6 +376,10 @@ impl NodeCtx {
             dead,
             sent: 0,
             handled: 0,
+            backlog: VecDeque::new(),
+            probes: Vec::new(),
+            broken: None,
+            answers: Answers::default(),
         }
     }
 }
@@ -546,13 +597,13 @@ impl NodeCtx {
                 replica.state = next;
             }
             // The operation is retired under the lock of the step that
-            // completes it, before its ticket is answered below.
+            // completes it, before its ticket is answered (after the turn).
             let value = (completed && dead.is_none()).then(|| replica.retire());
             (value, dead, buried)
         };
         if let Some(value) = value {
             if let Some(p) = self.pending.remove(&object) {
-                let _ = p.reply.send(Ok(value));
+                self.answers.0.push((p.reply, Ok(value)));
             }
         }
         if let Some(peer) = dead {
@@ -571,13 +622,13 @@ impl NodeCtx {
 
     /// Fail the in-flight operation on `object` with `err`: drop it
     /// from the in-flight map, retire it in the table, and only then
-    /// answer its ticket.
+    /// queue its ticket's answer.
     fn fail_op(&mut self, object: ObjectId, err: ClusterError) {
         let Some(p) = self.pending.remove(&object) else {
             return;
         };
         self.table.retire(object);
-        let _ = p.reply.send(Err(err));
+        self.answers.0.push((p.reply, Err(err)));
     }
 
     /// Fail every in-flight operation whose service node is already
@@ -730,17 +781,15 @@ impl NodeCtx {
     /// has a free window slot, no operation is in flight on its object,
     /// and no *earlier* backlog entry targets the same object (per-object
     /// program order). Returns whether an operation was started.
-    fn start_from_backlog(
-        &mut self,
-        backlog: &mut VecDeque<(AppReq, OpTag)>,
-    ) -> Result<bool, String> {
+    fn start_from_backlog(&mut self) -> Result<bool, String> {
         if self.pending.len() >= self.window {
             return Ok(false);
         }
         let mut pick = None;
-        for (i, (req, _)) in backlog.iter().enumerate() {
+        for (i, (req, _)) in self.backlog.iter().enumerate() {
             let object_free = !self.pending.contains_key(&req.object)
-                && !backlog
+                && !self
+                    .backlog
                     .iter()
                     .take(i)
                     .any(|(earlier, _)| earlier.object == req.object);
@@ -753,10 +802,10 @@ impl NodeCtx {
             return Ok(false);
         };
         // Refused while still backlogged: `fail_all` answers it.
-        if let Some(reason) = self.refusal(&backlog[i].0) {
+        if let Some(reason) = self.refusal(&self.backlog[i].0) {
             return Err(reason);
         }
-        let Some((req, tag)) = backlog.remove(i) else {
+        let Some((req, tag)) = self.backlog.remove(i) else {
             return Ok(false);
         };
         self.handle_app(req, tag)?;
@@ -774,20 +823,184 @@ impl NodeCtx {
     }
 
     /// Fail every in-flight and backlogged caller with `err`.
-    fn fail_all(&mut self, backlog: &mut VecDeque<(AppReq, OpTag)>, err: &ClusterError) {
+    fn fail_all(&mut self, err: &ClusterError) {
         for (_, p) in self.pending.drain() {
             let _ = p.reply.send(Err(err.clone()));
         }
-        for (req, _) in backlog.drain(..) {
+        for (req, _) in self.backlog.drain(..) {
             let _ = req.reply.send(Err(err.clone()));
+        }
+    }
+
+    /// One turn: take up `first`, then every item on `inbox` (given only
+    /// on the node's own thread), and once nothing is left to take up
+    /// start what the backlog can start, flush, and answer the waiting
+    /// probes. `accepted` is the cell's count of envelopes handed to the
+    /// node (see [`NodeCell`]). `Ok(false)`: the node stops; `Err`: it
+    /// poisons the cluster.
+    fn turn(
+        &mut self,
+        first: Wire,
+        inbox: Option<&Receiver<Wire>>,
+        accepted: &AtomicU64,
+    ) -> Result<bool, String> {
+        if let Some(reason) = self.broken.take() {
+            // Keep a request that came in behind the failure: it is
+            // answered with the poison like the rest of the backlog.
+            if let Wire::Local(req, tag) = first {
+                self.backlog.push_back((req, tag));
+            }
+            return Err(reason);
+        }
+        let mut next = Some(first);
+        loop {
+            let wire = match next
+                .take()
+                .map(Ok)
+                .or_else(|| inbox.map(Receiver::try_recv))
+            {
+                Some(Ok(wire)) => wire,
+                Some(Err(TryRecvError::Disconnected)) => return Ok(false),
+                Some(Err(TryRecvError::Empty)) | None => {
+                    // Distributed messages take priority (global
+                    // sequencing): a local request starts only when no
+                    // envelope handed to this node waits on its inbox.
+                    // Start backlogged local requests while window slots
+                    // are free, preserving per-object program order.
+                    if accepted.load(Ordering::Relaxed) == self.handled
+                        && self.start_from_backlog()?
+                    {
+                        continue;
+                    }
+                    // Everything this turn produced must be on the wire
+                    // before the lock is let go, or a batching endpoint
+                    // would deadlock the cluster (every node waiting on
+                    // a neighbour's buffered frame).
+                    self.flush_outbound()?;
+                    // The idle point: inbox drained, nothing startable,
+                    // all sends made and counted. Only here is a probe
+                    // answered — a node parked inside a step (a send
+                    // stalled by a delay burst) stays silent until the
+                    // step is over.
+                    for probe in self.probes.drain(..) {
+                        let _ = probe.send((self.me, self.sent, self.handled));
+                    }
+                    return Ok(true);
+                }
+            };
+            match wire {
+                Wire::Net(env) => {
+                    self.handled += 1;
+                    // A node re-queuing its own request (a sequencer's
+                    // RETRY to itself) keeps its inbox non-empty and
+                    // never reaches the idle flush above, so the peer
+                    // whose answer it waits for would never see what it
+                    // sent that peer.
+                    if env.msg.sender == self.me {
+                        self.flush_outbound()?;
+                    }
+                    self.handle_env(env)?;
+                }
+                Wire::Local(req, tag) => self.backlog.push_back((req, tag)),
+                Wire::Probe(reply) => self.probes.push(reply),
+                Wire::Stop => return Ok(false),
+            }
         }
     }
 }
 
+thread_local! {
+    /// Whether this thread is running a node's turn. A delivery made
+    /// from inside a turn (an in-process send, a self-send) is queued:
+    /// a thread holds at most one node's turn.
+    static IN_TURN: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `turn` with this thread marked as inside a turn.
+fn in_turn<R>(turn: impl FnOnce() -> R) -> R {
+    IN_TURN.set(true);
+    let out = turn();
+    IN_TURN.set(false);
+    out
+}
+
+/// One node as its thread and its deliver sink share it: the node's
+/// state behind its turn lock, and the sender half of its inbox.
+///
+/// Per-link FIFO holds because an envelope runs inline only when every
+/// envelope handed to the node before it has been taken up by a turn
+/// (`accepted == handled`, read under the lock): a transport calls the
+/// sink of one link in order, so an earlier envelope of the link was
+/// either handled inline already or is still counted as queued.
+///
+/// `ctx` owns the endpoint, whose transport owns the sink, which holds
+/// this cell: the node's thread takes `ctx` out when it stops, which
+/// breaks that cycle.
+pub(crate) struct NodeCell {
+    /// The node's state; whoever runs a turn holds the lock. `None`
+    /// until the node's thread starts and after it stops.
+    ctx: Mutex<Option<NodeCtx>>,
+    /// Envelopes handed to the node's deliver sink so far.
+    accepted: AtomicU64,
+    inbox: Sender<Wire>,
+}
+
+impl NodeCell {
+    /// A cell for a node whose inbox `inbox` feeds.
+    pub fn new(inbox: Sender<Wire>) -> NodeCell {
+        NodeCell {
+            ctx: Mutex::new(None),
+            accepted: AtomicU64::new(0),
+            inbox,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<NodeCtx>> {
+        self.ctx.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The node's deliver sink. A caller that holds no turn and finds
+    /// the node idle (its lock free, running, nothing queued ahead of
+    /// this envelope) runs the node's turn on the envelope itself;
+    /// otherwise the envelope is queued on the inbox, which wakes the
+    /// node's thread. A stopped node, or one whose cluster is poisoned,
+    /// runs no turn here.
+    pub fn deliver(&self, env: Envelope) {
+        if !IN_TURN.get() {
+            if let Ok(mut slot) = self.ctx.try_lock() {
+                let idle = slot.as_mut().filter(|ctx| {
+                    ctx.broken.is_none()
+                        && ctx.poison.get().is_none()
+                        && self.accepted.load(Ordering::Relaxed) == ctx.handled
+                });
+                if let Some(ctx) = idle {
+                    self.accepted.fetch_add(1, Ordering::Relaxed);
+                    if let Err(reason) = in_turn(|| ctx.turn(Wire::Net(env), None, &self.accepted))
+                    {
+                        // Only the node's thread tears the node down:
+                        // the endpoint's close may wait on this very
+                        // thread (the mesh runner).
+                        ctx.broken = Some(reason);
+                        let _ = self.inbox.send(Wire::Stop);
+                    }
+                    let answers = std::mem::take(&mut ctx.answers);
+                    drop(slot);
+                    answers.send();
+                    return;
+                }
+            }
+        }
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        let _ = self.inbox.send(Wire::Net(env));
+    }
+}
+
 /// Drive one node until `Stop`, channel disconnect, or an error that
-/// poisons the cluster. On return the node's replica table is closed
-/// and final; on error, the pending and backlogged callers are failed
-/// with the poison reason instead of being left to hang.
+/// poisons the cluster: install `ctx` in `cell`, then run a turn for
+/// every item on `inbox`. On return the node's replica table is closed
+/// and final, and `cell` is empty, so deliveries only queue; on error,
+/// the pending and backlogged callers are failed with the poison reason
+/// instead of being left to hang.
 ///
 /// On Linux the calling thread first puts itself under `SCHED_BATCH`
 /// ([`repmem_net::epoll::set_batch_scheduling`]): a node whose send
@@ -799,14 +1012,32 @@ impl NodeCtx {
 /// the final replicas *before* tearing the transport down — endpoint
 /// close may join service threads that are themselves waiting on them
 /// (the multi-process control plane does exactly that).
-pub(crate) fn node_loop(mut ctx: NodeCtx, rx: Receiver<Wire>) -> Box<dyn Endpoint> {
+pub(crate) fn node_loop(cell: &NodeCell, ctx: NodeCtx, inbox: Receiver<Wire>) -> Box<dyn Endpoint> {
     #[cfg(target_os = "linux")]
     repmem_net::epoll::set_batch_scheduling();
-    let mut backlog: VecDeque<(AppReq, OpTag)> = VecDeque::new();
-    let stopped = run_loop(&mut ctx, &rx, &mut backlog);
+    *cell.lock() = Some(ctx);
+    let (ctx, stopped) = loop {
+        let wire = inbox.recv();
+        let mut slot = cell.lock();
+        let turn = match (wire, slot.as_mut()) {
+            (Ok(wire), Some(ctx)) => in_turn(|| ctx.turn(wire, Some(&inbox), &cell.accepted)),
+            _ => Ok(false),
+        };
+        if turn != Ok(true) {
+            // Taken out under the lock of the last turn: no deliverer
+            // runs a turn of a node that has stopped.
+            break (slot.take(), turn.map(drop));
+        }
+        let answers = slot.as_mut().map(|ctx| std::mem::take(&mut ctx.answers));
+        drop(slot);
+        answers.unwrap_or_default().send();
+    };
+    let mut ctx = ctx.expect("only the node's own thread takes its state out");
     // Nobody retires operations or applies invalidations from here on:
     // handles must stop reading the table before any caller is failed.
     ctx.table.close();
+    // What the last turn decided is answered before the rest is failed.
+    std::mem::take(&mut ctx.answers).send();
     match stopped {
         Err(reason) => {
             let err = ClusterError::Poisoned {
@@ -814,9 +1045,9 @@ pub(crate) fn node_loop(mut ctx: NodeCtx, rx: Receiver<Wire>) -> Box<dyn Endpoin
                 reason,
             };
             ctx.poison.set(err.clone());
-            ctx.fail_all(&mut backlog, &err);
+            ctx.fail_all(&err);
             // Fail late arrivals that were already queued behind the error.
-            while let Ok(wire) = rx.try_recv() {
+            while let Ok(wire) = inbox.try_recv() {
                 if let Wire::Local(req, _) = wire {
                     let _ = req.reply.send(Err(err.clone()));
                 }
@@ -828,9 +1059,9 @@ pub(crate) fn node_loop(mut ctx: NodeCtx, rx: Receiver<Wire>) -> Box<dyn Endpoin
             // callers explicitly with the cluster's own error — never
             // drop a reply channel and leave `Ticket::wait` to guess
             // from a disconnect.
-            if !ctx.pending.is_empty() || !backlog.is_empty() {
+            if !ctx.pending.is_empty() || !ctx.backlog.is_empty() {
                 let err = ctx.poison.get().unwrap_or(ClusterError::NodeDown(ctx.me));
-                ctx.fail_all(&mut backlog, &err);
+                ctx.fail_all(&err);
             }
         }
     }
@@ -840,65 +1071,154 @@ pub(crate) fn node_loop(mut ctx: NodeCtx, rx: Receiver<Wire>) -> Box<dyn Endpoin
     ctx.endpoint
 }
 
-fn run_loop(
-    ctx: &mut NodeCtx,
-    rx: &Receiver<Wire>,
-    backlog: &mut VecDeque<(AppReq, OpTag)>,
-) -> Result<(), String> {
-    // Quiescence probes waiting for this node's next idle point.
-    let mut probes: Vec<Sender<Tally>> = Vec::new();
-    loop {
-        // Distributed messages take priority (global sequencing): drain
-        // everything already queued before starting a local request.
-        let wire = match rx.try_recv() {
-            Ok(wire) => wire,
-            Err(TryRecvError::Disconnected) => return Ok(()),
-            Err(TryRecvError::Empty) => {
-                // Start backlogged local requests while window slots are
-                // free, preserving per-object program order.
-                if ctx.start_from_backlog(backlog)? {
-                    continue;
-                }
-                // About to block: everything this iteration produced
-                // must be on the wire first, or a batching endpoint
-                // would deadlock the cluster (every node waiting on a
-                // neighbour's buffered frame).
-                ctx.flush_outbound()?;
-                // The idle point: inbox drained, nothing startable, all
-                // sends made and counted. Only here is a probe answered
-                // — a node parked inside a step (a send stalled by a
-                // delay burst) stays silent until the step is over.
-                for probe in probes.drain(..) {
-                    let _ = probe.send((ctx.me, ctx.sent, ctx.handled));
-                }
-                match rx.recv() {
-                    Ok(wire) => wire,
-                    Err(_) => return Ok(()),
-                }
-            }
-        };
-        match wire {
-            Wire::Net(env) => {
-                ctx.handled += 1;
-                // A node re-queuing its own request (a sequencer's RETRY
-                // to itself) keeps its inbox non-empty and never reaches
-                // the idle flush below, so the peer whose answer it
-                // waits for would never see what it sent that peer.
-                if env.msg.sender == ctx.me {
-                    ctx.flush_outbound()?;
-                }
-                ctx.handle_env(env)?;
-            }
-            Wire::Local(req, tag) => backlog.push_back((req, tag)),
-            Wire::Probe(reply) => probes.push(reply),
-            Wire::Stop => return Ok(()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repmem_core::{PayloadKind, QueueKind};
+    use repmem_net::{InProcTransport, Transport};
+    use std::sync::mpsc::channel;
+
+    /// What node 1's sink has been handed, in order.
+    type Arrivals = Arc<Mutex<Vec<Envelope>>>;
+
+    /// Node 0 of a two-node Quorum cluster over the in-process
+    /// transport, its state not yet installed in its cell; node 1's sink
+    /// records what node 0 sends it.
+    fn quorum_node() -> (Arc<NodeCell>, NodeCtx, Receiver<Wire>, Arrivals) {
+        let sys = SystemParams {
+            n_clients: 1,
+            s: 4,
+            p: 2,
+            m_objects: 2,
+        };
+        let cfg = ShardConfig::default();
+        let mut transport = InProcTransport::new(sys.n_nodes());
+        let (tx, rx) = channel();
+        let cell = Arc::new(NodeCell::new(tx));
+        let sink = Arc::clone(&cell);
+        let endpoint = transport
+            .bind(NodeId(0), Box::new(move |env| sink.deliver(env)))
+            .unwrap();
+        let peer = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&peer);
+        transport
+            .bind(
+                NodeId(1),
+                Box::new(move |env| seen.lock().unwrap().push(env)),
+            )
+            .unwrap();
+        let ctx = NodeCtx::new(
+            Arc::new(ReplicaTable::new(NodeId(0), sys, ProtocolKind::Quorum, cfg)),
+            sys,
+            cfg,
+            endpoint,
+            Arc::new(AtomicU64::new(0)),
+            Arc::new(AtomicU64::new(0)),
+            VersionClock::Shared(Arc::new(AtomicU64::new(0))),
+            Arc::new(Poison::default()),
+            Arc::new(DeadSet::new(sys.n_nodes())),
+        );
+        (cell, ctx, rx, peer)
+    }
+
+    /// Node 1's probe for operation `op` on `object`: node 0 answers it
+    /// with one vote.
+    fn probe(object: u32, op: u64) -> Envelope {
+        Envelope {
+            msg: Msg {
+                kind: MsgKind::QProbe,
+                initiator: NodeId(1),
+                sender: NodeId(1),
+                object: ObjectId(object),
+                queue: QueueKind::Distributed,
+                payload: PayloadKind::Token,
+                op: OpTag(op),
+                epoch: 0,
+            },
+            params: None,
+            copy: None,
+            clock: 0,
+        }
+    }
+
+    /// The operations node 1 has been sent votes for, in order.
+    fn votes(peer: &Mutex<Vec<Envelope>>) -> Vec<u64> {
+        let peer = peer.lock().unwrap();
+        assert!(peer.iter().all(|env| env.msg.kind == MsgKind::QVote));
+        peer.iter().map(|env| env.msg.op.0).collect()
+    }
+
+    /// The operations of the probes queued on the inbox, in order.
+    fn queued(rx: &Receiver<Wire>) -> Vec<u64> {
+        rx.try_iter()
+            .map(|wire| match wire {
+                Wire::Net(env) => env.msg.op.0,
+                _ => panic!("only envelopes were delivered"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_delivery_behind_a_queued_one_queues_too() {
+        let (cell, ctx, rx, peer) = quorum_node();
+        *cell.lock() = Some(ctx);
+        // The node is busy: the first probe queues.
+        let busy = cell.lock();
+        cell.deliver(probe(0, 1));
+        drop(busy);
+        // The node is idle now, but the first probe has not been taken
+        // up: the second must not overtake it.
+        cell.deliver(probe(0, 2));
+        assert_eq!(votes(&peer), [] as [u64; 0]);
+        // The node's thread takes both up in one turn, in link order.
+        let first = rx.recv().unwrap();
+        let mut slot = cell.lock();
+        let ctx = slot.as_mut().unwrap();
+        assert_eq!(
+            in_turn(|| ctx.turn(first, Some(&rx), &cell.accepted)),
+            Ok(true)
+        );
+        assert_eq!((ctx.handled, cell.accepted.load(Ordering::Relaxed)), (2, 2));
+        drop(slot);
+        assert_eq!(votes(&peer), [1, 2]);
+        // Nothing is queued any more: the deliverer runs the turn.
+        cell.deliver(probe(0, 3));
+        assert_eq!(votes(&peer), [1, 2, 3]);
+        assert_eq!(queued(&rx), [] as [u64; 0]);
+        // From inside a turn, even an idle node's delivery queues.
+        in_turn(|| cell.deliver(probe(1, 4)));
+        assert_eq!(votes(&peer), [1, 2, 3]);
+        assert_eq!(queued(&rx), [4]);
+    }
+
+    #[test]
+    fn a_stopped_broken_or_poisoned_node_runs_no_turn_for_a_deliverer() {
+        // Not started yet (or stopped): the cell holds no state.
+        let (cell, _, rx, peer) = quorum_node();
+        cell.deliver(probe(0, 1));
+        assert_eq!(queued(&rx), [1]);
+        assert_eq!(votes(&peer), [] as [u64; 0]);
+
+        // A turn run by the deliverer fails: the node's thread is woken
+        // to poison the cluster, and no deliverer runs another turn.
+        let (cell, ctx, rx, peer) = quorum_node();
+        *cell.lock() = Some(ctx);
+        cell.deliver(probe(7, 2));
+        assert!(matches!(rx.try_recv(), Ok(Wire::Stop)));
+        cell.deliver(probe(0, 3));
+        assert_eq!(queued(&rx), [3]);
+        assert_eq!(votes(&peer), [] as [u64; 0]);
+        let reason = cell.lock().as_ref().unwrap().broken.clone().unwrap();
+        assert!(reason.contains("out-of-range"), "{reason}");
+
+        // Another node poisoned the cluster.
+        let (cell, ctx, rx, peer) = quorum_node();
+        ctx.poison.set(ClusterError::NodeDown(NodeId(1)));
+        *cell.lock() = Some(ctx);
+        cell.deliver(probe(0, 4));
+        assert_eq!(queued(&rx), [4]);
+        assert_eq!(votes(&peer), [] as [u64; 0]);
+    }
 
     #[test]
     fn dead_set_is_monotone_and_names_its_lowest_member() {

@@ -20,7 +20,9 @@
 //! (see the node module docs).
 
 use crate::cluster::{ClusterDump, Handle};
-use crate::node::{node_loop, ClusterError, NodeCtx, Poison, ReplicaSnap, VersionClock, Wire};
+use crate::node::{
+    node_loop, ClusterError, NodeCell, NodeCtx, Poison, ReplicaSnap, VersionClock, Wire,
+};
 use crate::shard::ShardConfig;
 use crate::table::ReplicaTable;
 use bytes::Bytes;
@@ -81,11 +83,12 @@ pub fn serve(cfg: ServeConfig) -> Result<(), ClusterError> {
         table: Arc::clone(&table),
     };
 
+    // The endpoint's runner runs this node's turns when it finds the
+    // node idle, as in an in-process cluster over the mesh.
+    let cell = Arc::new(NodeCell::new(tx.clone()));
     let deliver = {
-        let tx = tx.clone();
-        Box::new(move |env| {
-            let _ = tx.send(Wire::Net(env));
-        })
+        let cell = Arc::clone(&cell);
+        Box::new(move |env| cell.deliver(env))
     };
     let ctrl: CtrlHandler = {
         let cost = Arc::clone(&cost);
@@ -130,7 +133,7 @@ pub fn serve(cfg: ServeConfig) -> Result<(), ClusterError> {
     );
     // Publish the snapshot before closing the endpoint: close joins the
     // control threads, and the shutdown-issuing one is waiting on it.
-    let endpoint = node_loop(ctx, rx);
+    let endpoint = node_loop(&cell, ctx, rx);
     let _ = snap_tx.send(table.snaps());
     endpoint.close();
     match poison.get() {

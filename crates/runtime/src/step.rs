@@ -200,6 +200,7 @@ impl StepCluster {
             Some(reason) => Err(reason),
             None => ctx.handle_app(req, OpTag(op_id)),
         };
+        std::mem::take(&mut ctx.answers).send();
         if let Err(reason) = started {
             let err = ClusterError::Poisoned { node, reason };
             self.poison.set(err.clone());
@@ -242,7 +243,10 @@ impl StepCluster {
             let Some(env) = env else {
                 return Ok(());
             };
-            if let Err(reason) = self.nodes[node.idx()].handle_env(env) {
+            let ctx = &mut self.nodes[node.idx()];
+            let handled = ctx.handle_env(env);
+            std::mem::take(&mut ctx.answers).send();
+            if let Err(reason) = handled {
                 let err = ClusterError::Poisoned { node, reason };
                 self.poison.set(err.clone());
                 return Err(err);

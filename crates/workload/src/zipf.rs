@@ -44,14 +44,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Uniform draw in `[0, bound)`.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        // Multiply-shift range reduction; the tiny modulo bias of a
-        // 64-bit draw against workload-sized bounds is irrelevant here.
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
 }
 
 /// Zipfian rank distribution over `n` items with skew `θ ∈ (0, 1)`.
