@@ -164,7 +164,7 @@ fn check_sc(exec: &Exec) -> Option<Violation> {
 /// asserts.
 fn check_convergence(exec: &Exec) -> Option<Violation> {
     let cluster = exec.cluster();
-    if !cluster.sched().killed().is_empty() {
+    if !cluster.killed().is_empty() {
         return None;
     }
     let replicas = cluster.replicas();
@@ -207,7 +207,7 @@ fn check_convergence(exec: &Exec) -> Option<Violation> {
 /// issued operation must have completed (fault-free liveness: nothing
 /// may wait on a message that will never come).
 fn check_stuck(exec: &Exec) -> Option<Violation> {
-    if !exec.cluster().sched().killed().is_empty() {
+    if !exec.cluster().killed().is_empty() {
         return None; // operations stranded by a kill are legitimate
     }
     let stuck: Vec<&OpRec> = exec

@@ -13,6 +13,7 @@ use repmem_core::{MsgKind, NodeId, ObjectId, OpKind, ProtocolKind, SystemParams}
 use repmem_net::{Envelope, SchedAction};
 use repmem_runtime::{ClusterError, StepCluster};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One step of a client's scripted program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,7 +255,7 @@ pub struct OpRec {
 /// A schedule in mid-execution: the step cluster plus the bookkeeping
 /// (program counters, fault cursor, operation records) the checks need.
 pub struct Exec {
-    cfg: CheckConfig,
+    cfg: Arc<CheckConfig>,
     cluster: StepCluster,
     pos: Vec<usize>,
     next_fault: usize,
@@ -268,10 +269,9 @@ pub struct Exec {
 impl Exec {
     /// A fresh execution of `cfg` with no steps taken.
     pub fn new(cfg: &CheckConfig) -> Exec {
-        let cluster =
-            StepCluster::new(cfg.sys(), cfg.kind).expect("binding the sched transport cannot fail");
+        let cluster = StepCluster::new(cfg.sys(), cfg.kind);
         Exec {
-            cfg: cfg.clone(),
+            cfg: Arc::new(cfg.clone()),
             cluster,
             pos: vec![0; cfg.program.len()],
             next_fault: 0,
@@ -280,6 +280,23 @@ impl Exec {
             deliver_steps: 0,
             kind_matches: 0,
             depth: 0,
+        }
+    }
+
+    /// A copy of this execution that shares nothing with it (see
+    /// [`StepCluster::fork`]): applying `ev` to the copy reaches the
+    /// state replaying this execution's schedule plus `ev` would.
+    pub fn fork(&self) -> Exec {
+        Exec {
+            cfg: Arc::clone(&self.cfg),
+            cluster: self.cluster.fork(),
+            pos: self.pos.clone(),
+            next_fault: self.next_fault,
+            records: self.records.clone(),
+            by_tag: self.by_tag.clone(),
+            deliver_steps: self.deliver_steps,
+            kind_matches: self.kind_matches,
+            depth: self.depth,
         }
     }
 
@@ -421,19 +438,18 @@ impl Exec {
     fn apply_deliver(&mut self, from: NodeId, to: NodeId) -> Result<bool, ClusterError> {
         if let Mutation::ReorderLink { nth } = self.cfg.mutation {
             if self.deliver_steps + 1 == nth {
-                self.cluster.sched().rotate(from, to);
+                self.cluster.rotate(from, to);
             }
         }
         if let Mutation::DropKind { kind, nth } = self.cfg.mutation {
             let head = self
                 .cluster
-                .sched()
                 .queued(from, to)
                 .first()
                 .map(|env| env.msg.kind);
             if head == Some(kind) {
                 self.kind_matches += 1;
-                if self.kind_matches == nth && self.cluster.sched().drop_head(from, to) {
+                if self.kind_matches == nth && self.cluster.drop_head(from, to) {
                     self.deliver_steps += 1;
                     self.depth += 1;
                     return Ok(true);
@@ -522,9 +538,8 @@ impl Exec {
             h.u8(u8::from(blocked));
         }
         h.u64(self.cluster.version_clock());
-        let sched = self.cluster.sched();
         h.u8(0xA1);
-        for ((from, to), queue) in sched.queues() {
+        for ((from, to), queue) in self.cluster.queues() {
             h.u16(from.0);
             h.u16(to.0);
             h.usize(queue.len());
@@ -533,7 +548,7 @@ impl Exec {
             }
         }
         h.u8(0xA2);
-        for ((from, to), queue) in sched.parked() {
+        for ((from, to), queue) in self.cluster.parked() {
             h.u16(from.0);
             h.u16(to.0);
             h.usize(queue.len());
@@ -542,12 +557,12 @@ impl Exec {
             }
         }
         h.u8(0xA3);
-        for (a, b) in sched.severed() {
+        for (a, b) in self.cluster.severed() {
             h.u16(a.0);
             h.u16(b.0);
         }
         h.u8(0xA4);
-        for node in sched.killed() {
+        for node in self.cluster.killed() {
             h.u16(node.0);
         }
         if self.cfg.mutation != Mutation::None {

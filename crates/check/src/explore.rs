@@ -14,7 +14,7 @@ use std::collections::HashMap;
 pub struct ExploreLimits {
     /// Stop after this many distinct fingerprinted states.
     pub max_states: u64,
-    /// Stop after this many (re-)executions.
+    /// Stop after this many states expanded.
     pub max_execs: u64,
 }
 
@@ -44,7 +44,8 @@ pub struct FoundViolation {
 pub struct Report {
     /// Protocol explored.
     pub protocol: ProtocolKind,
-    /// Schedules (re-)executed.
+    /// States expanded: each one reached by one step from its parent
+    /// (or, sampling, each walk checked).
     pub executions: u64,
     /// Distinct fingerprinted states seen.
     pub distinct_states: u64,
@@ -101,25 +102,48 @@ impl Report {
     }
 }
 
-/// Enumerate every schedule of `cfg` up to its depth bound,
-/// re-executing prefixes (stateless model checking) and pruning states
-/// already expanded with at least as much remaining depth budget.
-/// Checks run on terminal and depth-cut schedules; a violation stops
-/// the run.
+/// Enumerate every schedule of `cfg` up to its depth bound, depth
+/// first, pruning states already expanded with at least as much
+/// remaining depth budget. A state is its parent's [`Exec::fork`] plus
+/// one step; a parent is kept while it has steps left to explore, so at
+/// most one state per level of the current branch is alive. Checks run
+/// on terminal and depth-cut schedules; a violation stops the run.
 pub fn exhaustive(cfg: &CheckConfig, limits: ExploreLimits) -> Report {
     let mut report = Report::new(cfg.kind);
     // fingerprint -> largest remaining depth budget it was expanded with
     let mut visited: HashMap<u64, usize> = HashMap::new();
-    let mut stack: Vec<Vec<Ev>> = vec![Vec::new()];
-    while let Some(prefix) = stack.pop() {
+    // Per level of the current branch: a state, and the steps from it
+    // still to explore, the last first. `path` leads to the state at hand.
+    let mut stack: Vec<(Exec, Vec<Ev>)> = Vec::new();
+    let mut path: Vec<Ev> = Vec::new();
+    let mut root = Some(Exec::new(cfg));
+    loop {
+        let exec = match root.take() {
+            Some(exec) => exec,
+            None => {
+                let level = stack.len();
+                let Some((parent, steps)) = stack.last_mut() else {
+                    break;
+                };
+                let Some(ev) = steps.pop() else {
+                    stack.pop();
+                    continue;
+                };
+                let mut exec = parent.fork();
+                // An error poisons the state, which the checks report.
+                let _ = exec.apply(ev);
+                path.truncate(level - 1);
+                path.push(ev);
+                exec
+            }
+        };
         if report.executions >= limits.max_execs || visited.len() as u64 >= limits.max_states {
             report.capped = true;
             break;
         }
-        let exec = Exec::replay(cfg, &prefix);
         report.executions += 1;
-        report.deepest = report.deepest.max(prefix.len());
-        let remaining = cfg.max_depth.saturating_sub(prefix.len());
+        report.deepest = report.deepest.max(path.len());
+        let remaining = cfg.max_depth.saturating_sub(path.len());
         match visited.entry(exec.fingerprint()) {
             Entry::Occupied(mut entry) => {
                 if *entry.get() >= remaining {
@@ -143,18 +167,13 @@ pub fn exhaustive(cfg: &CheckConfig, limits: ExploreLimits) -> Report {
                 report.violation = Some(FoundViolation {
                     kind,
                     detail,
-                    events: prefix,
+                    events: path,
                 });
                 break;
             }
             continue;
         }
-        for ev in enabled {
-            let mut next = Vec::with_capacity(prefix.len() + 1);
-            next.extend_from_slice(&prefix);
-            next.push(ev);
-            stack.push(next);
-        }
+        stack.push((exec, enabled));
     }
     report.distinct_states = visited.len() as u64;
     report

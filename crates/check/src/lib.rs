@@ -1,9 +1,9 @@
 //! # repmem-check
 //!
 //! Schedule-exploration correctness harness for the DSM runtime: a
-//! small stateless model checker built on the deterministic,
+//! small explicit-state model checker built on the deterministic,
 //! step-driven cluster mode ([`repmem_runtime::StepCluster`]) and the
-//! scheduler-hooked in-proc mesh ([`repmem_net::SchedTransport`]).
+//! links it owns as plain data ([`repmem_net::SchedLinks`]).
 //!
 //! The paper's analysis assumes the eight coherence protocols keep the
 //! replicated store *sequentially consistent* over fault-free FIFO
@@ -11,9 +11,11 @@
 //!
 //! * [`exec`] — a schedule is a list of [`Ev`] steps (issue an
 //!   application operation, deliver one link's head envelope, fire the
-//!   next scripted fault); [`Exec`] replays one deterministically.
+//!   next scripted fault); [`Exec`] replays one deterministically, and
+//!   [`Exec::fork`] copies a state to step it further.
 //! * [`explore`] — enumerates every schedule a bounded workload admits
-//!   ([`exhaustive`], with visited-state fingerprint pruning), or
+//!   ([`exhaustive`], depth first over forked states, with
+//!   visited-state fingerprint pruning), or
 //!   samples seeded random walks beyond the exhaustive horizon
 //!   ([`sample`]).
 //! * [`sc`] — the per-schedule oracle: a Qadeer-style witness search
@@ -35,8 +37,8 @@
 //!
 //! State fingerprints and witness-search memo keys use 64-bit FNV-1a.
 //! A fingerprint collision could prune an unexplored state (the usual
-//! stateless-model-checking trade-off: at the explorer's ~10^5-state
-//! scale the odds are ~10^-10); the SC witness search, whose misses
+//! hash-compaction trade-off: at the explorer's ~10^6-state scale the
+//! odds are ~10^-7); the SC witness search, whose misses
 //! would be reported as *violations*, memoizes on exact keys instead.
 
 pub mod artifact;

@@ -59,12 +59,6 @@ impl Dense {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable view of row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Dense {
         let mut t = Dense::zeros(self.cols, self.rows);

@@ -31,15 +31,6 @@ impl InProcTransport {
             }),
         }
     }
-
-    /// The scheduler hook: the same `n`-node in-process mesh, but with
-    /// every delivery parked in a per-link FIFO queue until the returned
-    /// [`SchedHandle`](crate::SchedHandle) releases it. This is the
-    /// entry point of the schedule-exploration harness (`repmem-check`);
-    /// see [`crate::sched`] for the full semantics.
-    pub fn scheduled(n: usize) -> (crate::SchedTransport, crate::SchedHandle) {
-        crate::SchedTransport::new(n)
-    }
 }
 
 impl Transport for InProcTransport {

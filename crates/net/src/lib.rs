@@ -29,11 +29,14 @@
 //! * [`FaultTransport`] — scripted fault injection: kill endpoints and
 //!   stretch delivery at exact send counts, with FIFO order preserved on
 //!   every link — the harness behind the runtime's dead-peer guarantees.
-//! * [`SchedTransport`] — the scheduler hook on the in-proc mesh: sends
-//!   park in per-link FIFO queues and a [`SchedHandle`] decides which
-//!   link delivers next, so a checker can enumerate every interleaving
-//!   the FIFO-channel axioms admit (plus inject [`SchedAction`]s at
-//!   chosen points). The substrate of the `repmem-check` explorer.
+//! * [`SchedLinks`] — the in-proc mesh as plain data for a scheduler:
+//!   sends (through a [`SchedEndpoint`]) park in per-link FIFO queues
+//!   and the links' owner decides which link delivers next, so a checker
+//!   can enumerate every interleaving the FIFO-channel axioms admit (plus
+//!   inject [`SchedAction`]s at chosen points). Not a [`Transport`]: it
+//!   calls no sink, and cloning it copies the whole network. The
+//!   substrate of the runtime's `StepCluster`, hence of the
+//!   `repmem-check` explorer and the discrete-event simulator.
 //!
 //! Wrappers compose: `MeteredTransport::new(FaultTransport::new(...))`
 //! meters the faulted link.
@@ -54,7 +57,7 @@ pub use inproc::InProcTransport;
 #[cfg(target_os = "linux")]
 pub use mesh::{CtrlConn, CtrlHandler, EpollEndpoint, EpollTransport, MeshConfig, CTRL_NODE};
 pub use metered::{ClassCounters, LinkSnapshot, MeterHandle, MeterStats, MeteredTransport};
-pub use sched::{SchedAction, SchedHandle, SchedTransport};
+pub use sched::{SchedAction, SchedEndpoint, SchedLinks};
 
 use bytes::Bytes;
 use repmem_core::{Msg, NodeId};

@@ -217,7 +217,7 @@ impl Handle {
             op,
             object,
             data,
-            reply: reply_tx,
+            reply: Some(reply_tx),
         };
         if self.tx.send(Wire::Local(req, tag)).is_err() {
             return Ticket {

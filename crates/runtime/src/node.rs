@@ -137,6 +137,14 @@ impl DeadSet {
         let i = self.peers.iter().position(|f| f.load(Ordering::Relaxed))?;
         Some(NodeId(i as u16))
     }
+
+    /// A set of its own with the same members (a forked cluster's).
+    pub fn fork(&self) -> DeadSet {
+        let flags = self.peers.iter().map(|f| f.load(Ordering::Relaxed));
+        DeadSet {
+            peers: flags.map(AtomicBool::new).collect(),
+        }
+    }
 }
 
 /// First-error-wins poison cell shared by every node of a cluster.
@@ -166,6 +174,15 @@ impl Poison {
             *first = Some(err);
             self.set.store(true, Ordering::Release);
         }
+    }
+
+    /// A cell of its own holding the same error (a forked cluster's).
+    pub fn fork(&self) -> Poison {
+        let fork = Poison::default();
+        if let Some(err) = self.get() {
+            fork.set(err);
+        }
+        fork
     }
 }
 
@@ -237,25 +254,38 @@ pub(crate) struct AppReq {
     pub op: OpKind,
     pub object: ObjectId,
     pub data: Option<Bytes>,
-    pub reply: SyncSender<Result<Bytes, ClusterError>>,
+    pub reply: Reply,
 }
 
 /// What a ticket yields: the value the operation observed, or why it
 /// failed.
 type Outcome = Result<Bytes, ClusterError>;
 
-/// Ticket answers a turn decided: sent only once the turn has let go of
-/// the node's lock ([`Answers::send`]). A woken caller may preempt the
-/// thread that answers it; answered under the lock, it would preempt the
-/// lock holder, and the node's own thread, woken by the caller's next
+/// Where an operation's outcome goes: its ticket's channel, or — `None`,
+/// a stepped operation — nowhere but [`NodeCtx::answers`], which the
+/// step cluster reads by the operation's tag.
+pub(crate) type Reply = Option<SyncSender<Outcome>>;
+
+/// Hand `result` to `reply`'s ticket, if it has one.
+fn answer(reply: Reply, result: Outcome) {
+    if let Some(reply) = reply {
+        let _ = reply.send(result);
+    }
+}
+
+/// Operation outcomes the steps so far decided, by tag. A turn's are
+/// sent only once the turn has let go of the node's lock
+/// ([`Answers::send`]). A woken caller may preempt the thread that
+/// answers it; answered under the lock, it would preempt the lock
+/// holder, and the node's own thread, woken by the caller's next
 /// request, would then sleep on the lock.
-#[derive(Default)]
-pub(crate) struct Answers(Vec<(SyncSender<Outcome>, Outcome)>);
+#[derive(Default, Clone)]
+pub(crate) struct Answers(pub Vec<(OpTag, Reply, Outcome)>);
 
 impl Answers {
     pub fn send(self) {
-        for (reply, result) in self.0 {
-            let _ = reply.send(result);
+        for (_, reply, result) in self.0 {
+            answer(reply, result);
         }
     }
 }
@@ -285,11 +315,12 @@ impl ReplicaSnap {
 /// With pipelining (`window > 1`) a node keeps up to `window` of these,
 /// at most one per object — the per-object Mealy machine serializes its
 /// own operations, so the in-flight map is keyed by object.
+#[derive(Clone)]
 struct PendingApp {
     op: OpKind,
     tag: OpTag,
     data: Option<Payload>,
-    reply: SyncSender<Result<Bytes, ClusterError>>,
+    reply: Reply,
     /// `true` once the protocol requires a response before completion.
     blocked: bool,
     /// The operation's quorum round, if it runs one. Its `voted` list
@@ -338,7 +369,7 @@ pub(crate) struct NodeCtx {
     /// the cluster with it at its next turn, and no deliverer runs
     /// another.
     broken: Option<String>,
-    /// Tickets the steps so far completed or failed, not yet answered.
+    /// Operations the steps so far completed or failed, not yet answered.
     pub answers: Answers,
 }
 
@@ -380,6 +411,43 @@ impl NodeCtx {
             probes: Vec::new(),
             broken: None,
             answers: Answers::default(),
+        }
+    }
+
+    /// A copy of this stepped node — replicas, in-flight operations,
+    /// counts and unread answers — over its forked cluster's endpoint
+    /// and shared parts, so that stepping either leaves the other as it
+    /// was. A stepped node has no backlog, probes or failed turn.
+    pub fn fork(
+        &self,
+        endpoint: Box<dyn Endpoint>,
+        cost: Arc<AtomicU64>,
+        messages: Arc<AtomicU64>,
+        clock: VersionClock,
+        poison: Arc<Poison>,
+        dead: Arc<DeadSet>,
+    ) -> NodeCtx {
+        NodeCtx {
+            me: self.me,
+            sys: self.sys,
+            kind: self.kind,
+            endpoint,
+            table: Arc::new(self.table.fork()),
+            cost,
+            messages,
+            clock,
+            poison,
+            shards: self.shards,
+            window: self.window,
+            pending: self.pending.clone(),
+            abandoned: self.abandoned.clone(),
+            dead,
+            sent: self.sent,
+            handled: self.handled,
+            backlog: VecDeque::new(),
+            probes: Vec::new(),
+            broken: None,
+            answers: self.answers.clone(),
         }
     }
 }
@@ -603,7 +671,7 @@ impl NodeCtx {
         };
         if let Some(value) = value {
             if let Some(p) = self.pending.remove(&object) {
-                self.answers.0.push((p.reply, Ok(value)));
+                self.answers.0.push((p.tag, p.reply, Ok(value)));
             }
         }
         if let Some(peer) = dead {
@@ -628,7 +696,7 @@ impl NodeCtx {
             return;
         };
         self.table.retire(object);
-        self.answers.0.push((p.reply, Err(err)));
+        self.answers.0.push((p.tag, p.reply, Err(err)));
     }
 
     /// Fail every in-flight operation whose service node is already
@@ -825,10 +893,10 @@ impl NodeCtx {
     /// Fail every in-flight and backlogged caller with `err`.
     fn fail_all(&mut self, err: &ClusterError) {
         for (_, p) in self.pending.drain() {
-            let _ = p.reply.send(Err(err.clone()));
+            answer(p.reply, Err(err.clone()));
         }
         for (req, _) in self.backlog.drain(..) {
-            let _ = req.reply.send(Err(err.clone()));
+            answer(req.reply, Err(err.clone()));
         }
     }
 
@@ -1049,7 +1117,7 @@ pub(crate) fn node_loop(cell: &NodeCell, ctx: NodeCtx, inbox: Receiver<Wire>) ->
             // Fail late arrivals that were already queued behind the error.
             while let Ok(wire) = inbox.try_recv() {
                 if let Wire::Local(req, _) = wire {
-                    let _ = req.reply.send(Err(err.clone()));
+                    answer(req.reply, Err(err.clone()));
                 }
             }
         }

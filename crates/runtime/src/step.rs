@@ -4,23 +4,31 @@
 //!
 //! A [`crate::Cluster`] runs one thread per node and lets the OS pick
 //! the interleaving. [`StepCluster`] runs the *same* protocol logic —
-//! the per-node [`NodeCtx`] step functions the threaded node loop uses —
-//! but on a single thread, over the scheduler-hooked in-proc mesh
-//! ([`repmem_net::SchedTransport`]): a send parks in its link's FIFO
-//! queue, and nothing happens until the driver explicitly
+//! the per-node `NodeCtx` step functions the threaded node loop uses —
+//! but on a single thread, over links it owns as plain data
+//! ([`repmem_net::SchedLinks`]): a send parks in its link's FIFO queue,
+//! and nothing happens until the driver explicitly
 //!
 //! * [`StepCluster::issue`]s an application operation at a node,
-//! * [`StepCluster::deliver`]s the head envelope of a chosen link, or
+//! * [`StepCluster::deliver`]s the head envelope of a chosen link, which
+//!   runs the destination node's step on it there and then, or
 //! * [`StepCluster::fault`]s the network (sever/restore/kill).
 //!
 //! Every step is a plain synchronous call, so a sequence of steps is a
 //! *schedule* and replaying it reproduces the execution exactly — no
-//! wall clocks, no thread scheduler, no randomness. The quiescence and
-//! state-extraction accessors ([`StepCluster::is_quiescent`],
-//! [`StepCluster::replicas`], [`StepCluster::pending_ops`], …) expose
-//! everything a model checker needs to fingerprint a state and to judge
-//! sequential consistency and replica convergence at the end of a
-//! schedule (see the `repmem-check` crate).
+//! wall clocks, no thread scheduler, no randomness. What a step
+//! completes is read off the nodes' answers ([`StepCluster::poll`]); no
+//! operation has a channel. The quiescence and state-extraction
+//! accessors ([`StepCluster::is_quiescent`], [`StepCluster::replicas`],
+//! [`StepCluster::pending_ops`], the link views …) expose everything a
+//! model checker needs to fingerprint a state and to judge sequential
+//! consistency and replica convergence at the end of a schedule (see
+//! the `repmem-check` crate).
+//!
+//! The state is data the cluster owns — node contexts, replica tables,
+//! links, counters — so [`StepCluster::fork`] copies it: the explorer
+//! steps a copy of a state instead of replaying the schedule that led
+//! there.
 //!
 //! Fidelity notes:
 //!
@@ -28,97 +36,114 @@
 //!   as in the threaded in-process cluster.
 //! * A send fails only when a kill took its peer (or its sender), with
 //!   the same `Down` the threaded runtime buries a peer on. A sever
-//!   fails nothing: the sched transport parks the link's sends until
-//!   the restore, a delay that never loses.
+//!   fails nothing: the links park the pair's sends until the restore,
+//!   a delay that never loses.
 //! * A node's self-sends queue on its loopback link and are delivered
 //!   when scheduled; delaying them is indistinguishable from the node
 //!   being slow, so the explored set is a superset of what one merged
 //!   thread inbox can exhibit.
 
-use crate::node::{AppReq, ClusterError, NodeCtx, Poison, ReplicaSnap, VersionClock};
+use crate::node::{AppReq, ClusterError, DeadSet, NodeCtx, Poison, ReplicaSnap, VersionClock};
 use crate::shard::ShardConfig;
 use crate::table::ReplicaTable;
 use bytes::Bytes;
 use repmem_core::{NodeId, ObjectId, OpKind, OpTag, ProtocolKind, SystemParams};
-use repmem_net::{Envelope, SchedAction, SchedHandle, SchedTransport, Transport};
-use std::collections::VecDeque;
+use repmem_net::{Envelope, SchedAction, SchedEndpoint, SchedLinks};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A single-threaded cluster advanced one explicit step at a time.
 pub struct StepCluster {
     sys: SystemParams,
     nodes: Vec<NodeCtx>,
-    inboxes: Vec<Arc<Mutex<VecDeque<Envelope>>>>,
-    sched: SchedHandle,
+    /// The network; only the nodes' endpoints and this cluster touch it.
+    links: Arc<Mutex<SchedLinks>>,
     poison: Arc<Poison>,
     versions: Arc<AtomicU64>,
     cost: Arc<AtomicU64>,
     messages: Arc<AtomicU64>,
-    replies: Vec<(u64, Receiver<Result<Bytes, ClusterError>>)>,
+    dead: Arc<DeadSet>,
 }
 
 impl StepCluster {
-    /// A step-driven cluster with the paper's default topology
-    /// (`N` clients + 1 home sequencer, blocking window).
-    pub fn new(sys: SystemParams, kind: ProtocolKind) -> Result<StepCluster, ClusterError> {
-        StepCluster::with_config(sys, kind, ShardConfig::default())
-    }
-
-    /// A step-driven cluster with an explicit shard/window configuration.
-    pub fn with_config(
-        sys: SystemParams,
-        kind: ProtocolKind,
-        cfg: ShardConfig,
-    ) -> Result<StepCluster, ClusterError> {
+    /// A step-driven cluster with the paper's topology (`N` clients + 1
+    /// home sequencer, one operation in flight per node).
+    pub fn new(sys: SystemParams, kind: ProtocolKind) -> StepCluster {
+        let cfg = ShardConfig::default();
         let n = cfg.total_nodes(&sys);
-        let (mut transport, sched) = SchedTransport::new(n);
-        let poison = Arc::new(Poison::default());
-        let versions = Arc::new(AtomicU64::new(0));
-        let cost = Arc::new(AtomicU64::new(0));
-        let messages = Arc::new(AtomicU64::new(0));
-        let dead = Arc::new(crate::node::DeadSet::new(n));
-        let mut nodes = Vec::with_capacity(n);
-        let mut inboxes = Vec::with_capacity(n);
+        let (links, dead) = (SchedLinks::new(n), DeadSet::new(n));
+        let mut c = StepCluster::empty(sys, links, Poison::default(), dead, 0, 0, 0);
         for i in 0..n {
             let me = NodeId(i as u16);
-            let inbox: Arc<Mutex<VecDeque<Envelope>>> = Arc::new(Mutex::new(VecDeque::new()));
-            let sink = Arc::clone(&inbox);
-            let endpoint = transport
-                .bind(
-                    me,
-                    Box::new(move |env| {
-                        sink.lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push_back(env);
-                    }),
-                )
-                .map_err(|e| ClusterError::Transport(e.to_string()))?;
-            nodes.push(NodeCtx::new(
+            let endpoint = Box::new(SchedEndpoint::new(me, Arc::clone(&c.links)));
+            c.nodes.push(NodeCtx::new(
                 Arc::new(ReplicaTable::new(me, sys, kind, cfg)),
                 sys,
                 cfg,
                 endpoint,
-                Arc::clone(&cost),
-                Arc::clone(&messages),
-                VersionClock::Shared(Arc::clone(&versions)),
-                Arc::clone(&poison),
-                Arc::clone(&dead),
+                Arc::clone(&c.cost),
+                Arc::clone(&c.messages),
+                VersionClock::Shared(Arc::clone(&c.versions)),
+                Arc::clone(&c.poison),
+                Arc::clone(&c.dead),
             ));
-            inboxes.push(inbox);
         }
-        Ok(StepCluster {
+        c
+    }
+
+    /// A cluster with no nodes over `links` and the given shared parts.
+    fn empty(
+        sys: SystemParams,
+        links: SchedLinks,
+        poison: Poison,
+        dead: DeadSet,
+        versions: u64,
+        cost: u64,
+        messages: u64,
+    ) -> StepCluster {
+        StepCluster {
             sys,
-            nodes,
-            inboxes,
-            sched,
-            poison,
-            versions,
-            cost,
-            messages,
-            replies: Vec::new(),
-        })
+            nodes: Vec::new(),
+            links: Arc::new(Mutex::new(links)),
+            poison: Arc::new(poison),
+            versions: Arc::new(AtomicU64::new(versions)),
+            cost: Arc::new(AtomicU64::new(cost)),
+            messages: Arc::new(AtomicU64::new(messages)),
+            dead: Arc::new(dead),
+        }
+    }
+
+    /// A copy of this cluster that shares no lock, endpoint or counter
+    /// with it: stepping either leaves the other as it was, and the copy
+    /// runs on exactly as this cluster would.
+    pub fn fork(&self) -> StepCluster {
+        let links = self.net().clone();
+        let mut c = StepCluster::empty(
+            self.sys,
+            links,
+            self.poison.fork(),
+            self.dead.fork(),
+            self.version_clock(),
+            self.total_cost(),
+            self.total_messages(),
+        );
+        for ctx in &self.nodes {
+            let endpoint = Box::new(SchedEndpoint::new(ctx.me, Arc::clone(&c.links)));
+            c.nodes.push(ctx.fork(
+                endpoint,
+                Arc::clone(&c.cost),
+                Arc::clone(&c.messages),
+                VersionClock::Shared(Arc::clone(&c.versions)),
+                Arc::clone(&c.poison),
+                Arc::clone(&c.dead),
+            ));
+        }
+        c
+    }
+
+    /// The links, between steps (no node is sending).
+    fn net(&self) -> MutexGuard<'_, SchedLinks> {
+        self.links.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// System parameters this cluster runs with.
@@ -126,15 +151,9 @@ impl StepCluster {
         self.sys
     }
 
-    /// The scheduler handle: link queues, fault injection and the
-    /// mutation hooks (see [`repmem_net::SchedHandle`]).
-    pub fn sched(&self) -> &SchedHandle {
-        &self.sched
-    }
-
     /// Whether `node` is still alive (not scripted dead by a kill).
     pub fn alive(&self, node: NodeId) -> bool {
-        !self.sched.killed().contains(&node)
+        self.net().alive(node)
     }
 
     /// Whether `node` could start an application operation on `object`
@@ -159,7 +178,7 @@ impl StepCluster {
     /// (see the `table` module's three clauses) completes on the spot
     /// without running the machine. Otherwise the *request* runs
     /// synchronously (the protocol machine consumes the request token
-    /// and typically queues messages on the mesh); its completion
+    /// and typically queues messages on the links); its completion
     /// generally needs later [`StepCluster::deliver`] steps.
     pub fn issue(
         &mut self,
@@ -184,29 +203,22 @@ impl StepCluster {
                 "{node} cannot accept an operation on {object} now"
             )));
         }
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.replies.push((op_id, reply_rx));
+        let tag = OpTag(op_id);
         if let Some(value) = ctx.table.admit(op, object) {
-            let _ = reply_tx.send(Ok(value));
+            ctx.answers.0.push((tag, None, Ok(value)));
             return Ok(());
         }
         let req = AppReq {
             op,
             object,
             data,
-            reply: reply_tx,
+            reply: None,
         };
         let started = match ctx.refusal(&req) {
             Some(reason) => Err(reason),
-            None => ctx.handle_app(req, OpTag(op_id)),
+            None => ctx.handle_app(req, tag),
         };
-        std::mem::take(&mut ctx.answers).send();
-        if let Err(reason) = started {
-            let err = ClusterError::Poisoned { node, reason };
-            self.poison.set(err.clone());
-            return Err(err);
-        }
-        self.pump(node)
+        self.poison_on(node, started)
     }
 
     /// Step: deliver the head envelope of link `(from, to)` and run the
@@ -217,69 +229,99 @@ impl StepCluster {
         if let Some(e) = self.poison.get() {
             return Err(e);
         }
-        if !self.sched.deliver(from, to) {
+        let Some(env) = self.net().deliver(from, to) else {
             return Ok(false);
-        }
-        self.pump(to)?;
+        };
+        let handled = self.nodes[to.idx()].handle_env(env);
+        self.poison_on(to, handled)?;
         Ok(true)
     }
 
-    /// Step: apply a fault action to the mesh (see
-    /// [`repmem_net::sched`] for scheduler-mode fault semantics).
-    pub fn fault(&mut self, action: SchedAction) {
-        self.sched.apply(action);
+    /// Poison the cluster when `node`'s step failed.
+    fn poison_on(&mut self, node: NodeId, step: Result<(), String>) -> Result<(), ClusterError> {
+        step.map_err(|reason| {
+            let err = ClusterError::Poisoned { node, reason };
+            self.poison.set(err.clone());
+            err
+        })
     }
 
-    /// Run the destination node on everything sitting in its inbox
-    /// (normally exactly one envelope per deliver step).
-    fn pump(&mut self, node: NodeId) -> Result<(), ClusterError> {
-        loop {
-            let env = {
-                let mut inbox = self.inboxes[node.idx()]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                inbox.pop_front()
-            };
-            let Some(env) = env else {
-                return Ok(());
-            };
-            let ctx = &mut self.nodes[node.idx()];
-            let handled = ctx.handle_env(env);
-            std::mem::take(&mut ctx.answers).send();
-            if let Err(reason) = handled {
-                let err = ClusterError::Poisoned { node, reason };
-                self.poison.set(err.clone());
-                return Err(err);
-            }
-        }
+    /// Step: apply a fault action to the links (see
+    /// [`repmem_net::sched`] for scheduler-mode fault semantics).
+    pub fn fault(&mut self, action: SchedAction) {
+        self.net().apply(action);
     }
 
     /// Drain completed operations: `(op_id, result)` for every
-    /// operation that has finished since the last poll. A degraded
-    /// operation (its one needed peer was killed) reports
+    /// operation that has finished since the last poll, by node. A
+    /// degraded operation (its one needed peer was killed) reports
     /// [`ClusterError::NodeDown`]; operations at a killed node simply
     /// never complete.
     pub fn poll(&mut self) -> Vec<(u64, Result<Bytes, ClusterError>)> {
-        let mut done = Vec::new();
-        self.replies.retain(|(id, rx)| match rx.try_recv() {
-            Ok(result) => {
-                done.push((*id, result));
-                false
-            }
-            Err(_) => true,
-        });
-        done
+        let answers = self
+            .nodes
+            .iter_mut()
+            .flat_map(|ctx| ctx.answers.0.drain(..));
+        answers.map(|(tag, _, result)| (tag.0, result)).collect()
     }
 
     /// Links with a deliverable head envelope, sorted by `(from, to)`.
     pub fn links_ready(&self) -> Vec<(NodeId, NodeId)> {
-        self.sched.links_ready()
+        self.net().links_ready()
     }
 
     /// No envelope is on the wire or parked on a severed link: the
     /// network can cause no further state change.
     pub fn is_quiescent(&self) -> bool {
-        self.sched.total_queued() == 0 && self.sched.total_parked() == 0
+        self.net().is_quiet()
+    }
+
+    /// Mutation hook: lose the head envelope of `(from, to)` (see
+    /// [`SchedLinks::drop_head`]).
+    pub fn drop_head(&mut self, from: NodeId, to: NodeId) -> bool {
+        self.net().drop_head(from, to)
+    }
+
+    /// Mutation hook: move the head envelope of `(from, to)` to the back
+    /// (see [`SchedLinks::rotate`]).
+    pub fn rotate(&mut self, from: NodeId, to: NodeId) -> bool {
+        self.net().rotate(from, to)
+    }
+
+    /// The envelopes queued on `(from, to)`, head first.
+    pub fn queued(&self, from: NodeId, to: NodeId) -> Vec<Envelope> {
+        self.net().queued(from, to)
+    }
+
+    /// Every queue on the wire, sorted by link, head first.
+    pub fn queues(&self) -> Vec<((NodeId, NodeId), Vec<Envelope>)> {
+        self.net().queues()
+    }
+
+    /// Every buffer parked behind a sever, sorted by link.
+    pub fn parked(&self) -> Vec<((NodeId, NodeId), Vec<Envelope>)> {
+        self.net().parked()
+    }
+
+    /// Currently severed pairs, sorted.
+    pub fn severed(&self) -> Vec<(NodeId, NodeId)> {
+        self.net().severed()
+    }
+
+    /// Killed nodes, sorted.
+    pub fn killed(&self) -> Vec<NodeId> {
+        self.net().killed()
+    }
+
+    /// The deliverable head the links accepted first (see
+    /// [`SchedLinks::oldest`]).
+    pub fn oldest(&self) -> Option<(u64, (NodeId, NodeId), OpTag)> {
+        self.net().oldest()
+    }
+
+    /// Sends the links have accepted so far, parked ones included.
+    pub fn accepted(&self) -> u64 {
+        self.net().accepted()
     }
 
     /// State extraction: `replicas()[node][object]` — every replica of
@@ -288,7 +330,6 @@ impl StepCluster {
     pub fn replicas(&self) -> Vec<Vec<ReplicaSnap>> {
         self.nodes.iter().map(|ctx| ctx.table.snaps()).collect()
     }
-
     /// State extraction: `owners()[node][object]` — each protocol
     /// process's ownership register (part of the machine state for the
     /// migrating-ownership protocols).
@@ -365,7 +406,7 @@ mod tests {
     #[test]
     fn write_then_read_completes_for_every_protocol() {
         for kind in ProtocolKind::EVERY {
-            let mut c = StepCluster::new(sys(), kind).unwrap();
+            let mut c = StepCluster::new(sys(), kind);
             c.issue(
                 NodeId(0),
                 OpKind::Write,
@@ -397,7 +438,7 @@ mod tests {
 
     #[test]
     fn nothing_happens_between_steps() {
-        let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough).unwrap();
+        let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough);
         c.issue(
             NodeId(0),
             OpKind::Write,
@@ -417,7 +458,7 @@ mod tests {
 
     #[test]
     fn kill_degrades_the_dependent_operation() {
-        let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough).unwrap();
+        let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough);
         let home = sys().home();
         c.fault(SchedAction::Kill(home));
         assert!(!c.alive(home));
@@ -442,15 +483,15 @@ mod tests {
 
     #[test]
     fn an_envelope_without_a_transition_poisons() {
-        let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough).unwrap();
+        let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough);
         let (n0, home) = (NodeId(0), sys().home());
         c.issue(n0, OpKind::Read, ObjectId(0), None, 1).unwrap();
         assert!(c.deliver(n0, home).unwrap());
         // Swap the home's R-GNT for a W-GNT, which a Write-Through
         // client has no transition for.
-        let mut grant = c.sched().queued(home, n0).remove(0);
+        let mut grant = c.queued(home, n0).remove(0);
         assert_eq!(grant.msg.kind, repmem_core::MsgKind::RGnt);
-        assert!(c.sched().drop_head(home, n0));
+        assert!(c.drop_head(home, n0));
         grant.msg.kind = repmem_core::MsgKind::WGnt;
         c.nodes[home.idx()].endpoint.send(n0, &grant).unwrap();
         let err = c.deliver(home, n0).unwrap_err();
@@ -470,7 +511,7 @@ mod tests {
 
     #[test]
     fn sever_parks_and_restore_releases_deterministically() {
-        let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough).unwrap();
+        let mut c = StepCluster::new(sys(), ProtocolKind::WriteThrough);
         let home = sys().home();
         c.fault(SchedAction::Sever(NodeId(0), home));
         c.issue(
@@ -496,7 +537,7 @@ mod tests {
         // Serial write-through usage must cost exactly what the
         // threaded cluster (and the analytic model) charges.
         let sys = sys();
-        let mut c = StepCluster::new(sys, ProtocolKind::WriteThrough).unwrap();
+        let mut c = StepCluster::new(sys, ProtocolKind::WriteThrough);
         c.issue(
             NodeId(0),
             OpKind::Write,

@@ -41,6 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Per-(node, object) protocol-process state.
+#[derive(Clone)]
 pub(crate) struct Replica {
     pub copy: Payload,
     /// Reign number of the owner the register names; only protocols
@@ -108,6 +109,21 @@ impl ReplicaTable {
             slots: (0..sys.m_objects).map(|_| OnceLock::new()).collect(),
             closed: AtomicBool::new(false),
             hits: AtomicU64::new(0),
+        }
+    }
+
+    /// A table of its own with this one's entries and counts (a forked
+    /// step cluster's): untouched objects stay untouched.
+    pub fn fork(&self) -> ReplicaTable {
+        let slots = self.slots.iter().map(|slot| match slot.get() {
+            Some(entry) => OnceLock::from(Box::new(Entry(Mutex::new(entry.lock().clone())))),
+            None => OnceLock::new(),
+        });
+        ReplicaTable {
+            slots: slots.collect(),
+            closed: AtomicBool::new(self.closed.load(Ordering::Acquire)),
+            hits: AtomicU64::new(self.hits()),
+            ..*self
         }
     }
 

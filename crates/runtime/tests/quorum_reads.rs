@@ -42,7 +42,7 @@ fn a_read_that_saw_a_minority_write_writes_it_back() {
         p: 4,
         m_objects: 1,
     };
-    let mut c = StepCluster::new(sys, ProtocolKind::Quorum).unwrap();
+    let mut c = StepCluster::new(sys, ProtocolKind::Quorum);
     let w = Bytes::from_static(b"w");
 
     // W at n0 counts votes from n1 and n3 and starts its commit wave;

@@ -2,8 +2,8 @@
 //! [`StepCluster`] under a virtual clock, and the two issue modes.
 //!
 //! Every message leg takes one time unit: what a step sends at `t`
-//! arrives at `t + 1`, so the envelope the mesh accepted first
-//! (`SchedHandle::oldest`) is always the next event. Each
+//! arrives at `t + 1`, so the envelope the links accepted first
+//! (`StepCluster::oldest`) is always the next event. Each
 //! leg carries the tag of the operation whose envelope was stepped, so
 //! the change in the cost counter across a step is that operation's.
 //! An operation completes when the cluster answers it.
@@ -77,22 +77,22 @@ struct Sim {
 }
 
 impl Sim {
-    fn new(cfg: &SimConfig) -> Result<Self, ClusterError> {
-        Ok(Sim {
-            cluster: StepCluster::new(cfg.sys, cfg.protocol)?,
+    fn new(cfg: &SimConfig) -> Self {
+        Sim {
+            cluster: StepCluster::new(cfg.sys, cfg.protocol),
             now: 0,
             arrivals: VecDeque::new(),
             cost: 0,
             sent: 0,
             ops: Vec::new(),
-        })
+        }
     }
 
     /// After a step at `now` of operation `tag`'s envelope: charge it what
     /// the step cost, date what it sent, and record the operations the
     /// cluster answered.
     fn account(&mut self, tag: OpTag) -> Result<(), ClusterError> {
-        let (cost, sent) = (self.cluster.total_cost(), self.cluster.sched().accepted());
+        let (cost, sent) = (self.cluster.total_cost(), self.cluster.accepted());
         self.ops[tag.0 as usize].sig.cost += cost - self.cost;
         if sent > self.sent {
             self.arrivals.push_back((self.sent, self.now + 1));
@@ -125,7 +125,7 @@ impl Sim {
     /// Deliver the oldest envelope on the wire if it arrives by `until`,
     /// advancing the clock to its arrival. Returns whether one was.
     fn deliver_next(&mut self, until: u64) -> Result<bool, ClusterError> {
-        let Some((seq, (from, to), tag)) = self.cluster.sched().oldest() else {
+        let Some((seq, (from, to), tag)) = self.cluster.oldest() else {
             return Ok(false);
         };
         while self.arrivals.get(1).is_some_and(|&(first, _)| first <= seq) {
@@ -269,11 +269,10 @@ pub fn replay(cfg: &SimConfig, events: &[OpEvent]) -> SimReport {
 /// count, and report on it. The simulated cluster has no faults, so a
 /// step that fails is a bug.
 fn run(cfg: &SimConfig, issue: impl FnOnce(&mut Sim) -> Result<usize, ClusterError>) -> SimReport {
-    let report = Sim::new(cfg).and_then(|mut sim| {
-        let stale_reads = issue(&mut sim)?;
-        Ok(sim.report(cfg.warmup_ops, stale_reads))
-    });
-    report.unwrap_or_else(|e| panic!("{:?}: a step failed: {e}", cfg.protocol))
+    let mut sim = Sim::new(cfg);
+    let stale_reads =
+        issue(&mut sim).unwrap_or_else(|e| panic!("{:?}: a step failed: {e}", cfg.protocol));
+    sim.report(cfg.warmup_ops, stale_reads)
 }
 
 fn exp_delay(rng: &mut StdRng, mean: f64) -> u64 {
@@ -444,7 +443,7 @@ mod tests {
             assert_eq!(a.end_time, b.end_time, "{kind:?}");
             assert_eq!(a.coherent, b.coherent, "{kind:?}");
             let replicas = || {
-                let mut sim = Sim::new(&cfg).unwrap();
+                let mut sim = Sim::new(&cfg);
                 sim.concurrent(&cfg, &scenario, 16.0).unwrap();
                 let snaps = sim.cluster.replicas().into_iter().flatten();
                 snaps
